@@ -27,7 +27,6 @@ from .errors import (
     NotJordanError,
     PreconditionFailedError,
     SizeMismatchError,
-    SpecMismatchError,
     TorsionRefusedError,
     UnknownElementError,
 )
@@ -68,7 +67,6 @@ from .rings import (
     ModularRing,
     RationalRing,
     Ring,
-    RingValue,
     modular,
     ring_from_json,
 )
@@ -100,9 +98,7 @@ __all__ = [
     "RATIONALS",
     "RationalRing",
     "Ring",
-    "RingValue",
     "SizeMismatchError",
-    "SpecMismatchError",
     "StructAlgebra",
     "TorsionRefusedError",
     "UnknownElementError",

@@ -309,12 +309,12 @@ class StructAlgebra:
     constants over an ordered basis.
 
     cells[i][j] lists the nonzero coordinates of b_i * b_j as (k, coeff)
-    pairs.  Construction checks unitality, and associativity exhaustively in
-    small dimension (sampled above dimension 10).
+    pairs.  Construction checks only the table's shape: the two builders,
+    incidence_algebra() and change_basis(), produce unital associative
+    tables by construction.
     """
 
-    def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None,
-                 validate: bool = True):
+    def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
         self.ring = ring
         self.cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
         self.identity = tuple(identity)
@@ -324,8 +324,6 @@ class StructAlgebra:
             len(row) != self.dimension for row in self.cells
         ):
             raise FialgError("structure-constant table shape mismatch")
-        if validate:
-            self._validate()
 
     def unit_vector(self, k: int) -> tuple:
         return tuple(
@@ -358,32 +356,6 @@ class StructAlgebra:
         for k, c in self.cells[i][j]:
             out[k] = c
         return out
-
-    def _validate(self):
-        d = self.dimension
-        for j in range(d):
-            e_j = self.unit_vector(j)
-            if tuple(self.multiply(self.identity, e_j)) != e_j or tuple(
-                self.multiply(e_j, self.identity)
-            ) != e_j:
-                raise FialgError(f"identity axiom fails at basis index {j}")
-        if d <= 10:
-            triples = (
-                (i, j, k) for i in range(d) for j in range(d) for k in range(d)
-            )
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                for _ in range(200)
-            )
-        for i, j, k in triples:
-            left = self.multiply(self.basis_product(i, j), self.unit_vector(k))
-            right = self.multiply(self.unit_vector(i), self.basis_product(j, k))
-            if left != right:
-                raise FialgError(
-                    f"structure constants are not associative at ({i}, {j}, {k})"
-                )
 
     # -- coordinate maps for incidence models ----------------------------------
 

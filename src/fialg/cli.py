@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import incidence_algebra
@@ -75,21 +74,6 @@ def _emit(obj, out_path: str | None) -> None:
 
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _thread_cap() -> int | None:
-    """Validate FIALG_THREADS.  Evaluation is sequential in this
-    implementation, so the cap only needs to be well-formed."""
-    raw = os.environ.get("FIALG_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"FIALG_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise CliError(f"FIALG_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _report_exit(report, ring, out_path) -> int:
@@ -258,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _thread_cap()
         return args.handler(args)
     except CliError as exc:
         _note(f"error: {exc}")

@@ -29,10 +29,6 @@ class SizeMismatchError(FialgError):
     do not."""
 
 
-class SpecMismatchError(FialgError):
-    """Arithmetic was attempted between values of different rings."""
-
-
 class NotAUnitError(FialgError):
     """A ring element that must be invertible is not."""
 

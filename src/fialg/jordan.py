@@ -151,62 +151,30 @@ def near_sum_build(psi: LinMap, theta: LinMap, split: NearSumSplit) -> LinMap:
     """Assemble the near-sum of a homomorphism and an anti-homomorphism:
     psi on the diagonal block, psi + theta on the strict block.
 
-    Preconditions (each violation is reported with witnesses inside
-    PreconditionFailedError): psi is a homomorphism, theta is an
-    anti-homomorphism, they agree on the diagonal block, and their images of
-    the strict block annihilate each other in both orders.
+    The assembled map must pass verify_near_sum: psi is a homomorphism,
+    theta is an anti-homomorphism that agrees with psi on the diagonal
+    block, and their images of the strict block annihilate each other in
+    both orders.  Each violated clause is reported with witnesses inside
+    PreconditionFailedError.
     """
     if psi.domain != theta.domain or psi.codomain != theta.codomain:
         raise ContextMismatchError("psi and theta must share domain and codomain")
     if split.algebra != psi.domain:
         raise ContextMismatchError("split does not describe the maps' domain")
-    ring = psi.ring
-    cod = psi.codomain
-    zero_vec = [ring.zero] * cod.dimension
+    add = psi.ring.add
+    cols = list(psi.columns)
+    for k in split.strict:
+        cols[k] = [add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
+    phi = LinMap(psi.domain, psi.codomain, cols)
 
-    clauses = []
-    c = check_homomorphism(psi).checks[0]
-    clauses.append(replace(c, name="psi_homomorphism"))
-    c = check_homomorphism(theta, anti=True).checks[0]
-    clauses.append(replace(c, name="theta_anti_homomorphism"))
-
-    def agreement_failures():
-        for k in split.diagonal:
-            if psi.columns[k] != theta.columns[k]:
-                yield (k,), psi.columns[k], theta.columns[k]
-
-    clauses.append(run_check("diagonal_agreement", agreement_failures()))
-
-    def annihilation_failures():
-        for i in split.strict:
-            for j in split.strict:
-                p = cod.multiply(psi.columns[i], theta.columns[j])
-                if p != zero_vec:
-                    yield (i, j), p, zero_vec, "psi(b_i) * theta(b_j)"
-                q = cod.multiply(theta.columns[i], psi.columns[j])
-                if q != zero_vec:
-                    yield (i, j), q, zero_vec, "theta(b_i) * psi(b_j)"
-
-    clauses.append(run_check("strict_annihilation", annihilation_failures()))
-
-    violated = [c for c in clauses if not c.passed]
+    report = verify_near_sum(Decomposition(phi, psi, theta, split, None))
+    violated = [c for c in report.checks if not c.passed]
     if violated:
         names = ", ".join(c.name for c in violated)
         raise PreconditionFailedError(
             f"near-sum preconditions violated: {names}", clauses=violated
         )
-
-    diag = set(split.diagonal)
-    add = ring.add
-    cols = []
-    for k in range(psi.domain.dimension):
-        if k in diag:
-            cols.append(psi.columns[k])
-        else:
-            cols.append(
-                [add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
-            )
-    return LinMap(psi.domain, cod, cols)
+    return phi
 
 
 def random_unit_series(poset: Poset, ring: Ring, rng: random.Random,
@@ -264,17 +232,14 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
     subs = [poset.restrict(c) for c in comps]
 
     # Group components by order-isomorphism type, then permute within groups.
-    group_of = {}
     groups: list[list[int]] = []
     for ci, sub in enumerate(subs):
-        for gi, members in enumerate(groups):
+        for members in groups:
             rep = subs[members[0]]
             if rep.size == sub.size and order_isomorphisms(sub, rep):
-                group_of[ci] = gi
                 members.append(ci)
                 break
         else:
-            group_of[ci] = len(groups)
             groups.append([ci])
     target_of = {}
     for members in groups:
@@ -295,35 +260,16 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
         for local, global_i in enumerate(comp):
             images[global_i] = comps[tgt][chosen.images[local]]
 
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = ci
-
-    psi_cols, theta_cols = [], []
-    zero_vec = [ring.zero] * algebra.dimension
+    # Each basis unit goes to one unit: e_xy -> e_{m(x)m(y)}, or
+    # e_{m(y)m(x)} for a strict pair on an anti component.
+    comp_of = {i: ci for ci, comp in enumerate(comps) for i in comp}
+    cols = []
     for (i, j) in basis.pairs:
-        if i == j:
-            col = algebra.unit_vector(basis.index_of[(images[i], images[i])])
-            psi_cols.append(col)
-            theta_cols.append(col)
-        elif anti_comp[comp_of[i]]:
-            psi_cols.append(list(zero_vec))
-            theta_cols.append(
-                algebra.unit_vector(basis.index_of[(images[j], images[i])])
-            )
-        else:
-            psi_cols.append(
-                algebra.unit_vector(basis.index_of[(images[i], images[j])])
-            )
-            theta_cols.append(list(zero_vec))
-
-    split = NearSumSplit.for_incidence(algebra)
-    base = near_sum_build(
-        LinMap(algebra, algebra, psi_cols),
-        LinMap(algebra, algebra, theta_cols),
-        split,
-    )
+        pair = (images[i], images[j])
+        if i != j and anti_comp[comp_of[i]]:
+            pair = pair[::-1]
+        cols.append(algebra.unit_vector(basis.index_of[pair]))
+    base = LinMap(algebra, algebra, cols)
     conj = conjugate_by_unit(random_unit_series(poset, ring, rng))
     return conj.compose(base)
 
@@ -794,7 +740,7 @@ def verify_paper_identities(
             image = mat_vec(ring, columns, vec(z))
             coords = phi_inverse.apply_coords(image)
             series = dom.series_from_element(AlgElem(dom, tuple(coords)))
-            pulled.append((mat_vec(ring, columns, vec(z)), series))
+            pulled.append((image, series))
         for (s1, (img1, f1)) in enumerate(pulled):
             if not f1.is_strict():
                 yield (s1,), vec(f1.split_diag()[0]), [ring.zero] * dom.dimension, (

@@ -98,9 +98,6 @@ class LinMap:
             ],
         )
 
-    def column(self, j: int) -> tuple:
-        return self.columns[j]
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -125,8 +122,13 @@ class LinMap:
                 f"codomain_dim {obj['codomain_dim']} != algebra dimension "
                 f"{codomain.dimension}"
             )
+        columns = obj["columns"]
+        if not isinstance(columns, list) or not all(
+            isinstance(col, list) for col in columns
+        ):
+            raise FialgError("linear-map columns must be a list of lists")
         parse = domain.ring.parse
-        cols = [[parse(v) for v in col] for col in obj["columns"]]
+        cols = [[parse(v) for v in col] for col in columns]
         return cls(domain, codomain, cols)
 
 

@@ -127,8 +127,19 @@ class Poset:
     def from_json(cls, obj) -> "Poset":
         if not isinstance(obj, dict) or "elements" not in obj or "relations" not in obj:
             raise FialgError(f"not a poset description: {obj!r}")
-        pairs = [(p[0], p[1]) for p in obj["relations"]]
-        return validate_poset(obj["elements"], pairs)
+        elements, relations = obj["elements"], obj["relations"]
+        if not isinstance(elements, list) or not all(
+            isinstance(e, str) for e in elements
+        ):
+            raise FialgError(f"poset elements must be a list of strings: {elements!r}")
+        if not isinstance(relations, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
+            for p in relations
+        ):
+            raise FialgError(
+                f"poset relations must be a list of [x, y] label pairs: {relations!r}"
+            )
+        return validate_poset(elements, [tuple(p) for p in relations])
 
 
 def _check_axioms(elements, relation):

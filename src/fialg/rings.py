@@ -8,11 +8,10 @@ A Ring object owns the arithmetic and works on plain canonical payloads
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import FialgError, NotAUnitError, SpecMismatchError
+from .errors import FialgError, NotAUnitError
 
 
 class Ring:
@@ -48,7 +47,9 @@ class Ring:
     def format(self, a) -> str:
         return str(a)
 
-    def parse(self, text: str):
+    def parse(self, text):
+        """Read a scalar from the wire: a canonical string or a JSON integer.
+        Floats and bools are refused, since neither is exact ring data."""
         raise NotImplementedError
 
     def sample(self, rng):
@@ -91,6 +92,7 @@ class IntegerRing(Ring):
         return True
 
     def parse(self, text):
+        _check_wire_scalar(text)
         try:
             return int(text)
         except ValueError as exc:
@@ -124,6 +126,7 @@ class RationalRing(Ring):
         return True
 
     def parse(self, text):
+        _check_wire_scalar(text)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -172,6 +175,7 @@ class ModularRing(Ring):
         return self.modulus % 2 == 1
 
     def parse(self, text):
+        _check_wire_scalar(text)
         try:
             return int(text) % self.modulus
         except ValueError as exc:
@@ -198,6 +202,11 @@ class ModularRing(Ring):
 
     def __hash__(self):
         return hash(("modular", self.modulus))
+
+
+def _check_wire_scalar(text) -> None:
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise FialgError(f"scalar must be a string or an integer, got {text!r}")
 
 
 def _gcdex(a: int, b: int):
@@ -235,49 +244,3 @@ def ring_from_json(obj) -> Ring:
     if isinstance(desc, dict) and set(desc) == {"modular"}:
         return ModularRing(desc["modular"])
     raise FialgError(f"unknown ring description: {desc!r}")
-
-
-@dataclass(frozen=True)
-class RingValue:
-    """A scalar tagged with its ring; mixing rings raises SpecMismatchError.
-
-    Convenience wrapper for callers juggling several rings at once — the
-    bulk data structures keep raw payloads and one shared Ring instead.
-    """
-
-    ring: Ring
-    value: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.normalize(self.value))
-
-    def _peer(self, other) -> "RingValue":
-        if not isinstance(other, RingValue):
-            return RingValue(self.ring, other)
-        if other.ring != self.ring:
-            raise SpecMismatchError(f"cannot combine {self.ring} with {other.ring}")
-        return other
-
-    def __add__(self, other):
-        other = self._peer(other)
-        return RingValue(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        return RingValue(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._peer(other)
-        return RingValue(self.ring, self.ring.mul(self.value, other.value))
-
-    def __neg__(self):
-        return RingValue(self.ring, self.ring.neg(self.value))
-
-    def inverse(self) -> "RingValue":
-        return RingValue(self.ring, self.ring.invert(self.value))
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.value)
-
-    def __str__(self):
-        return self.ring.format(self.value)

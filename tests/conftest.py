@@ -1,11 +1,14 @@
 """Shared fixtures: the named poset menagerie, the ring roster, and the
 corpus of generated Jordan isomorphisms used across test modules."""
 
+import itertools
+
 import pytest
 
 from fialg import (
     INTEGERS,
     RATIONALS,
+    Poset,
     modular,
     random_basis_change,
     random_jordan_iso,
@@ -77,3 +80,34 @@ def jordan_corpus(poset, ring, seeds=range(3), twist=False):
 
 def small_random_posets(count=6, n=5, seed0=100):
     return [random_poset(n, 0.4, seed0 + k) for k in range(count)]
+
+
+def all_posets_up_to(n_max: int):
+    """Every labeled partial order on {1..n} for n <= n_max, by brute
+    enumeration of strict relations closed under transitivity."""
+    out = []
+    for n in range(1, n_max + 1):
+        labels = [str(i + 1) for i in range(n)]
+        off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for bits in itertools.product([False, True], repeat=len(off_diag)):
+            rel = [[i == j for j in range(n)] for i in range(n)]
+            for (i, j), b in zip(off_diag, bits):
+                if b:
+                    rel[i][j] = True
+            # keep only relations that are already transitive and antisymmetric
+            ok = True
+            for i in range(n):
+                for j in range(n):
+                    if i != j and rel[i][j] and rel[j][i]:
+                        ok = False
+                    if not ok:
+                        break
+                    for k in range(n):
+                        if rel[i][j] and rel[j][k] and not rel[i][k]:
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if ok:
+                out.append(Poset(tuple(labels), tuple(map(tuple, rel))))
+    return out

@@ -8,7 +8,6 @@ verbose PASSED/FAILED listing).
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -22,7 +21,6 @@ from fialg import (
     INTEGERS,
     LinMap,
     NotInvertibleError,
-    Poset,
     RATIONALS,
     TorsionRefusedError,
     check_homomorphism,
@@ -45,7 +43,13 @@ from fialg import (
     verify_paper_identities,
 )
 
-from conftest import NAMED_POSETS, chain, diamond, two_two_chains
+from conftest import (
+    NAMED_POSETS,
+    all_posets_up_to,
+    chain,
+    diamond,
+    two_two_chains,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RINGS = [RATIONALS, modular(9), INTEGERS]
@@ -155,43 +159,12 @@ def test_criterion_3_identity_suite():
     passed(3, "identity suite")
 
 
-def _all_posets_up_to(n_max: int):
-    """Every labeled partial order on {1..n} for n <= n_max, by brute
-    enumeration of strict relations closed under transitivity."""
-    out = []
-    for n in range(1, n_max + 1):
-        labels = [str(i + 1) for i in range(n)]
-        off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for bits in itertools.product([False, True], repeat=len(off_diag)):
-            rel = [[i == j for j in range(n)] for i in range(n)]
-            for (i, j), b in zip(off_diag, bits):
-                if b:
-                    rel[i][j] = True
-            # keep only relations that are already transitive and antisymmetric
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    if i != j and rel[i][j] and rel[j][i]:
-                        ok = False
-                    if not ok:
-                        break
-                    for k in range(n):
-                        if rel[i][j] and rel[j][k] and not rel[i][k]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                out.append(Poset(tuple(labels), tuple(map(tuple, rel))))
-    return out
-
-
 def test_criterion_4_algebra_kernel():
     """Unit products, convolution associativity, the identity element, and
     subset idempotents — exhaustive on every poset with at most 4 elements,
     randomized at size 8."""
     ring = modular(9)
-    posets = _all_posets_up_to(4)
+    posets = all_posets_up_to(4)
     assert len(posets) > 200  # 1 + 3 + 19 + 219 labeled orders
     for poset in posets:
         pairs = poset.comparable_index_pairs()
@@ -416,9 +389,6 @@ CLI_RUNS = [
 def test_criterion_8_cli_determinism():
     """Every bundled fixture command returns its documented exit code and
     produces byte-identical stdout on repeated runs."""
-    env = dict(os.environ)
-    env.pop("FIALG_THREADS", None)
-
     def invoke(args):
         resolved = [
             str(FIXTURES / a) if a.endswith(".json") else a for a in args
@@ -426,7 +396,6 @@ def test_criterion_8_cli_determinism():
         return subprocess.run(
             [sys.executable, "-m", "fialg", *resolved],
             capture_output=True,
-            env=env,
         )
 
     for args, want_code in CLI_RUNS:

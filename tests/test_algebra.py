@@ -1,6 +1,7 @@
 """Series arithmetic, the unit-product rule, idempotents, inversion, and
 structure-constant presentations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,12 +17,13 @@ from fialg import (
     change_basis,
     incidence_algebra,
     modular,
+    random_basis_change,
     random_series,
 )
 from fialg.algebra import AlgBasis, StructAlgebra
 from fialg.errors import ContextMismatchError, FialgError
 
-from conftest import chain, diamond, two_two_chains
+from conftest import all_posets_up_to, chain, diamond, two_two_chains
 
 P3 = chain(3)
 D = diamond()
@@ -231,11 +233,34 @@ def test_identity_element_is_delta():
     assert one == FinSeries.delta(P3, modular(9))
 
 
-def test_struct_algebra_validation_catches_bad_tables():
-    # a 1-dimensional "algebra" whose only product is b*b = 0 but identity b:
-    # unital check must fail
-    with pytest.raises(FialgError):
-        StructAlgebra(RATIONALS, [[()]], [Fraction(1)])
+def assert_unital_associative(A):
+    """The identity axiom and associativity on every basis triple: the
+    oracle for the builders' claim that their tables need no check."""
+    d = A.dimension
+    for j in range(d):
+        e_j = A.unit_vector(j)
+        assert tuple(A.multiply(A.identity, e_j)) == e_j, j
+        assert tuple(A.multiply(e_j, A.identity)) == e_j, j
+    for i, j, k in itertools.product(range(d), repeat=3):
+        left = A.multiply(A.basis_product(i, j), A.unit_vector(k))
+        right = A.multiply(A.unit_vector(i), A.basis_product(j, k))
+        assert left == right, (i, j, k)
+
+
+def test_incidence_algebra_tables_are_unital_and_associative():
+    for poset in all_posets_up_to(4):
+        assert_unital_associative(incidence_algebra(poset, INTEGERS))
+    # the oracle itself rejects a table whose "identity" b has b * b = 0
+    with pytest.raises(AssertionError):
+        assert_unital_associative(StructAlgebra(RATIONALS, [[()]], [Fraction(1)]))
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_change_basis_tables_are_unital_and_associative(ring):
+    for poset in (P3, D):
+        A = incidence_algebra(poset, ring)
+        for seed in range(2):
+            assert_unital_associative(change_basis(A, random_basis_change(A, seed)))
 
 
 def test_element_context_guard():

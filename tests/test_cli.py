@@ -2,7 +2,6 @@
 and byte-level determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,16 +15,11 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("FIALG_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "fialg", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -180,20 +174,57 @@ def test_out_file_matches_stdout(tmp_path):
     assert out.read_text() == to_stdout.stdout
 
 
-def test_thread_env_validation():
-    ok = run_cli(
-        "validate-poset", fx("poset_2chain.json"), env_extra={"FIALG_THREADS": "4"}
+def write_json(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def assert_clean_input_error(r):
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "ring_file, scalar",
+    [("ring_rationals.json", 0.1), ("ring_integers.json", 2.7), ("ring_mod9.json", True)],
+)
+def test_check_map_refuses_float_and_bool_scalars(tmp_path, ring_file, scalar):
+    obj = json.loads(Path(fx("map_identity_3chain_rationals.json")).read_text())
+    obj["columns"][0][0] = scalar
+    r = run_cli(
+        "check-map",
+        "--poset", fx("poset_3chain.json"),
+        "--ring", fx(ring_file),
+        "--map", write_json(tmp_path / "map.json", obj),
     )
-    assert ok.returncode == 0
-    bad = run_cli(
-        "validate-poset", fx("poset_2chain.json"), env_extra={"FIALG_THREADS": "zero"}
+    assert_clean_input_error(r)
+    assert "scalar" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "poset_obj",
+    [
+        {"elements": "ab", "relations": []},
+        {"elements": ["a", "b"], "relations": [["a"]]},
+        {"elements": ["a", "b", "c"], "relations": [["a", "b", "c"]]},
+    ],
+    ids=["elements-string", "relation-of-one", "relation-of-three"],
+)
+def test_validate_poset_rejects_malformed_shapes(tmp_path, poset_obj):
+    r = run_cli("validate-poset", write_json(tmp_path / "poset.json", poset_obj))
+    assert_clean_input_error(r)
+
+
+def test_check_map_rejects_columns_that_are_not_lists(tmp_path):
+    obj = {"domain_dim": 6, "codomain_dim": 6, "columns": [5, 6, 7]}
+    r = run_cli(
+        "check-map",
+        "--poset", fx("poset_3chain.json"),
+        "--ring", fx("ring_rationals.json"),
+        "--map", write_json(tmp_path / "map.json", obj),
     )
-    assert bad.returncode == 2
-    assert "FIALG_THREADS" in bad.stderr
-    neg = run_cli(
-        "validate-poset", fx("poset_2chain.json"), env_extra={"FIALG_THREADS": "0"}
-    )
-    assert neg.returncode == 2
+    assert_clean_input_error(r)
 
 
 def test_unknown_subcommand_is_exit_2():

@@ -25,6 +25,7 @@ from fialg import (
     extend_via_inverse,
     from_order_map,
     incidence_algebra,
+    jordan_pair_check,
     modular,
     near_sum_build,
     order_isomorphisms,
@@ -46,6 +47,8 @@ from conftest import (
 
 P2, P3 = chain(2), chain(3)
 TT = two_two_chains()
+SMALL_POSETS = (P2, P3, diamond(), TT)
+TORSIONFREE_RINGS = (RATIONALS, INTEGERS, modular(9))
 
 
 def strict_zero(algebra):
@@ -270,6 +273,38 @@ def test_near_sum_totality_on_random_seeds(seed):
     assert dec.report.passed
     rebuilt = near_sum_build(dec.psi, dec.theta, dec.split)
     assert rebuilt.columns == phi.columns
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 10 ** 6),
+    st.sampled_from(SMALL_POSETS),
+    st.sampled_from(TORSIONFREE_RINGS),
+    st.integers(0, 10 ** 6),
+)
+def test_pair_law_forces_triple_law(seed, poset, ring, perturb_seed):
+    # decompose() runs only the pair scan over 2-torsion-free rings, on the
+    # strength of this: there the pair law alone decides Jordan-ness
+    phi = random_jordan_iso(poset, ring, seed)
+    rng = random.Random(perturb_seed)
+    cols = [list(c) for c in phi.columns]
+    k, r = rng.randrange(len(cols)), rng.randrange(len(cols))
+    cols[k][r] = ring.add(cols[k][r], ring.sample_unit(rng))
+    perturbed = LinMap(phi.domain, phi.codomain, cols)
+    assert check_jordan(phi).passed
+    for m in (phi, perturbed):
+        assert jordan_pair_check(m).passed == check_jordan(m).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10 ** 6),
+    st.sampled_from(SMALL_POSETS),
+    st.sampled_from(TORSIONFREE_RINGS),
+)
+def test_near_sum_is_jordan(seed, poset, ring):
+    dec = decompose(random_jordan_iso(poset, ring, seed))
+    assert check_jordan(near_sum_build(dec.psi, dec.theta, dec.split)).passed
 
 
 def test_verify_near_sum_flags_tampering():

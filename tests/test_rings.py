@@ -9,8 +9,6 @@ from fialg import (
     INTEGERS,
     RATIONALS,
     NotAUnitError,
-    RingValue,
-    SpecMismatchError,
     modular,
     ring_from_json,
 )
@@ -133,15 +131,12 @@ def test_ring_json_round_trip():
         ring_from_json({"rng": "rationals"})
 
 
-def test_ring_value_wrapper():
-    a = RingValue(RATIONALS, Fraction(1, 2))
-    b = RingValue(RATIONALS, Fraction(1, 3))
-    assert (a + b).value == Fraction(5, 6)
-    assert (a * b).value == Fraction(1, 6)
-    assert (a - b).value == Fraction(1, 6)
-    assert (-a).value == Fraction(-1, 2)
-    assert a.inverse().value == 2
-    assert a.is_unit()
-    c = RingValue(INTEGERS, 2)
-    with pytest.raises(SpecMismatchError):
-        _ = a + c
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_parse_accepts_only_strings_and_integers(ring):
+    # a float is never exact ring data (0.1 would become a dyadic fraction)
+    # and a bool is not a number on the wire
+    for bad in (0.1, 2.7, 2.0, True, False, None, [1], {"value": "1"}):
+        with pytest.raises(FialgError):
+            ring.parse(bad)
+    assert ring.parse("3") == ring.parse(3) == ring.normalize(3)
+    assert ring.parse(-1) == ring.normalize(-1)
