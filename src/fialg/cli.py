@@ -6,7 +6,8 @@ and canonical scalars (byte-identical across runs for identical inputs);
 human-readable summaries go to standard error.
 
 Exit codes: 0 = all checks passed, 1 = checks ran and failed (report still
-written), 2 = input or precondition error.
+written), 2 = input or precondition error, 3 = internal error (an unexpected
+exception; its traceback goes to standard error).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .algebra import incidence_algebra
 from .errors import FialgError
@@ -249,6 +251,9 @@ def run(argv=None) -> int:
     except FialgError as exc:
         _note(f"error: {type(exc).__name__}: {exc}")
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def entry() -> None:

@@ -39,7 +39,7 @@ from .errors import (
     TorsionRefusedError,
 )
 from .linmaps import LinMap, check_homomorphism, check_jordan, jordan_pair_check
-from .matrices import mat_vec
+from .matrices import mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, order_isomorphisms
 from .reports import VerificationReport, run_check
 from .rings import Ring
@@ -309,10 +309,12 @@ def _near_sum_columns(phi: LinMap):
 def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     """Split a Jordan isomorphism into its near-sum components.
 
-    Requires an invertible phi out of an incidence-algebra presentation over
-    a 2-torsion-free ring (override with allow_torsion) that satisfies the
-    Jordan laws; returns psi, theta, the split, and an attached
-    verify_near_sum report (all-pass for valid inputs).
+    Requires phi out of an incidence-algebra presentation with a unit
+    determinant, over a 2-torsion-free ring (override with allow_torsion).
+    Returns psi, theta, the split and the verify_near_sum report, whose five
+    checks are the Jordan verdict.  When they fail, a map that also fails the
+    Jordan recognizer raises NotJordanError with its witnesses, and a Jordan
+    map comes back with the failing report.
     """
     dom = _incidence_domain(phi)
     ring = phi.ring
@@ -320,28 +322,33 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         raise TorsionRefusedError(
             f"{ring!r} has 2-torsion; pass allow_torsion=True to proceed"
         )
-    phi.invert()  # raises NotInvertibleError when the determinant is not a unit
-
-    # Over a 2-torsion-free ring the polarized square law on basis pairs
-    # already forces the triple law, so the cheap recognizer suffices; with
-    # torsion allowed, fall back to the full pair+triple scan.
-    jordan_report = (
-        jordan_pair_check(phi)
-        if ring.is_two_torsionfree()
-        else check_jordan(phi, allow_torsion=True)
-    )
-    if not jordan_report.passed:
-        raise NotJordanError(
-            "map fails the Jordan identities; see attached report",
-            report=jordan_report,
-        )
+    require_unit_determinant(ring, phi.columns)
 
     psi_cols, theta_cols = _near_sum_columns(phi)
     psi = LinMap(dom, phi.codomain, psi_cols)
     theta = LinMap(dom, phi.codomain, theta_cols)
-    split = NearSumSplit.for_incidence(dom)
-    dec = Decomposition(phi, psi, theta, split, None)
-    return replace(dec, report=verify_near_sum(dec))
+    dec = Decomposition(phi, psi, theta, NearSumSplit.for_incidence(dom), None)
+    report = verify_near_sum(dec)
+    # A passing report makes phi Jordan on every ring.  Write d = psi(a_D),
+    # p = psi(a_Z), t = theta(a_Z), so that phi(a) = d + p + t.  Any product
+    # holding both a p and a t vanishes by strict_annihilation, because a d
+    # next to a p or t folds into it.  So phi(a)phi(b)phi(c) = psi(abc) +
+    # theta(cba) - psi(a_D b_D c_D), and the pair and triple laws follow with
+    # no division by 2.  The recognizer is needed only on failure, for the
+    # witnesses of NotJordanError; over a 2-torsion-free ring the pair law
+    # forces the triple law, so the pair scan is enough there.
+    if not report.passed:
+        jordan_report = (
+            jordan_pair_check(phi)
+            if ring.is_two_torsionfree()
+            else check_jordan(phi, allow_torsion=True)
+        )
+        if not jordan_report.passed:
+            raise NotJordanError(
+                "map fails the Jordan identities; see attached report",
+                report=jordan_report,
+            )
+    return replace(dec, report=report)
 
 
 def extend_via_inverse(
@@ -691,45 +698,31 @@ def verify_paper_identities(
         run_check("diagonal_restriction_homomorphism", diagonal_restriction())
     )
 
-    # sandwich identities pinning down psi on the strict ideal
-    def psi_sandwich():
+    # sandwich identities pinning down psi (and, mirrored, theta) on the
+    # strict ideal: with s = psi and (u, v) = (x, y), or s = theta and
+    # (u, v) = (y, x), phi(e_u) s(z) phi(e_v) matches the phi sandwich, while
+    # phi(e_v) s(z) phi(e_u) and phi(e_x) s(z) phi(e_x) are zero
+    def sandwich_failures(columns, mirror: bool):
+        away = "forward is zero" if mirror else "reversed is zero"
         for s, z in enumerate(strict_samples):
-            pz = mat_vec(ring, psi_cols, vec(z))
+            image = mat_vec(ring, columns, vec(z))
             fz = phi_of(z)
             for (i, j) in poset.strict_index_pairs():
-                lhs = mulc(diag_img(i), pz, diag_img(j))
-                rhs = mulc(diag_img(i), fz, diag_img(j))
+                u, v = (j, i) if mirror else (i, j)
+                lhs = mulc(diag_img(u), image, diag_img(v))
+                rhs = mulc(diag_img(u), fz, diag_img(v))
                 if lhs != rhs:
                     yield (s, labels[i], labels[j]), lhs, rhs, "matches phi sandwich"
-                back = mulc(diag_img(j), pz, diag_img(i))
+                back = mulc(diag_img(v), image, diag_img(u))
                 if back != zero_vec:
-                    yield (s, labels[i], labels[j]), back, zero_vec, "reversed is zero"
+                    yield (s, labels[i], labels[j]), back, zero_vec, away
             for i in range(n):
-                mid = mulc(diag_img(i), pz, diag_img(i))
+                mid = mulc(diag_img(i), image, diag_img(i))
                 if mid != zero_vec:
                     yield (s, labels[i]), mid, zero_vec, "diagonal is zero"
 
-    checks.append(run_check("psi_sandwich", psi_sandwich()))
-
-    # ...and their mirrors for theta
-    def theta_sandwich():
-        for s, z in enumerate(strict_samples):
-            tz = mat_vec(ring, theta_cols, vec(z))
-            fz = phi_of(z)
-            for (i, j) in poset.strict_index_pairs():
-                lhs = mulc(diag_img(j), tz, diag_img(i))
-                rhs = mulc(diag_img(j), fz, diag_img(i))
-                if lhs != rhs:
-                    yield (s, labels[i], labels[j]), lhs, rhs, "matches phi sandwich"
-                fwd = mulc(diag_img(i), tz, diag_img(j))
-                if fwd != zero_vec:
-                    yield (s, labels[i], labels[j]), fwd, zero_vec, "forward is zero"
-            for i in range(n):
-                mid = mulc(diag_img(i), tz, diag_img(i))
-                if mid != zero_vec:
-                    yield (s, labels[i]), mid, zero_vec, "diagonal is zero"
-
-    checks.append(run_check("theta_sandwich", theta_sandwich()))
+    checks.append(run_check("psi_sandwich", sandwich_failures(psi_cols, False)))
+    checks.append(run_check("theta_sandwich", sandwich_failures(theta_cols, True)))
 
     # window annihilation: phi(e_x) psi(f) phi(e_W) psi(g) phi(e_y) = 0 for
     # every window W avoiding the interval points z with f'(x,z) != 0 != g'(z,y)

@@ -15,7 +15,6 @@ from .algebra import AlgElem, StructAlgebra, change_basis
 from .errors import (
     ContextMismatchError,
     FialgError,
-    NotInvertibleError,
     TorsionRefusedError,
 )
 from .matrices import identity_columns, invert_columns, mat_vec
@@ -80,8 +79,6 @@ class LinMap:
 
     def invert(self) -> "LinMap":
         """Exact inverse; NotInvertibleError unless det is a unit."""
-        if self.domain.dimension != self.codomain.dimension:
-            raise NotInvertibleError("map is not square")
         inv = invert_columns(self.ring, [list(c) for c in self.columns])
         return LinMap(self.codomain, self.domain, inv)
 

@@ -1,18 +1,21 @@
 """Exact dense matrix kernels used by the linear-map layer.
 
 Matrices are lists of columns (column[j][i] is the (i, j) entry), matching
-how linear maps store basis images.  Inversion demands a unit determinant:
-Bareiss's fraction-free elimination yields the determinant over integer
-lifts (integers and residue rings), then the inverse is assembled from the
-integral adjugate; rationals invert by ordinary exact elimination.
+how linear maps store basis images.  require_unit_determinant is the one
+invertibility test: Bareiss's fraction-free elimination computes the
+determinant of an integer lift of the matrix, and the matrix is refused
+unless that determinant is a unit of the ring.  invert_columns runs it first,
+then inverts by exact elimination over the rationals; over the integers and
+residue rings it scales the integral adjugate by the inverted determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotInvertibleError
-from .rings import IntegerRing, ModularRing, RationalRing, Ring
+from .rings import RationalRing, Ring
 
 
 def identity_columns(ring: Ring, n: int):
@@ -67,8 +70,35 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def require_unit_determinant(ring: Ring, columns) -> int:
+    """Raise NotInvertibleError unless the column matrix is square with a
+    determinant that is a unit of the ring.
+
+    Returns the Bareiss determinant of the integer lift: the matrix itself
+    over the integers and residue rings, and each rational column scaled by
+    the lcm of its denominators over the rationals.
+    """
+    n = len(columns)
+    if any(len(col) != n for col in columns):
+        raise NotInvertibleError("matrix is not square")
+    if isinstance(ring, RationalRing):
+        lifted = []
+        for col in columns:
+            scale = lcm(*(v.denominator for v in col))
+            lifted.append([v.numerator * (scale // v.denominator) for v in col])
+    else:
+        lifted = columns
+    # Bareiss reads the columns as rows: the transpose has the same determinant
+    det = bareiss_determinant(lifted)
+    if not ring.is_unit(ring.normalize(det)):
+        raise NotInvertibleError(
+            f"determinant {ring.format(ring.normalize(det))} is not a unit of {ring!r}"
+        )
+    return det
+
+
 def _gauss_jordan_inverse(rows):
-    """Exact inverse over the rationals, or None when singular.
+    """Exact inverse over the rationals of a nonsingular matrix.
 
     Input rows may be ints or Fractions; output rows are Fractions.
     """
@@ -76,9 +106,7 @@ def _gauss_jordan_inverse(rows):
     a = [[Fraction(v) for v in row] for row in rows]
     inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return None
+        pivot_row = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot_row] = a[pivot_row], a[col]
         inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
         pivot = a[col][col]
@@ -98,55 +126,16 @@ def invert_columns(ring: Ring, columns):
 
     Raises NotInvertibleError unless the determinant is a unit.
     """
+    det = require_unit_determinant(ring, columns)
     n = len(columns)
-    if any(len(col) != n for col in columns):
-        raise NotInvertibleError("matrix is not square")
-    if n == 0:
-        return []
     rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-
+    inv_rows = _gauss_jordan_inverse(rows)
     if isinstance(ring, RationalRing):
-        inv_rows = _gauss_jordan_inverse(rows)
-        if inv_rows is None:
-            raise NotInvertibleError("determinant is zero over the rationals")
         return [[inv_rows[i][j] for i in range(n)] for j in range(n)]
-
-    det = bareiss_determinant(rows)
-
-    if isinstance(ring, IntegerRing):
-        if det not in (1, -1):
-            raise NotInvertibleError(
-                f"determinant {det} is not a unit of the integers"
-            )
-        inv_rows = _gauss_jordan_inverse(rows)
-        out = []
-        for j in range(n):
-            col = []
-            for i in range(n):
-                v = inv_rows[i][j]
-                assert v.denominator == 1
-                col.append(int(v))
-            out.append(col)
-        return out
-
-    if isinstance(ring, ModularRing):
-        det_mod = det % ring.modulus
-        inv_det = ring.try_invert(det_mod)
-        if inv_det is None:
-            raise NotInvertibleError(
-                f"determinant {det_mod} is not a unit mod {ring.modulus}"
-            )
-        # det != 0 in Z here, since det % n is a unit; the integral adjugate
-        # det * A^-1 reduces mod n to the adjugate of the residue matrix.
-        inv_rows = _gauss_jordan_inverse(rows)
-        out = []
-        for j in range(n):
-            col = []
-            for i in range(n):
-                adj = inv_rows[i][j] * det
-                assert adj.denominator == 1
-                col.append((int(adj) * inv_det) % ring.modulus)
-            out.append(col)
-        return out
-
-    raise NotInvertibleError(f"no inversion routine for ring {ring!r}")
+    # det * A^-1 is the integral adjugate, which reduces to the adjugate of
+    # the matrix over the integers or mod n; invert det once and scale it.
+    inv_det = ring.invert(ring.normalize(det))
+    return [
+        [ring.normalize(int(inv_rows[i][j] * det) * inv_det) for i in range(n)]
+        for j in range(n)
+    ]

@@ -230,3 +230,22 @@ def test_check_map_rejects_columns_that_are_not_lists(tmp_path):
 def test_unknown_subcommand_is_exit_2():
     r = run_cli("frobnicate")
     assert r.returncode == 2
+
+
+def test_internal_error_is_exit_3_with_traceback(monkeypatch, capsys):
+    from fialg import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    code = cli.run([
+        "decompose",
+        "--poset", fx("poset_diamond.json"),
+        "--ring", fx("ring_mod9.json"),
+        "--map", fx("map_jordan_diamond_mod9.json"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: injected fault" in captured.err

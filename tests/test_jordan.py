@@ -1,10 +1,11 @@
 """The near-sum decomposition engine and its verifiers."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fialg import (
     AlgElem,
@@ -13,6 +14,7 @@ from fialg import (
     INTEGERS,
     LinMap,
     NearSumSplit,
+    NotInvertibleError,
     NotJordanError,
     PreconditionFailedError,
     RATIONALS,
@@ -31,6 +33,7 @@ from fialg import (
     order_isomorphisms,
     random_jordan_iso,
     random_series,
+    random_unit_series,
     verify_near_sum,
     verify_paper_identities,
 )
@@ -49,6 +52,18 @@ P2, P3 = chain(2), chain(3)
 TT = two_two_chains()
 SMALL_POSETS = (P2, P3, diamond(), TT)
 TORSIONFREE_RINGS = (RATIONALS, INTEGERS, modular(9))
+TORSION_RINGS = (modular(2), modular(4), modular(6))
+
+
+def order_jordan_map(poset, ring, seed):
+    """A Jordan automorphism over any ring, 2-torsion included: an order
+    automorphism or anti-automorphism followed by a unit conjugation."""
+    rng = random.Random(seed)
+    orders = order_isomorphisms(poset, poset) + order_isomorphisms(
+        poset, poset, reversing=True
+    )
+    base = from_order_map(rng.choice(orders), ring)
+    return conjugate_by_unit(random_unit_series(poset, ring, rng)).compose(base)
 
 
 def strict_zero(algebra):
@@ -283,8 +298,9 @@ def test_near_sum_totality_on_random_seeds(seed):
     st.integers(0, 10 ** 6),
 )
 def test_pair_law_forces_triple_law(seed, poset, ring, perturb_seed):
-    # decompose() runs only the pair scan over 2-torsion-free rings, on the
-    # strength of this: there the pair law alone decides Jordan-ness
+    # when its near-sum report fails, decompose() runs only the pair scan
+    # over 2-torsion-free rings, on the strength of this: there the pair law
+    # alone decides Jordan-ness
     phi = random_jordan_iso(poset, ring, seed)
     rng = random.Random(perturb_seed)
     cols = [list(c) for c in phi.columns]
@@ -300,11 +316,143 @@ def test_pair_law_forces_triple_law(seed, poset, ring, perturb_seed):
 @given(
     st.integers(0, 10 ** 6),
     st.sampled_from(SMALL_POSETS),
-    st.sampled_from(TORSIONFREE_RINGS),
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
 )
 def test_near_sum_is_jordan(seed, poset, ring):
-    dec = decompose(random_jordan_iso(poset, ring, seed))
-    assert check_jordan(near_sum_build(dec.psi, dec.theta, dec.split)).passed
+    # decompose() takes a passing near-sum report as the Jordan verdict on
+    # every ring, 2-torsion included
+    if ring.is_two_torsionfree():
+        dec = decompose(random_jordan_iso(poset, ring, seed))
+    else:
+        dec = decompose(order_jordan_map(poset, ring, seed), allow_torsion=True)
+    assume(dec.report.passed)
+    phi = near_sum_build(dec.psi, dec.theta, dec.split)
+    assert check_jordan(phi, allow_torsion=True).passed
+
+
+def prepass_decompose(phi, allow_torsion=False):
+    """decompose() in its earlier order, kept as the oracle: a full inverse,
+    then the Jordan recognizer on every map, then the near-sum report."""
+    ring = phi.ring
+    if not ring.is_two_torsionfree() and not allow_torsion:
+        raise TorsionRefusedError("2-torsion")
+    phi.invert()
+    jordan_report = (
+        jordan_pair_check(phi)
+        if ring.is_two_torsionfree()
+        else check_jordan(phi, allow_torsion=True)
+    )
+    if not jordan_report.passed:
+        raise NotJordanError("not Jordan", report=jordan_report)
+    dom, cod = phi.domain, phi.codomain
+    basis = dom.basis
+    psi_cols, theta_cols = [], []
+    for k, (i, j) in enumerate(basis.pairs):
+        ex = phi.columns[basis.index_of[(i, i)]]
+        ey = phi.columns[basis.index_of[(j, j)]]
+        exy = phi.columns[k]
+        if i == j:
+            psi_cols.append(exy)
+            theta_cols.append(exy)
+        else:
+            psi_cols.append(cod.multiply(cod.multiply(ex, exy), ey))
+            theta_cols.append(cod.multiply(cod.multiply(ey, exy), ex))
+    dec = Decomposition(
+        phi,
+        LinMap(dom, cod, psi_cols),
+        LinMap(dom, cod, theta_cols),
+        NearSumSplit.for_incidence(dom),
+        None,
+    )
+    return replace(dec, report=verify_near_sum(dec))
+
+
+def decompose_outcome(fn, phi, allow_torsion):
+    try:
+        dec = fn(phi, allow_torsion=allow_torsion)
+    except NotJordanError as exc:
+        return "NotJordanError", exc.report.to_json(phi.ring.format)
+    except FialgError as exc:
+        return type(exc).__name__, None
+    return "Decomposition", dec.to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10 ** 6),
+    st.sampled_from(SMALL_POSETS + (antichain(2),)),
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    st.sampled_from(["jordan", "perturbed", "sheared", "singular"]),
+    st.booleans(),
+)
+def test_decompose_agrees_with_prepass_oracle(seed, poset, ring, kind, allow_torsion):
+    if ring.is_two_torsionfree():
+        phi = random_jordan_iso(poset, ring, seed)
+    else:
+        phi = order_jordan_map(poset, ring, seed)
+        allow_torsion = True
+    rng = random.Random(seed)
+    cols = [list(c) for c in phi.columns]
+    k, r = rng.randrange(len(cols)), rng.randrange(len(cols))
+    if kind == "perturbed":
+        cols[k][r] = ring.add(cols[k][r], ring.sample_unit(rng))
+    elif kind == "sheared":
+        # the image of e_x gains h times that of e_y.  With h = 2 the pair law
+        # fails at (e_x, e_x).  With h = n/2 mod an even n it fails at
+        # (e_x, e_xy) when there is a strict e_xy; on an antichain the Jordan
+        # laws hold, but psi(e_x) psi(e_y) = h phi(e_y) fails the report
+        h = 2 if ring.is_two_torsionfree() else ring.modulus // 2
+        x, y = rng.sample(range(poset.size), 2)
+        cols[x] = [ring.add(a, ring.mul(h, b)) for a, b in zip(cols[x], cols[y])]
+    elif kind == "singular":
+        cols[k] = list(cols[(k + 1) % len(cols)])
+    m = LinMap(phi.domain, phi.codomain, cols)
+    assert decompose_outcome(decompose, m, allow_torsion) == decompose_outcome(
+        prepass_decompose, m, allow_torsion
+    )
+
+
+def test_decompose_returns_failing_report_for_jordan_map_over_z4():
+    # e_x -> 3 e_x keeps the Jordan laws over Z/4, since 2 * (9 - 3) = 0 there,
+    # but psi(e_x)^2 = 9 e_x = e_x is not psi(e_x)
+    ring = modular(4)
+    A = incidence_algebra(antichain(2), ring)
+    phi = LinMap(A, A, [[3, 0], [0, 1]])
+    assert check_jordan(phi, allow_torsion=True).passed
+    dec = decompose(phi, allow_torsion=True)
+    assert [c.name for c in dec.report.checks if not c.passed] == [
+        "psi_homomorphism",
+        "theta_anti_homomorphism",
+    ]
+
+
+def test_passing_certificate_needs_no_inverse_or_recognizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose ran a check the certificate makes moot")
+
+    maps = [random_jordan_iso(TT, ring, seed=5) for ring in TORSIONFREE_RINGS]
+    maps.append(LinMap.identity(incidence_algebra(P3, modular(6))))
+    monkeypatch.setattr(LinMap, "invert", refuse)
+    monkeypatch.setattr("fialg.jordan.jordan_pair_check", refuse)
+    monkeypatch.setattr("fialg.jordan.check_jordan", refuse)
+    for phi in maps:
+        assert decompose(phi, allow_torsion=True).report.passed
+
+
+def test_decompose_refuses_singular_maps_on_every_ring():
+    # scale the first diagonal column by a non-unit: the determinant is then
+    # that non-unit
+    for ring, non_unit in [
+        (RATIONALS, Fraction(0)),
+        (INTEGERS, 2),
+        (modular(9), 3),
+        (modular(15), 5),
+    ]:
+        A = incidence_algebra(P3, ring)
+        cols = [list(c) for c in LinMap.identity(A).columns]
+        cols[0] = [ring.mul(non_unit, v) for v in cols[0]]
+        with pytest.raises(NotInvertibleError):
+            decompose(LinMap(A, A, cols))
 
 
 def test_verify_near_sum_flags_tampering():

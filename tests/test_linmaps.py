@@ -1,9 +1,11 @@
 """Linear maps between presentations, law recognizers, exact inversion."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fialg import (
     INTEGERS,
@@ -22,7 +24,12 @@ from fialg import (
     TorsionRefusedError,
 )
 from fialg.errors import ContextMismatchError, FialgError
-from fialg.matrices import bareiss_determinant, invert_columns, mat_vec
+from fialg.matrices import (
+    bareiss_determinant,
+    invert_columns,
+    mat_vec,
+    require_unit_determinant,
+)
 
 from conftest import chain, diamond, two_two_chains
 
@@ -77,6 +84,9 @@ def test_invert_refuses_singular_maps():
     zero = LinMap.zero(A, A)
     with pytest.raises(NotInvertibleError):
         zero.invert()
+    B = incidence_algebra(P3, RATIONALS)
+    with pytest.raises(NotInvertibleError, match="not square"):
+        LinMap.zero(A, B).invert()
 
 
 def test_json_round_trip():
@@ -175,3 +185,75 @@ def test_invert_columns_modular_composite_modulus():
     for j in range(2):
         e = [1 if i == j else 0 for i in range(2)]
         assert mat_vec(modular(15), cols, mat_vec(modular(15), inv, e)) == e
+
+
+def leibniz_determinant(ring, columns):
+    """The determinant as the signed sum over permutations, in the ring."""
+    n = len(columns)
+    det = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = ring.one if inversions % 2 == 0 else ring.neg(ring.one)
+        for j in range(n):
+            term = ring.mul(term, columns[j][perm[j]])
+        det = ring.add(det, term)
+    return ring.normalize(det)
+
+
+DETERMINANT_RINGS = {
+    "rationals": (RATIONALS, lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 3))),
+    "integers": (INTEGERS, lambda rng: rng.randint(-2, 2)),
+    "mod9": (modular(9), lambda rng: rng.randrange(9)),
+    "mod15": (modular(15), lambda rng: rng.randrange(15)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(DETERMINANT_RINGS)),
+    st.integers(1, 4),
+    st.integers(0, 10 ** 6),
+    st.booleans(),
+)
+def test_unit_determinant_check_matches_leibniz(ring_name, n, seed, repeat_column):
+    ring, entry = DETERMINANT_RINGS[ring_name]
+    rng = random.Random(seed)
+    cols = [[ring.normalize(entry(rng)) for _ in range(n)] for _ in range(n)]
+    if repeat_column and n > 1:
+        cols[0] = list(cols[1])
+    if ring.is_unit(leibniz_determinant(ring, cols)):
+        require_unit_determinant(ring, cols)
+        inv = invert_columns(ring, cols)
+        for j in range(n):
+            e = [ring.one if i == j else ring.zero for i in range(n)]
+            assert mat_vec(ring, cols, mat_vec(ring, inv, e)) == e
+            assert mat_vec(ring, inv, mat_vec(ring, cols, e)) == e
+    else:
+        with pytest.raises(NotInvertibleError, match="is not a unit of"):
+            require_unit_determinant(ring, cols)
+        with pytest.raises(NotInvertibleError, match="is not a unit of"):
+            invert_columns(ring, cols)
+
+
+@pytest.mark.parametrize(
+    "ring, rows, unit",
+    [
+        (INTEGERS, [[2, 0], [0, 1]], False),
+        (INTEGERS, [[2, 1], [1, 1]], True),
+        (modular(15), [[2, 1], [1, 4]], True),  # det 7, a unit mod 15
+        (modular(15), [[2, 1], [1, 3]], False),  # det 5
+        (modular(9), [[3, 0], [0, 1]], False),
+        (RATIONALS, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]], False),
+        (RATIONALS, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]], True),
+    ],
+)
+def test_unit_determinant_known_cases(ring, rows, unit):
+    cols = [[ring.normalize(r[j]) for r in rows] for j in range(len(rows))]
+    assert ring.is_unit(leibniz_determinant(ring, cols)) == unit
+    if unit:
+        require_unit_determinant(ring, cols)
+    else:
+        with pytest.raises(NotInvertibleError):
+            require_unit_determinant(ring, cols)
+    with pytest.raises(NotInvertibleError, match="not square"):
+        require_unit_determinant(ring, [cols[0]])
