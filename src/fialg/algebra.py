@@ -260,10 +260,20 @@ class FinSeries:
 
     @classmethod
     def from_json(cls, poset: Poset, ring: Ring, obj) -> "FinSeries":
-        if not isinstance(obj, dict) or "entries" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise FialgError(f"not a series description: {obj!r}")
         entries: dict = {}
         for e in obj["entries"]:
+            if not (
+                isinstance(e, dict)
+                and {"x", "y", "value"} <= e.keys()
+                and isinstance(e["x"], str)
+                and isinstance(e["y"], str)
+            ):
+                raise FialgError(
+                    f"series entries must be {{x, y, value}} objects with "
+                    f"string labels: {e!r}"
+                )
             key = (e["x"], e["y"])
             if key in entries:
                 raise FialgError(f"duplicate series entry at {key}")

@@ -39,6 +39,10 @@ def _read_json(path: str, what: str):
         raise CliError(
             f"{what} file {path!r}: invalid JSON (line {exc.lineno}: {exc.msg})"
         )
+    except (ValueError, RecursionError) as exc:
+        # undecodable UTF-8, an integer past int()'s digit limit, or nesting
+        # deeper than the decoder's recursion limit
+        raise CliError(f"{what} file {path!r}: unreadable JSON ({exc})")
 
 
 def _load_poset(path: str) -> Poset:

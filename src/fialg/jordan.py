@@ -40,7 +40,7 @@ from .errors import (
 )
 from .linmaps import LinMap, check_homomorphism, check_jordan, jordan_pair_check
 from .matrices import mat_vec, require_unit_determinant
-from .posets import OrderMap, Poset, order_isomorphisms
+from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import VerificationReport, run_check
 from .rings import Ring
 
@@ -236,7 +236,10 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
     for ci, sub in enumerate(subs):
         for members in groups:
             rep = subs[members[0]]
-            if rep.size == sub.size and order_isomorphisms(sub, rep):
+            if (
+                rep.size == sub.size
+                and next(_iter_order_isomorphisms(sub, rep), None) is not None
+            ):
                 members.append(ci)
                 break
         else:

@@ -110,15 +110,14 @@ class LinMap:
         for field in ("domain_dim", "codomain_dim", "columns"):
             if not isinstance(obj, dict) or field not in obj:
                 raise FialgError(f"linear-map description lacks {field!r}")
-        if obj["domain_dim"] != domain.dimension:
-            raise ContextMismatchError(
-                f"domain_dim {obj['domain_dim']} != algebra dimension {domain.dimension}"
-            )
-        if obj["codomain_dim"] != codomain.dimension:
-            raise ContextMismatchError(
-                f"codomain_dim {obj['codomain_dim']} != algebra dimension "
-                f"{codomain.dimension}"
-            )
+        for field, algebra in (("domain_dim", domain), ("codomain_dim", codomain)):
+            dim = obj[field]
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise FialgError(f"{field} must be an integer, got {dim!r}")
+            if dim != algebra.dimension:
+                raise ContextMismatchError(
+                    f"{field} {dim} != algebra dimension {algebra.dimension}"
+                )
         columns = obj["columns"]
         if not isinstance(columns, list) or not all(
             isinstance(col, list) for col in columns

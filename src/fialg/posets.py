@@ -7,10 +7,9 @@ partial-order axioms, so every Poset in circulation is genuinely a poset.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AntisymmetryViolationError,
@@ -263,25 +262,56 @@ class OrderMap:
 
 def order_isomorphisms(p: Poset, q: Poset, reversing: bool = False) -> list[OrderMap]:
     """Every order isomorphism (or anti-isomorphism) p -> q, enumerated in
-    lexicographic image order.  Exhaustive search; intended for small posets
-    (|X| <= 8 or so)."""
+    lexicographic image order.
+
+    A depth-first search assigns images[0], images[1], ... in turn, trying
+    targets in increasing index order, so the maps come out in the same order
+    as a scan over all permutations would give them.  A target is a candidate
+    for source element i only when its down-set and up-set sizes match those
+    of i (swapped when reversing), and a branch is cut as soon as a newly
+    assigned pair disagrees with the target order.  The cost follows the
+    number of consistent partial maps, not n!; the result itself can still be
+    as long as the automorphism count (k! for a k-element antichain)."""
+    return list(_iter_order_isomorphisms(p, q, reversing))
+
+
+def _iter_order_isomorphisms(
+    p: Poset, q: Poset, reversing: bool = False
+) -> Iterator[OrderMap]:
+    """The search behind order_isomorphisms, lazily: a caller that needs only
+    to know whether an isomorphism exists stops at the first one."""
     if p.size != q.size:
         raise SizeMismatchError(f"|{list(p.elements)}| != |{list(q.elements)}|")
-    found = []
-    for perm in itertools.permutations(range(q.size)):
-        ok = True
-        for i in range(p.size):
-            for j in range(p.size):
-                img = (
-                    q.relation[perm[j]][perm[i]]
-                    if reversing
-                    else q.relation[perm[i]][perm[j]]
-                )
-                if p.relation[i][j] != img:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(OrderMap(p, q, perm, reversing))
-    return found
+    n = p.size
+    src = p.relation
+    # An anti-isomorphism p -> q is an isomorphism p -> q with its order
+    # reversed: compare against the transposed target relation throughout.
+    tgt = q.relation
+    if reversing:
+        tgt = [[q.relation[b][a] for b in range(n)] for a in range(n)]
+
+    def shape(rel, i):
+        return sum(rel[k][i] for k in range(n)), sum(rel[i])
+
+    tgt_shapes = [shape(tgt, t) for t in range(n)]
+    candidates = [
+        [t for t in range(n) if tgt_shapes[t] == shape(src, i)] for i in range(n)
+    ]
+    images: list[int] = []
+
+    # The pairwise check also keeps the map injective: reusing a target
+    # images[k] = t would need k <= i and i <= k, which antisymmetry forbids.
+    def extend(i):
+        if i == n:
+            yield OrderMap(p, q, tuple(images), reversing)
+            return
+        for t in candidates[i]:
+            if all(
+                src[k][i] == tgt[images[k]][t] and src[i][k] == tgt[t][images[k]]
+                for k in range(i)
+            ):
+                images.append(t)
+                yield from extend(i + 1)
+                images.pop()
+
+    yield from extend(0)

@@ -8,6 +8,7 @@ A Ring object owns the arithmetic and works on plain canonical payloads
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -48,8 +49,11 @@ class Ring:
         return str(a)
 
     def parse(self, text):
-        """Read a scalar from the wire: a canonical string or a JSON integer.
-        Floats and bools are refused, since neither is exact ring data."""
+        """Read a scalar from the wire: a canonical string (ASCII digits with
+        an optional leading minus, plus "/denominator" over the rationals) or
+        a JSON integer.  Floats and bools are refused, since neither is exact
+        ring data, and so is any other spelling int() or Fraction() would
+        take ("1e3", "1_0", " 1 ", non-ASCII digits)."""
         raise NotImplementedError
 
     def sample(self, rng):
@@ -92,10 +96,10 @@ class IntegerRing(Ring):
         return True
 
     def parse(self, text):
-        _check_wire_scalar(text)
+        _check_wire_scalar(text, _INTEGER_TEXT, "integer")
         try:
             return int(text)
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise FialgError(f"bad integer scalar {text!r}") from exc
 
     def sample(self, rng):
@@ -126,7 +130,7 @@ class RationalRing(Ring):
         return True
 
     def parse(self, text):
-        _check_wire_scalar(text)
+        _check_wire_scalar(text, _RATIONAL_TEXT, "rational")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -175,7 +179,7 @@ class ModularRing(Ring):
         return self.modulus % 2 == 1
 
     def parse(self, text):
-        _check_wire_scalar(text)
+        _check_wire_scalar(text, _INTEGER_TEXT, "residue")
         try:
             return int(text) % self.modulus
         except ValueError as exc:
@@ -204,9 +208,15 @@ class ModularRing(Ring):
         return hash(("modular", self.modulus))
 
 
-def _check_wire_scalar(text) -> None:
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _check_wire_scalar(text, spelling: re.Pattern, what: str) -> None:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise FialgError(f"scalar must be a string or an integer, got {text!r}")
+    if isinstance(text, str) and not spelling.fullmatch(text):
+        raise FialgError(f"bad {what} scalar {text!r}")
 
 
 def _gcdex(a: int, b: int):

@@ -42,6 +42,29 @@ def two_two_chains():
     return validate_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
 
 
+def boolean_lattice(k):
+    """B_k: the subsets of a k-set, as bit strings, ordered by inclusion."""
+    labels = ["".join(bits) for bits in itertools.product("01", repeat=k)]
+    return validate_poset(
+        labels,
+        [
+            (x, y)
+            for x in labels
+            for y in labels
+            if x != y and all(a <= b for a, b in zip(x, y))
+        ],
+    )
+
+
+def disjoint_union(*posets):
+    """The posets side by side, labels prefixed by position: "0:1", "1:bot"."""
+    labels, pairs = [], []
+    for k, p in enumerate(posets):
+        labels += [f"{k}:{e}" for e in p.elements]
+        pairs += [(f"{k}:{x}", f"{k}:{y}") for x, y in p.covers()]
+    return validate_poset(labels, pairs)
+
+
 NAMED_POSETS = {
     "singleton": singleton,
     "2-chain": lambda: chain(2),

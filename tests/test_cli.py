@@ -227,6 +227,64 @@ def test_check_map_rejects_columns_that_are_not_lists(tmp_path):
     assert_clean_input_error(r)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("domain_dim", 6.0), ("codomain_dim", 6.0), ("domain_dim", "6"), ("codomain_dim", None)],
+    ids=["domain-float", "codomain-float", "domain-string", "codomain-null"],
+)
+def test_map_dimensions_must_be_integers(tmp_path, field, value):
+    obj = json.loads(Path(fx("map_identity_3chain_rationals.json")).read_text())
+    obj[field] = value
+    r = run_cli(
+        "decompose",
+        "--poset", fx("poset_3chain.json"),
+        "--ring", fx("ring_rationals.json"),
+        "--map", write_json(tmp_path / "map.json", obj),
+    )
+    assert_clean_input_error(r)
+    assert f"{field} must be an integer, got {value!r}" in r.stderr
+
+
+def test_map_dimension_true_is_not_1(tmp_path):
+    poset = write_json(tmp_path / "poset.json", {"elements": ["a"], "relations": []})
+    obj = {"domain_dim": True, "codomain_dim": 1, "columns": [["1"]]}
+    r = run_cli(
+        "decompose",
+        "--poset", poset,
+        "--ring", fx("ring_rationals.json"),
+        "--map", write_json(tmp_path / "map.json", obj),
+    )
+    assert_clean_input_error(r)
+    assert "domain_dim must be an integer, got True" in r.stderr
+
+
+@pytest.mark.parametrize("scalar", ["1e3", "1_0", " 1 ", "\u0663", "+1"])
+def test_check_map_refuses_non_canonical_scalar_strings(tmp_path, scalar):
+    obj = json.loads(Path(fx("map_identity_3chain_rationals.json")).read_text())
+    obj["columns"][0][0] = scalar
+    r = run_cli(
+        "check-map",
+        "--poset", fx("poset_3chain.json"),
+        "--ring", fx("ring_rationals.json"),
+        "--map", write_json(tmp_path / "map.json", obj),
+    )
+    assert_clean_input_error(r)
+    assert "scalar" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"1" * 5000, b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+    ids=["integer-past-digit-limit", "not-utf8", "nested-past-recursion-limit"],
+)
+def test_unreadable_json_is_exit_2(tmp_path, content):
+    path = tmp_path / "poset.json"
+    path.write_bytes(content)
+    r = run_cli("validate-poset", str(path))
+    assert_clean_input_error(r)
+    assert "unreadable JSON" in r.stderr
+
+
 def test_unknown_subcommand_is_exit_2():
     r = run_cli("frobnicate")
     assert r.returncode == 2

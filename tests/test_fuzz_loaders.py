@@ -1,0 +1,201 @@
+"""Fuzzing the JSON doors: every loader, and `cli.run` on files of arbitrary
+JSON, either succeeds or refuses with FialgError / exit 2.  Exit 3 (an
+unexpected exception) is never an allowed outcome for input data."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fialg import (
+    INTEGERS,
+    RATIONALS,
+    FinSeries,
+    LinMap,
+    Poset,
+    cli,
+    incidence_algebra,
+    modular,
+    ring_from_json,
+)
+from fialg.errors import FialgError
+
+from conftest import chain, diamond, two_two_chains
+
+LABELS = ["a", "b", "c", "d"]
+KEYS = ["elements", "relations", "ring", "modular", "domain_dim", "codomain_dim",
+        "columns", "entries", "x", "y", "value"]
+# Integers stay small: a modulus drawn from here may be sampled from.
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-20, 20)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(LABELS),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=12,
+)
+GOOD_SCALARS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", 3])
+SCALARS = (
+    GOOD_SCALARS
+    | st.text(alphabet="0123456789-/ +e_.٣", max_size=5)
+    | st.integers(-3, 3)
+    | JSON
+)
+
+
+@st.composite
+def near_miss(draw, valid):
+    """Arbitrary JSON, or an object drawn from `valid`, left whole or with
+    one part replaced by arbitrary JSON, so that the fuzz gets past each
+    loader's first shape check as well as failing it."""
+    kind = draw(st.sampled_from(["json", "corrupt", "valid", "valid"]))
+    if kind == "json":
+        return draw(JSON)
+    obj = copy.deepcopy(draw(valid))
+    if kind == "corrupt":
+        parent, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = node[key]
+        if parent is None:
+            return draw(JSON)
+        parent[key] = draw(JSON)
+    return obj
+
+
+@st.composite
+def valid_posets(draw):
+    elements = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
+    pair = st.lists(st.sampled_from(elements), min_size=2, max_size=2)
+    return {"elements": elements, "relations": draw(st.lists(pair, max_size=4))}
+
+
+VALID_RINGS = st.sampled_from([{"ring": "integers"}, {"ring": "rationals"}]) | (
+    st.integers(2, 30).map(lambda n: {"ring": {"modular": n}})
+)
+
+
+@st.composite
+def valid_maps(draw, dim, scalars):
+    """The identity matrix of size dim with a few cells overwritten by
+    draws from `scalars`."""
+    columns = [["1" if i == j else "0" for i in range(dim)] for j in range(dim)]
+    for _ in range(draw(st.integers(0, 3)) if dim else 0):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        columns[j][i] = draw(scalars)
+    return {"domain_dim": dim, "codomain_dim": dim, "columns": columns}
+
+
+def valid_series(poset):
+    pairs = [(x, y) for x in poset.elements for y in poset.elements if poset.le(x, y)]
+    entry = st.builds(
+        lambda xy, v: {"x": xy[0], "y": xy[1], "value": v},
+        st.sampled_from(pairs),
+        SCALARS,
+    )
+    return st.fixed_dictionaries({"entries": st.lists(entry, max_size=4)})
+
+
+CONTEXTS = st.sampled_from([
+    (chain(2), RATIONALS),
+    (diamond(), modular(9)),
+    (two_two_chains(), INTEGERS),
+])
+
+
+def load_or_refuse(loader, *args):
+    """The loader's result, or None when it refuses with FialgError; any
+    other exception propagates and fails the test."""
+    try:
+        return loader(*args)
+    except FialgError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    poset_obj=near_miss(valid_posets()),
+    ring_obj=near_miss(VALID_RINGS),
+    context=CONTEXTS,
+    data=st.data(),
+)
+def test_library_loaders_accept_or_raise_fialg_error(poset_obj, ring_obj, context, data):
+    poset = load_or_refuse(Poset.from_json, poset_obj)
+    if poset is not None:
+        assert Poset.from_json(poset.to_json()) == poset
+    ring = load_or_refuse(ring_from_json, ring_obj)
+    if ring is not None:
+        assert ring_from_json(ring.to_json()) == ring
+
+    p, r = context
+    algebra = incidence_algebra(p, r)
+    map_obj = data.draw(near_miss(valid_maps(algebra.dimension, SCALARS)))
+    phi = load_or_refuse(LinMap.from_json, algebra, algebra, map_obj)
+    if phi is not None:
+        assert LinMap.from_json(algebra, algebra, phi.to_json()) == phi
+    series_obj = data.draw(near_miss(valid_series(p)))
+    series = load_or_refuse(FinSeries.from_json, p, r, series_obj)
+    if series is not None:
+        assert FinSeries.from_json(p, r, series.to_json()) == series
+
+
+COMMANDS = [
+    ["validate-poset", "{poset}"],
+    ["gen-jordan", "--poset", "{poset}", "--ring", "{ring}", "--seed", "1"],
+    ["check-map", "--poset", "{poset}", "--ring", "{ring}", "--map", "{map}"],
+    ["check-map", "--poset", "{poset}", "--ring", "{ring}", "--map", "{map}", "--anti"],
+    ["check-map", "--poset", "{poset}", "--ring", "{ring}", "--map", "{map}",
+     "--jordan", "--allow-torsion"],
+    ["decompose", "--poset", "{poset}", "--ring", "{ring}", "--map", "{map}"],
+    ["verify", "--poset", "{poset}", "--ring", "{ring}", "--map", "{map}",
+     "--allow-torsion"],
+    ["verify", "--poset", "{poset}", "--ring", "{ring}", "--map", "{map}",
+     "--identities", "--allow-torsion"],
+]
+
+
+@st.composite
+def cli_cases(draw):
+    """A command and its files: at most one file is a near miss, so that the
+    other inputs let the command run as far as that file allows."""
+    odd = draw(st.sampled_from(["poset", "ring", "map", None]))
+
+    def pick(name, valid):
+        return draw(near_miss(valid) if name == odd else valid)
+
+    poset_obj = pick("poset", valid_posets())
+    poset = load_or_refuse(Poset.from_json, poset_obj)
+    dim = 0 if poset is None else incidence_algebra(poset, RATIONALS).dimension
+    files = {
+        "poset": poset_obj,
+        "ring": pick("ring", VALID_RINGS),
+        "map": pick("map", valid_maps(dim, SCALARS if odd == "map" else GOOD_SCALARS)),
+    }
+    return draw(st.sampled_from(COMMANDS)), files
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(cli_cases())
+def test_cli_run_on_arbitrary_json_files_never_exits_3(case):
+    command, objs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / f"{name}.json") for name in objs}
+        for name, obj in objs.items():
+            Path(paths[name]).write_text(json.dumps(obj), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([arg.format(**paths) for arg in command])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""

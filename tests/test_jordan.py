@@ -1,5 +1,6 @@
 """The near-sum decomposition engine and its verifiers."""
 
+import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +33,7 @@ from fialg import (
     near_sum_build,
     order_isomorphisms,
     random_jordan_iso,
+    random_poset,
     random_series,
     random_unit_series,
     verify_near_sum,
@@ -41,12 +43,15 @@ from fialg.errors import FialgError
 
 from conftest import (
     antichain,
+    boolean_lattice,
     chain,
     diamond,
+    disjoint_union,
     jordan_corpus,
     singleton,
     two_two_chains,
 )
+from test_posets import brute_order_isomorphisms
 
 P2, P3 = chain(2), chain(3)
 TT = two_two_chains()
@@ -199,6 +204,51 @@ def test_random_jordan_iso_hits_mixed_maps():
             found = True
             break
     assert found
+
+
+def test_random_jordan_iso_is_unchanged_under_the_brute_force_enumerator(
+    monkeypatch,
+):
+    # The pruned search must hand rng.choice the same list, in the same order,
+    # as the permutation scan it replaced, so seeded outputs stay byte-identical.
+    posets = (
+        chain(5),
+        diamond(),
+        boolean_lattice(3),
+        disjoint_union(chain(3), chain(3)),
+        disjoint_union(chain(4), diamond()),
+    )
+    cases = [(p, r, s) for p in posets for r in TORSIONFREE_RINGS for s in range(3)]
+    fast = [random_jordan_iso(p, r, s).to_json() for p, r, s in cases]
+    brute = functools.cache(brute_order_isomorphisms)
+    monkeypatch.setattr("fialg.jordan.order_isomorphisms", brute)
+    monkeypatch.setattr(
+        "fialg.jordan._iter_order_isomorphisms",
+        lambda p, q, reversing=False: iter(brute(p, q, reversing)),
+    )
+    slow = [random_jordan_iso(p, r, s).to_json() for p, r, s in cases]
+    assert fast == slow
+
+
+def test_order_isomorphisms_scale_past_the_permutation_scan():
+    # 20! and 16! permutations: only a pruned search finishes.
+    c20, b4 = chain(20), boolean_lattice(4)
+    assert [m.images for m in order_isomorphisms(c20, c20)] == [tuple(range(20))]
+    assert [m.images for m in order_isomorphisms(c20, c20, reversing=True)] == [
+        tuple(range(19, -1, -1))
+    ]
+    # Aut(B4) permutes the 4 atoms; complementation turns each automorphism
+    # into an anti-automorphism.
+    assert len(order_isomorphisms(b4, b4)) == 24
+    assert len(order_isomorphisms(b4, b4, reversing=True)) == 24
+
+
+def test_connected_13_element_poset_generates_and_decomposes():
+    poset = random_poset(13, 0.3, seed=4)
+    assert len(poset.components()) == 1
+    for ring in TORSIONFREE_RINGS:
+        phi = random_jordan_iso(poset, ring, seed=2)
+        assert decompose(phi).report.passed
 
 
 # -- decomposition -------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Poset validation, intervals, components, order maps, serialization."""
 
+import itertools
+import random
+
 import pytest
 
 from fialg import (
@@ -15,7 +18,7 @@ from fialg import (
 )
 from fialg.errors import FialgError
 
-from conftest import chain, diamond, two_two_chains
+from conftest import all_posets_up_to, chain, diamond, two_two_chains
 
 
 def test_validate_takes_transitive_closure():
@@ -119,3 +122,61 @@ def test_order_isomorphisms_enumeration():
 
 def test_self_duality_of_diamond():
     assert len(order_isomorphisms(diamond(), diamond(), reversing=True)) == 2
+
+
+def brute_order_isomorphisms(p, q, reversing=False):
+    """The oracle for order_isomorphisms: every permutation of q's indices in
+    lexicographic order, kept when it preserves (or reverses) the order."""
+    if p.size != q.size:
+        raise SizeMismatchError(f"{p.size} != {q.size}")
+    n = p.size
+
+    def agrees(perm, i, j):
+        if reversing:
+            return p.relation[i][j] == q.relation[perm[j]][perm[i]]
+        return p.relation[i][j] == q.relation[perm[i]][perm[j]]
+
+    return [
+        OrderMap(p, q, perm, reversing)
+        for perm in itertools.permutations(range(n))
+        if all(agrees(perm, i, j) for i in range(n) for j in range(n))
+    ]
+
+
+def relabelled(p, rng):
+    """p with its indices shuffled: an isomorphic copy whose index order
+    differs, so the enumeration order of its maps is a real test."""
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    inv = {t: i for i, t in enumerate(perm)}
+    return Poset(
+        tuple(p.elements[inv[t]] for t in range(p.size)),
+        tuple(
+            tuple(p.relation[inv[a]][inv[b]] for b in range(p.size))
+            for a in range(p.size)
+        ),
+    )
+
+
+def assert_matches_oracle(p, q):
+    for rev in (False, True):
+        fast = [m.images for m in order_isomorphisms(p, q, rev)]
+        slow = [m.images for m in brute_order_isomorphisms(p, q, rev)]
+        assert fast == slow, (p, q, rev)
+
+
+def test_order_isomorphisms_match_oracle_on_all_small_posets():
+    rng = random.Random(4)
+    for p in all_posets_up_to(4):
+        assert_matches_oracle(p, p)
+        assert_matches_oracle(p, relabelled(p, rng))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_order_isomorphisms_match_oracle_on_random_posets(n):
+    rng = random.Random(n)
+    for seed in range(12):
+        density = (0.2, 0.35, 0.5, 0.7)[seed % 4]
+        p = random_poset(n, density, seed)
+        assert_matches_oracle(p, relabelled(p, rng))
+        assert_matches_oracle(p, random_poset(n, density, seed + 100))

@@ -140,3 +140,25 @@ def test_parse_accepts_only_strings_and_integers(ring):
             ring.parse(bad)
     assert ring.parse("3") == ring.parse(3) == ring.normalize(3)
     assert ring.parse(-1) == ring.normalize(-1)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_parse_accepts_only_canonical_strings(ring):
+    # int() and Fraction() also take exponents, underscores, surrounding
+    # whitespace, a plus sign and non-ASCII digits; the wire format does not
+    for bad in ("1e3", "1_0", " 1 ", "1\n", "\u0663", "+1", "", "-", "1.5",
+                "0x1", "1/-2", "1 /2", "1" * 5000):
+        with pytest.raises(FialgError):
+            ring.parse(bad)
+    assert ring.parse("-12") == ring.normalize(-12)
+    assert ring.parse("007") == ring.normalize(7)
+
+
+def test_rational_strings_take_one_denominator():
+    assert RATIONALS.parse("-2/4") == Fraction(-1, 2)
+    for bad in ("1/0", "1/2/3", "/2", "1/"):
+        with pytest.raises(FialgError):
+            RATIONALS.parse(bad)
+    for ring in (INTEGERS, modular(9)):
+        with pytest.raises(FialgError):
+            ring.parse("1/2")
