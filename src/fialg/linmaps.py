@@ -150,15 +150,16 @@ def check_homomorphism(
     dom, cod = m.domain, m.codomain
     d = dom.dimension
     images = m.columns
-    products = [
-        [cod.multiply(images[i], images[j]) for j in range(d)] for i in range(d)
-    ]
 
     def failures():
         for i in range(d):
             for j in range(d):
                 lhs = m.apply_coords(dom.basis_product(i, j))
-                rhs = products[j][i] if anti else products[i][j]
+                rhs = (
+                    cod.multiply(images[j], images[i])
+                    if anti
+                    else cod.multiply(images[i], images[j])
+                )
                 if lhs != rhs:
                     yield (i, j), lhs, rhs
 

@@ -119,8 +119,8 @@ class RationalRing(Ring):
     mul = staticmethod(operator.mul)
 
     def normalize(self, a):
-        if isinstance(a, float):
-            raise FialgError("floats are not exact; use Fraction or int")
+        if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+            raise FialgError(f"not a rational payload (int or Fraction): {a!r}")
         return Fraction(a)
 
     def try_invert(self, a):

@@ -20,6 +20,7 @@ from fialg import (
     PreconditionFailedError,
     RATIONALS,
     TorsionRefusedError,
+    VerificationReport,
     check_homomorphism,
     check_jordan,
     conjugate_by_unit,
@@ -36,12 +37,15 @@ from fialg import (
     random_poset,
     random_series,
     random_unit_series,
+    run_check,
     verify_near_sum,
     verify_paper_identities,
 )
 from fialg.errors import FialgError
+from fialg.jordan import _near_sum_columns, _near_sum_holds
 
 from conftest import (
+    all_posets_up_to,
     antichain,
     boolean_lattice,
     chain,
@@ -69,6 +73,13 @@ def order_jordan_map(poset, ring, seed):
     )
     base = from_order_map(rng.choice(orders), ring)
     return conjugate_by_unit(random_unit_series(poset, ring, rng)).compose(base)
+
+
+def jordan_map(poset, ring, seed):
+    """The generator's map over a 2-torsion-free ring, else an order map."""
+    if ring.is_two_torsionfree():
+        return random_jordan_iso(poset, ring, seed)
+    return order_jordan_map(poset, ring, seed)
 
 
 def strict_zero(algebra):
@@ -414,7 +425,51 @@ def prepass_decompose(phi, allow_torsion=False):
         NearSumSplit.for_incidence(dom),
         None,
     )
-    return replace(dec, report=verify_near_sum(dec))
+    return replace(dec, report=scan_near_sum(dec))
+
+
+def scan_near_sum(dec):
+    """verify_near_sum as a scan of every basis pair, kept as the oracle of
+    the generator certificate."""
+    phi, psi, theta, split = dec.phi, dec.psi, dec.theta, dec.split
+    ring, cod = phi.ring, phi.codomain
+    zero = [ring.zero] * cod.dimension
+
+    def agreement():
+        for k in split.diagonal:
+            if psi.columns[k] != phi.columns[k]:
+                yield (k,), psi.columns[k], phi.columns[k], "psi vs phi"
+            if theta.columns[k] != phi.columns[k]:
+                yield (k,), theta.columns[k], phi.columns[k], "theta vs phi"
+
+    def recomposition():
+        for k in split.strict:
+            s = [ring.add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
+            if tuple(s) != tuple(phi.columns[k]):
+                yield (k,), s, phi.columns[k]
+
+    def annihilation():
+        for i in split.strict:
+            for j in split.strict:
+                p = cod.multiply(psi.columns[i], theta.columns[j])
+                if p != zero:
+                    yield (i, j), p, zero, "psi(b_i) * theta(b_j)"
+                q = cod.multiply(theta.columns[i], psi.columns[j])
+                if q != zero:
+                    yield (i, j), q, zero, "theta(b_i) * psi(b_j)"
+
+    return VerificationReport(
+        (
+            replace(check_homomorphism(psi).checks[0], name="psi_homomorphism"),
+            replace(
+                check_homomorphism(theta, anti=True).checks[0],
+                name="theta_anti_homomorphism",
+            ),
+            run_check("diagonal_agreement", agreement()),
+            run_check("strict_sum_recomposition", recomposition()),
+            run_check("strict_annihilation", annihilation()),
+        )
+    )
 
 
 def decompose_outcome(fn, phi, allow_torsion):
@@ -436,11 +491,8 @@ def decompose_outcome(fn, phi, allow_torsion):
     st.booleans(),
 )
 def test_decompose_agrees_with_prepass_oracle(seed, poset, ring, kind, allow_torsion):
-    if ring.is_two_torsionfree():
-        phi = random_jordan_iso(poset, ring, seed)
-    else:
-        phi = order_jordan_map(poset, ring, seed)
-        allow_torsion = True
+    phi = jordan_map(poset, ring, seed)
+    allow_torsion = allow_torsion or not ring.is_two_torsionfree()
     rng = random.Random(seed)
     cols = [list(c) for c in phi.columns]
     k, r = rng.randrange(len(cols)), rng.randrange(len(cols))
@@ -487,6 +539,210 @@ def test_passing_certificate_needs_no_inverse_or_recognizer(monkeypatch):
     monkeypatch.setattr("fialg.jordan.check_jordan", refuse)
     for phi in maps:
         assert decompose(phi, allow_torsion=True).report.passed
+
+
+ORACLE_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from(
+    [chain(7), disjoint_union(chain(5), chain(5)), boolean_lattice(3)]
+)
+
+
+def damaged_map(phi, kind, rng):
+    """phi itself, or phi with one entry shifted by a unit, twice one
+    diagonal image added to another, or one column replaced by random ring
+    elements."""
+    ring = phi.ring
+    cols = [list(c) for c in phi.columns]
+    d, n = len(cols), phi.domain.basis.poset.size
+    k, r = rng.randrange(d), rng.randrange(d)
+    if kind == "perturbed":
+        cols[k][r] = ring.add(cols[k][r], ring.sample_unit(rng))
+    elif kind == "sheared" and n > 1:
+        x, y = rng.sample(range(n), 2)
+        cols[x] = [ring.add(a, ring.add(b, b)) for a, b in zip(cols[x], cols[y])]
+    elif kind == "random-column":
+        cols[k] = [ring.sample(rng) for _ in range(d)]
+    return LinMap(phi.domain, phi.codomain, cols)
+
+
+def damaged_decomposition(phi, corrupt, rng):
+    """The near-sum candidate decompose() builds from phi, with at most one
+    generator column of psi or theta replaced by u * column + r * e_t for a
+    random unit u and scalar r.  A cover column is corrupted with phi's
+    column recomposed as psi + theta, so strict_sum_recomposition still
+    holds; a "shared" diagonal column is corrupted in phi, psi and theta
+    alike, so diagonal_agreement still holds."""
+    ring = phi.ring
+    dom = phi.domain
+    basis = dom.basis
+    cols = {"phi": [list(c) for c in phi.columns]}
+    cols["psi"], cols["theta"] = map(list, _near_sum_columns(phi))
+    poset = basis.poset
+    covers = [
+        basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
+    ]
+    if corrupt is not None:
+        target, block = corrupt.split("-")
+        pool = covers if block == "cover" else list(basis.diagonal_indices())
+        if pool:
+            k = rng.choice(pool)
+            u, r = ring.sample_unit(rng), ring.sample(rng)
+            t = rng.randrange(len(cols["phi"]))
+            names = ("phi", "psi", "theta") if target == "shared" else (target,)
+            for name in names:
+                col = [ring.mul(u, v) for v in cols[name][k]]
+                col[t] = ring.add(col[t], r)
+                cols[name][k] = col
+            if block == "cover":
+                cols["phi"][k] = [
+                    ring.add(a, b) for a, b in zip(cols["psi"][k], cols["theta"][k])
+                ]
+    maps = {name: LinMap(dom, phi.codomain, c) for name, c in cols.items()}
+    return Decomposition(
+        maps["phi"], maps["psi"], maps["theta"], NearSumSplit.for_incidence(dom), None
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ORACLE_POSETS,
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    st.sampled_from(["jordan", "perturbed", "sheared", "random-column"]),
+    st.sampled_from(
+        [None, "psi-cover", "theta-cover", "psi-diagonal", "theta-diagonal",
+         "shared-diagonal"]
+    ),
+    st.integers(0, 10 ** 6),
+)
+def test_generator_certificate_agrees_with_full_scan(poset, ring, kind, corrupt, seed):
+    rng = random.Random(seed)
+    phi = damaged_map(jordan_map(poset, ring, seed), kind, rng)
+    dec = damaged_decomposition(phi, corrupt, rng)
+    expected = scan_near_sum(dec)
+    assert _near_sum_holds(dec) == expected.passed
+    fmt = ring.format
+    assert verify_near_sum(dec).to_json(fmt) == expected.to_json(fmt)
+
+
+def test_generator_certificate_sees_each_clause_alone():
+    # Each decomposition breaks one clause of the full scan and keeps the
+    # other four, so a certificate that skips that clause's generators, or
+    # one of its orders, would pass it.
+    ring = RATIONALS
+    c2, c3 = chain(2), chain(3)
+
+    def decomposition(poset, codomain_poset, diag, psi_strict, theta_strict):
+        dom = incidence_algebra(poset, ring)
+        cod = incidence_algebra(codomain_poset, ring)
+
+        def vec(entries):
+            out = [ring.zero] * cod.dimension
+            for pair, value in entries.items():
+                out[cod.basis.index_of[pair]] = Fraction(value)
+            return out
+
+        psi_cols, theta_cols = [], []
+        for (i, j) in dom.basis.pairs:
+            if i == j:
+                psi_cols.append(vec(diag[i]))
+                theta_cols.append(vec(diag[i]))
+            else:
+                psi_cols.append(vec(psi_strict.get((i, j), {})))
+                theta_cols.append(vec(theta_strict.get((i, j), {})))
+        psi = LinMap(dom, cod, psi_cols)
+        theta = LinMap(dom, cod, theta_cols)
+        phi = LinMap(
+            dom,
+            cod,
+            [
+                p if i == j else [ring.add(a, b) for a, b in zip(p, t)]
+                for (i, j), p, t in zip(dom.basis.pairs, psi.columns, theta.columns)
+            ],
+        )
+        return Decomposition(phi, psi, theta, NearSumSplit.for_incidence(dom), None)
+
+    units = {0: {(0, 0): 1}, 1: {(1, 1): 1}, 2: {(2, 2): 1}}
+    cases = {
+        # psi(e_12) doubled: only the cover row (e_12, e_23) breaks
+        "psi_homomorphism": decomposition(
+            c3, c3, units, {(0, 1): {(0, 1): 2}, (1, 2): {(1, 2): 1},
+                            (0, 2): {(0, 2): 1}}, {}
+        ),
+        # the mirror image, in theta
+        "theta_anti_homomorphism": decomposition(
+            c3, c3, units, {}, {(0, 1): {(1, 2): 2}, (1, 2): {(0, 1): 1},
+                                (0, 2): {(0, 2): 1}}
+        ),
+        # phi(e_1) doubled in phi, psi and theta: only rows of the
+        # idempotent e_1 break, (e_1, e_1) in both maps and (e_1, e_12) in psi
+        "idempotent": decomposition(
+            c2, c2, {0: {(0, 0): 2}, 1: {(1, 1): 1}}, {(0, 1): {(0, 1): 1}}, {}
+        ),
+        # into chain-3 with e_1 -> e_a + e_c, e_2 -> e_b, psi(e_12) = e_ab and
+        # theta(e_12) = e_bc: psi(e_12) theta(e_12) = e_ac, the other order 0
+        "psi(b_i) * theta(b_j)": decomposition(
+            c2, c3, {0: {(0, 0): 1, (2, 2): 1}, 1: {(1, 1): 1}},
+            {(0, 1): {(0, 1): 1}}, {(0, 1): {(1, 2): 1}}
+        ),
+        # e_1 -> e_b, e_2 -> e_a + e_c, psi(e_12) = e_bc, theta(e_12) = e_ab
+        "theta(b_i) * psi(b_j)": decomposition(
+            c2, c3, {0: {(1, 1): 1}, 1: {(0, 0): 1, (2, 2): 1}},
+            {(0, 1): {(1, 2): 1}}, {(0, 1): {(0, 1): 1}}
+        ),
+    }
+    failing = {
+        "psi_homomorphism": ["psi_homomorphism"],
+        "theta_anti_homomorphism": ["theta_anti_homomorphism"],
+        "idempotent": ["psi_homomorphism", "theta_anti_homomorphism"],
+        "psi(b_i) * theta(b_j)": ["strict_annihilation"],
+        "theta(b_i) * psi(b_j)": ["strict_annihilation"],
+    }
+    for case, dec in cases.items():
+        expected = scan_near_sum(dec)
+        bad = [c for c in expected.checks if not c.passed]
+        assert [c.name for c in bad] == failing[case], case
+        if failing[case] == ["strict_annihilation"]:
+            assert {w.note for w in bad[0].witnesses} == {case}
+        assert not _near_sum_holds(dec), case
+        assert verify_near_sum(dec) == expected
+
+
+def test_full_scan_decides_other_splits():
+    # a split that is not the incidence split gets the full scan's verdict
+    A = incidence_algebra(P3, RATIONALS)
+    ident = LinMap.identity(A)
+    whole = NearSumSplit(A, tuple(range(A.dimension)), ())
+    dec = Decomposition(ident, ident, ident, whole, None)
+    assert not _near_sum_holds(dec)
+    assert verify_near_sum(dec) == scan_near_sum(dec)
+    assert not verify_near_sum(dec).passed  # the identity is not anti here
+
+
+def test_twisted_codomain_certificate_agrees_with_full_scan():
+    for ring in TORSIONFREE_RINGS:
+        for phi in jordan_corpus(diamond(), ring, seeds=range(2), twist=True):
+            dec = decompose(phi)
+            assert _near_sum_holds(dec)
+            assert dec.report == scan_near_sum(dec)
+
+
+def test_decompose_runs_the_full_scan_only_for_jordan_maps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose ran the full near-sum scan")
+
+    maps = [random_jordan_iso(TT, ring, seed=5) for ring in TORSIONFREE_RINGS]
+    maps.append(LinMap.identity(incidence_algebra(P3, modular(6))))
+    phi = random_jordan_iso(chain(4), INTEGERS, seed=3)
+    cols = [list(c) for c in phi.columns]
+    cols[0] = [a + 2 * b for a, b in zip(cols[0], cols[1])]
+    bad = LinMap(phi.domain, phi.codomain, cols)
+    oracle = decompose_outcome(prepass_decompose, bad, False)
+    assert oracle[0] == "NotJordanError"
+
+    monkeypatch.setattr("fialg.jordan.check_homomorphism", refuse)
+    monkeypatch.setattr("fialg.jordan.run_check", refuse)
+    for m in maps:
+        assert decompose(m, allow_torsion=True).report.passed
+    assert decompose_outcome(decompose, bad, False) == oracle
 
 
 def test_decompose_refuses_singular_maps_on_every_ring():

@@ -1,5 +1,6 @@
 """Exact coefficient rings: axioms, units, torsion, serialization."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import given, strategies as st
 from fialg import (
     INTEGERS,
     RATIONALS,
+    FinSeries,
+    LinMap,
     NotAUnitError,
+    incidence_algebra,
     modular,
     ring_from_json,
+    validate_poset,
 )
 from fialg.errors import FialgError
 
@@ -113,6 +118,26 @@ def test_normalize_guards():
         RATIONALS.normalize(0.5)
     assert modular(7).normalize(-1) == 6
     assert RATIONALS.normalize(3) == Fraction(3)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_normalize_takes_only_exact_payloads(ring):
+    # int() and Fraction() also take bools, strings and Decimals; a payload
+    # is a non-bool int on every ring, or a Fraction over the rationals
+    for bad in (True, False, " 3 ", "1e3", "3", Decimal("0.1"), 0.5, None):
+        with pytest.raises(FialgError):
+            ring.normalize(bad)
+    assert RATIONALS.normalize(Fraction(2, 4)) == Fraction(1, 2)
+
+
+def test_library_constructors_refuse_non_exact_payloads_over_q():
+    poset = validate_poset(["a", "b"], [("a", "b")])
+    algebra = incidence_algebra(poset, RATIONALS)
+    cols = [[Fraction(1), 0, 0], [0, 1, 0], [0, 0, True]]
+    with pytest.raises(FialgError):
+        LinMap(algebra, algebra, cols)
+    with pytest.raises(FialgError):
+        FinSeries.from_entries(poset, RATIONALS, {("a", "b"): "1e3"})
 
 
 def test_modular_requires_sensible_modulus():
