@@ -160,6 +160,21 @@ def test_verify_near_sum_and_identities_on_fixture():
     assert json.loads(full.stdout)["pass"] is True
 
 
+def test_verify_identities_on_the_empty_poset(tmp_path):
+    # dimension 0: the equality criterion has no coordinate to bump
+    poset = write_json(tmp_path / "poset.json", {"elements": [], "relations": []})
+    ring = fx("ring_rationals.json")
+    out = tmp_path / "map.json"
+    gen = run_cli("gen-jordan", "--poset", poset, "--ring", ring, "--seed", "1",
+                  "--out", str(out))
+    assert gen.returncode == 0
+    r = run_cli("verify", "--identities", "--poset", poset, "--ring", ring,
+                "--map", str(out))
+    assert r.returncode == 0, r.stderr
+    checks = json.loads(r.stdout)["checks"]
+    assert len(checks) == 13 and all(c["pass"] for c in checks)
+
+
 def test_out_file_matches_stdout(tmp_path):
     args = [
         "decompose",

@@ -74,7 +74,9 @@ def near_miss(draw, valid):
 
 @st.composite
 def valid_posets(draw):
-    elements = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
+    elements = draw(st.lists(st.sampled_from(LABELS), max_size=4, unique=True))
+    if not elements:
+        return {"elements": [], "relations": []}
     pair = st.lists(st.sampled_from(elements), min_size=2, max_size=2)
     return {"elements": elements, "relations": draw(st.lists(pair, max_size=4))}
 

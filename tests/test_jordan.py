@@ -1,12 +1,14 @@
 """The near-sum decomposition engine and its verifiers."""
 
+import collections
 import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fialg import (
     AlgElem,
@@ -19,6 +21,7 @@ from fialg import (
     NotJordanError,
     PreconditionFailedError,
     RATIONALS,
+    StructAlgebra,
     TorsionRefusedError,
     VerificationReport,
     check_homomorphism,
@@ -35,14 +38,18 @@ from fialg import (
     order_isomorphisms,
     random_jordan_iso,
     random_poset,
+    random_basis_change,
     random_series,
     random_unit_series,
+    rebase_codomain,
     run_check,
+    validate_poset,
     verify_near_sum,
     verify_paper_identities,
 )
 from fialg.errors import FialgError
 from fialg.jordan import _near_sum_columns, _near_sum_holds
+from fialg.matrices import mat_vec
 
 from conftest import (
     all_posets_up_to,
@@ -872,6 +879,143 @@ def test_identity_suite_torsion_gate():
     with pytest.raises(TorsionRefusedError):
         verify_paper_identities(ident)
     assert verify_paper_identities(ident, allow_torsion=True).passed
+
+
+def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror):
+    """The window annihilation families as a direct scan: phi(e_W) summed
+    afresh for every window, the five factors multiplied left to right, and
+    each interval rebuilt per pair.  Same signature, instances and rng draws
+    as fialg.jordan._window_failures, which it checks."""
+    dom, cod, ring = phi.domain, phi.codomain, phi.ring
+    basis = dom.basis
+    poset = basis.poset
+    n, labels = poset.size, poset.elements
+    add = ring.add
+    zero_vec = [ring.zero] * cod.dimension
+
+    def vec(f):
+        return dom.element_from_series(f).coords
+
+    def diag_img(i):
+        return phi.columns[basis.index_of[(i, i)]]
+
+    def mulc(*vectors):
+        out = vectors[0]
+        for v in vectors[1:]:
+            out = cod.multiply(out, v)
+        return out
+
+    name = "theta" if mirror else "psi"
+    pulled = []
+    for z in strict_samples:
+        image = mat_vec(ring, columns, vec(z))
+        coords = phi_inverse.apply_coords(image)
+        series = dom.series_from_element(AlgElem(dom, tuple(coords)))
+        pulled.append((image, series))
+    for (s1, (img1, f1)) in enumerate(pulled):
+        if not f1.is_strict():
+            yield (s1,), vec(f1.split_diag()[0]), [ring.zero] * dom.dimension, (
+                f"phi-inverse of {name}(f) has a diagonal part"
+            )
+            continue
+        for (s2, (img2, f2)) in enumerate(pulled):
+            if not f2.is_strict():
+                continue
+            for (i, j) in poset.comparable_index_pairs():
+                interval = [
+                    z
+                    for z in range(n)
+                    if poset.relation[i][z] and poset.relation[z][j]
+                ]
+                if mirror:
+                    excluded = {
+                        z
+                        for z in interval
+                        if (z, j) in f1.coeffs and (i, z) in f2.coeffs
+                    }
+                else:
+                    excluded = {
+                        z
+                        for z in interval
+                        if (i, z) in f1.coeffs and (z, j) in f2.coeffs
+                    }
+                pool = [z for z in range(n) if z not in excluded]
+                windows = [
+                    (),
+                    tuple(pool),
+                    tuple(z for z in pool if z not in interval),
+                    tuple(z for z in pool if rng.random() < 0.5),
+                ]
+                for w in windows:
+                    ew = [ring.zero] * cod.dimension
+                    for z in w:
+                        ew = [add(a, b) for a, b in zip(ew, diag_img(z))]
+                    fwd = mulc(diag_img(i), img1, ew, img2, diag_img(j))
+                    if fwd != zero_vec:
+                        yield (s1, s2, labels[i], labels[j], w), fwd, zero_vec
+                    bwd = mulc(diag_img(j), img1, ew, img2, diag_img(i))
+                    if bwd != zero_vec:
+                        yield (s1, s2, labels[j], labels[i], w), bwd, zero_vec
+
+
+IDENTITY_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from([
+    chain(5),
+    boolean_lattice(3),
+    disjoint_union(chain(3), chain(3)),
+    disjoint_union(chain(4), diamond()),
+    validate_poset([], []),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    st.sampled_from(["jordan", "perturbed", "sheared", "random-column"]),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+@example(chain(5), RATIONALS, "sheared", False, 3)  # fails 53 theta windows
+def test_window_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
+    phi = jordan_map(poset, ring, seed)
+    if phi.domain.dimension:
+        phi = damaged_map(phi, kind, random.Random(seed))
+    if twist:
+        phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed + 1000))
+    try:
+        report = verify_paper_identities(phi, seed, allow_torsion=True)
+    except NotInvertibleError:
+        assume(False)
+    with mock.patch("fialg.jordan._window_failures", scan_window_failures):
+        expected = verify_paper_identities(phi, seed, allow_torsion=True)
+    fmt = ring.format
+    assert report.to_json(fmt) == expected.to_json(fmt)
+
+
+def test_window_families_build_each_factor_once(monkeypatch):
+    # chain-5 has 15 comparable pairs and each of the 3 strict samples pulls
+    # back strict, so each family runs 3 * 3 * 15 * 4 = 540 windows: two
+    # products per direction, 4 per window, plus the halves phi(e_x) s(f) and
+    # s(f) phi(e_x) for 3 samples and 5 elements.  The left-to-right scan
+    # takes 8 per window and no halves.
+    phi = random_jordan_iso(chain(5), RATIONALS, seed=1)
+    family, counts = [None], collections.Counter()
+    multiply = StructAlgebra.multiply
+
+    def counted(self, u, v):
+        counts[family[0]] += 1
+        return multiply(self, u, v)
+
+    def named(name, instances):
+        family[0] = name
+        return run_check(name, instances)
+
+    monkeypatch.setattr(StructAlgebra, "multiply", counted)
+    monkeypatch.setattr("fialg.jordan.run_check", named)
+    assert verify_paper_identities(phi, seed=1).passed
+    per_family = 4 * 540 + 2 * 3 * 5
+    assert counts["psi_window_annihilation"] == per_family
+    assert counts["theta_window_annihilation"] == per_family
 
 
 def test_equal_by_sandwiches_matches_equality():
