@@ -21,7 +21,8 @@ fails, to count the failing instances and collect witnesses; decompose()
 runs the Jordan recognizer before it, so that only a Jordan map pays for the
 failing report.  verify_paper_identities() exercises the full family of
 sandwich, idempotent, and annihilation identities that make the construction
-work.
+work.  Its sandwich families read one table of Peirce components
+phi(e_x) v phi(e_y) per sample image v, and report what a per-pair scan does.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -29,6 +30,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 
@@ -558,40 +560,39 @@ def _annihilation_failures(dec: Decomposition, rows):
 # ---------------------------------------------------------------------------
 
 
+def _peirce_table(phi: LinMap, v) -> dict:
+    """The Peirce components phi(e_x) v phi(e_y) of a codomain vector v,
+    keyed (x, y), for every pair of poset indices comparable in either order.
+    Each is built as (phi(e_x) v) phi(e_y): one left product per element and
+    one right product per entry; incomparable pairs are never built."""
+    basis = phi.domain.basis
+    poset = basis.poset
+    cod = phi.codomain
+    diag = [phi.columns[basis.index_of[(i, i)]] for i in range(poset.size)]
+    left = [cod.multiply(e, v) for e in diag]
+    table = {}
+    for (i, j) in poset.comparable_index_pairs():
+        table[(i, j)] = cod.multiply(left[i], diag[j])
+        if i != j:
+            table[(j, i)] = cod.multiply(left[j], diag[i])
+    return table
+
+
 def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     """The sandwich equality criterion: two codomain elements are equal as
     soon as phi(e_x) a phi(e_x) = phi(e_x) b phi(e_x) for every x and
     phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y."""
-    dom = _incidence_domain(phi)
-    basis = dom.basis
-    cod = phi.codomain
-    ring = phi.ring
-    add = ring.add
-    if isinstance(a, AlgElem):
-        a = a.coords
-    if isinstance(b, AlgElem):
-        b = b.coords
+    poset = _incidence_domain(phi).basis.poset
+    add = phi.ring.add
 
-    def diag_img(i):
-        return phi.columns[basis.index_of[(i, i)]]
+    def components(v):
+        table = _peirce_table(phi, v.coords if isinstance(v, AlgElem) else v)
+        return [table[(i, i)] for i in range(poset.size)] + [
+            [add(p, q) for p, q in zip(table[(i, j)], table[(j, i)])]
+            for (i, j) in poset.strict_index_pairs()
+        ]
 
-    for i in range(basis.poset.size):
-        e = diag_img(i)
-        if cod.multiply(cod.multiply(e, a), e) != cod.multiply(
-            cod.multiply(e, b), e
-        ):
-            return False
-    for (i, j) in basis.poset.strict_index_pairs():
-        ex, ey = diag_img(i), diag_img(j)
-        left_a = cod.multiply(cod.multiply(ex, a), ey)
-        right_a = cod.multiply(cod.multiply(ey, a), ex)
-        sum_a = [add(u, v) for u, v in zip(left_a, right_a)]
-        left_b = cod.multiply(cod.multiply(ex, b), ey)
-        right_b = cod.multiply(cod.multiply(ey, b), ex)
-        sum_b = [add(u, v) for u, v in zip(left_b, right_b)]
-        if sum_a != sum_b:
-            return False
-    return True
+    return components(a) == components(b)
 
 
 def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
@@ -705,7 +706,7 @@ def verify_paper_identities(
     poset = basis.poset
     cod = phi.codomain
     n = poset.size
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    add, mul = ring.add, ring.mul
     zero_vec = [ring.zero] * cod.dimension
 
     rng = random.Random(seed)
@@ -727,11 +728,10 @@ def verify_paper_identities(
     def phi_of(f: FinSeries):
         return phi.apply_coords(vec(f))
 
-    def scaled(r, column):
-        return [mul(r, v) for v in column]
-
-    def diag_img(i):
-        return phi.columns[basis.index_of[(i, i)]]
+    def scaled(f: FinSeries, pair, columns):
+        """f(x, y) times the column of e_xy in columns."""
+        r = f.coeffs.get(pair, ring.zero)
+        return [mul(r, v) for v in columns[basis.index_of[pair]]]
 
     def mulc(*vectors):
         out = vectors[0]
@@ -742,20 +742,25 @@ def verify_paper_identities(
     psi_cols, theta_cols = _near_sum_columns(phi)
     labels = poset.elements
 
+    # The sandwich families read the Peirce components phi(e_x) v phi(e_y)
+    # of each sample image v from one table, built on first use.
+    @functools.cache
+    def general_table(s):
+        return _peirce_table(phi, phi_of(general[s]))
+
+    @functools.cache
+    def strict_table(s):
+        return _peirce_table(phi, phi_of(strict_samples[s]))
+
     checks = []
 
     # f(x,y) phi(e_xy) = phi(e_x) phi(f) phi(e_y) + phi(e_y) phi(f) phi(e_x)
     def unit_sandwich_strict():
         for s, f in enumerate(general):
-            pf = phi_of(f)
+            table = general_table(s)
             for (i, j) in poset.strict_index_pairs():
-                lhs = scaled(
-                    f.coeffs.get((i, j), ring.zero),
-                    phi.columns[basis.index_of[(i, j)]],
-                )
-                r1 = mulc(diag_img(i), pf, diag_img(j))
-                r2 = mulc(diag_img(j), pf, diag_img(i))
-                rhs = [add(a, b) for a, b in zip(r1, r2)]
+                lhs = scaled(f, (i, j), phi.columns)
+                rhs = [add(a, b) for a, b in zip(table[(i, j)], table[(j, i)])]
                 if lhs != rhs:
                     yield (s, labels[i], labels[j]), lhs, rhs
 
@@ -764,10 +769,10 @@ def verify_paper_identities(
     # f(x,x) phi(e_x) = phi(e_x) phi(f) phi(e_x)
     def unit_sandwich_diagonal():
         for s, f in enumerate(general):
-            pf = phi_of(f)
+            table = general_table(s)
             for i in range(n):
-                lhs = scaled(f.coeffs.get((i, i), ring.zero), diag_img(i))
-                rhs = mulc(diag_img(i), pf, diag_img(i))
+                lhs = scaled(f, (i, i), phi.columns)
+                rhs = table[(i, i)]
                 if lhs != rhs:
                     yield (s, labels[i]), lhs, rhs
 
@@ -776,13 +781,10 @@ def verify_paper_identities(
     # phi(e_x) phi(f) phi(e_y) = f(x,y) psi(e_xy) over all comparable pairs
     def coefficient_sandwich():
         for s, f in enumerate(general):
-            pf = phi_of(f)
+            table = general_table(s)
             for (i, j) in poset.comparable_index_pairs():
-                lhs = mulc(diag_img(i), pf, diag_img(j))
-                rhs = scaled(
-                    f.coeffs.get((i, j), ring.zero),
-                    psi_cols[basis.index_of[(i, j)]],
-                )
+                lhs = table[(i, j)]
+                rhs = scaled(f, (i, j), psi_cols)
                 if lhs != rhs:
                     yield (s, labels[i], labels[j]), lhs, rhs
 
@@ -882,15 +884,15 @@ def verify_paper_identities(
 
     # phi restricted to the diagonal is a homomorphism and an anti-homomorphism
     def diagonal_restriction():
-        for s, f in enumerate(general):
-            for t, g in enumerate(general):
-                fd = f.split_diag()[0]
-                gd = g.split_diag()[0]
-                target = phi.apply_coords(vec(fd * gd))
-                fwd = mulc(phi_of(fd), phi_of(gd))
+        parts = [f.split_diag()[0] for f in general]
+        images = [phi_of(fd) for fd in parts]
+        for s, fd in enumerate(parts):
+            for t, gd in enumerate(parts):
+                target = phi_of(fd * gd)
+                fwd = mulc(images[s], images[t])
                 if fwd != target:
                     yield (s, t), fwd, target, "homomorphism direction"
-                bwd = mulc(phi_of(gd), phi_of(fd))
+                bwd = mulc(images[t], images[s])
                 if bwd != target:
                     yield (s, t), bwd, target, "anti direction"
 
@@ -905,19 +907,18 @@ def verify_paper_identities(
     def sandwich_failures(columns, mirror: bool):
         away = "forward is zero" if mirror else "reversed is zero"
         for s, z in enumerate(strict_samples):
-            image = mat_vec(ring, columns, vec(z))
-            fz = phi_of(z)
+            table = _peirce_table(phi, mat_vec(ring, columns, vec(z)))
+            phi_table = strict_table(s)
             for (i, j) in poset.strict_index_pairs():
                 u, v = (j, i) if mirror else (i, j)
-                lhs = mulc(diag_img(u), image, diag_img(v))
-                rhs = mulc(diag_img(u), fz, diag_img(v))
+                lhs, rhs = table[(u, v)], phi_table[(u, v)]
                 if lhs != rhs:
                     yield (s, labels[i], labels[j]), lhs, rhs, "matches phi sandwich"
-                back = mulc(diag_img(v), image, diag_img(u))
+                back = table[(v, u)]
                 if back != zero_vec:
                     yield (s, labels[i], labels[j]), back, zero_vec, away
             for i in range(n):
-                mid = mulc(diag_img(i), image, diag_img(i))
+                mid = table[(i, i)]
                 if mid != zero_vec:
                     yield (s, labels[i]), mid, zero_vec, "diagonal is zero"
 

@@ -221,21 +221,19 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
 
     report = jordan_pair_check(m)
 
-    pair_products = [
-        [cod.multiply(images[i], images[j]) for j in range(d)] for i in range(d)
-    ]
-
     def triple_failures():
-        # (i, j, k) and (k, j, i) state the same identity; scan i <= k.
+        # (i, j, k) and (k, j, i) state the same identity; scan i <= k.  Only
+        # column j of the products images[i] images[j] is alive: d, not d^2.
         for j in range(d):
+            column = [cod.multiply(images[i], images[j]) for i in range(d)]
             for i in range(d):
                 left_ij = dom.basis_product(i, j)
                 for k in range(i, d):
                     t1 = dom.multiply(left_ij, dom.unit_vector(k))
                     t2 = dom.multiply(dom.basis_product(k, j), dom.unit_vector(i))
                     lhs = m.apply_coords([add(a, b) for a, b in zip(t1, t2)])
-                    r1 = cod.multiply(pair_products[i][j], images[k])
-                    r2 = cod.multiply(pair_products[k][j], images[i])
+                    r1 = cod.multiply(column[i], images[k])
+                    r2 = cod.multiply(column[k], images[i])
                     rhs = [add(a, b) for a, b in zip(r1, r2)]
                     if lhs != rhs:
                         yield (i, j, k), lhs, rhs

@@ -965,23 +965,30 @@ IDENTITY_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from([
     disjoint_union(chain(4), diamond()),
     validate_poset([], []),
 ])
+IDENTITY_KINDS = st.sampled_from(["jordan", "perturbed", "sheared", "random-column"])
+
+
+def identity_corpus_map(poset, ring, kind, twist, seed):
+    """A Jordan map, damaged by kind, with its codomain rebased when twist."""
+    phi = jordan_map(poset, ring, seed)
+    if phi.domain.dimension:
+        phi = damaged_map(phi, kind, random.Random(seed))
+    if twist:
+        phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed + 1000))
+    return phi
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     IDENTITY_POSETS,
     st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
-    st.sampled_from(["jordan", "perturbed", "sheared", "random-column"]),
+    IDENTITY_KINDS,
     st.booleans(),
     st.integers(0, 10 ** 6),
 )
 @example(chain(5), RATIONALS, "sheared", False, 3)  # fails 53 theta windows
 def test_window_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
-    phi = jordan_map(poset, ring, seed)
-    if phi.domain.dimension:
-        phi = damaged_map(phi, kind, random.Random(seed))
-    if twist:
-        phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed + 1000))
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
     try:
         report = verify_paper_identities(phi, seed, allow_torsion=True)
     except NotInvertibleError:
@@ -992,30 +999,239 @@ def test_window_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
     assert report.to_json(fmt) == expected.to_json(fmt)
 
 
-def test_window_families_build_each_factor_once(monkeypatch):
-    # chain-5 has 15 comparable pairs and each of the 3 strict samples pulls
-    # back strict, so each family runs 3 * 3 * 15 * 4 = 540 windows: two
-    # products per direction, 4 per window, plus the halves phi(e_x) s(f) and
-    # s(f) phi(e_x) for 3 samples and 5 elements.  The left-to-right scan
-    # takes 8 per window and no halves.
-    phi = random_jordan_iso(chain(5), RATIONALS, seed=1)
-    family, counts = [None], collections.Counter()
-    multiply = StructAlgebra.multiply
+def scan_equal_by_sandwiches(phi, a, b):
+    """The sandwich equality criterion pair by pair: every sandwich
+    multiplied afresh, left to right, stopping at the first difference.
+    Same answer as fialg.jordan.equal_by_sandwiches, which it checks."""
+    basis = phi.domain.basis
+    cod = phi.codomain
+    add = phi.ring.add
+    if isinstance(a, AlgElem):
+        a = a.coords
+    if isinstance(b, AlgElem):
+        b = b.coords
 
-    def counted(self, u, v):
-        counts[family[0]] += 1
+    def diag_img(i):
+        return phi.columns[basis.index_of[(i, i)]]
+
+    for i in range(basis.poset.size):
+        e = diag_img(i)
+        if cod.multiply(cod.multiply(e, a), e) != cod.multiply(
+            cod.multiply(e, b), e
+        ):
+            return False
+    for (i, j) in basis.poset.strict_index_pairs():
+        ex, ey = diag_img(i), diag_img(j)
+        left_a = cod.multiply(cod.multiply(ex, a), ey)
+        right_a = cod.multiply(cod.multiply(ey, a), ex)
+        sum_a = [add(u, v) for u, v in zip(left_a, right_a)]
+        left_b = cod.multiply(cod.multiply(ex, b), ey)
+        right_b = cod.multiply(cod.multiply(ey, b), ex)
+        sum_b = [add(u, v) for u, v in zip(left_b, right_b)]
+        if sum_a != sum_b:
+            return False
+    return True
+
+
+def scan_sandwich_checks(phi, seed, samples=3):
+    """The five sandwich families of verify_paper_identities as per-pair
+    scans: each sandwich phi(e_x) v phi(e_y) multiplied afresh, left to
+    right, for every instance that reads it.  The samples are the suite's
+    first draws from Random(seed); returns the checks by name."""
+    dom, cod, ring = phi.domain, phi.codomain, phi.ring
+    basis = dom.basis
+    poset = basis.poset
+    n, labels = poset.size, poset.elements
+    add, mul = ring.add, ring.mul
+    zero_vec = [ring.zero] * cod.dimension
+    rng = random.Random(seed)
+    general = [FinSeries.delta(poset, ring), FinSeries.zeta(poset, ring)] + [
+        random_series(poset, ring, rng, density=0.6) for _ in range(samples)
+    ]
+    strict_samples = [
+        random_series(poset, ring, rng, density=0.7, strict_only=True)
+        for _ in range(samples)
+    ]
+    psi_cols, theta_cols = _near_sum_columns(phi)
+
+    def vec(f):
+        return dom.element_from_series(f).coords
+
+    def phi_of(f):
+        return phi.apply_coords(vec(f))
+
+    def scaled(r, column):
+        return [mul(r, v) for v in column]
+
+    def diag_img(i):
+        return phi.columns[basis.index_of[(i, i)]]
+
+    def mulc(*vectors):
+        out = vectors[0]
+        for v in vectors[1:]:
+            out = cod.multiply(out, v)
+        return out
+
+    def unit_sandwich_strict():
+        for s, f in enumerate(general):
+            pf = phi_of(f)
+            for (i, j) in poset.strict_index_pairs():
+                lhs = scaled(
+                    f.coeffs.get((i, j), ring.zero),
+                    phi.columns[basis.index_of[(i, j)]],
+                )
+                r1 = mulc(diag_img(i), pf, diag_img(j))
+                r2 = mulc(diag_img(j), pf, diag_img(i))
+                rhs = [add(a, b) for a, b in zip(r1, r2)]
+                if lhs != rhs:
+                    yield (s, labels[i], labels[j]), lhs, rhs
+
+    def unit_sandwich_diagonal():
+        for s, f in enumerate(general):
+            pf = phi_of(f)
+            for i in range(n):
+                lhs = scaled(f.coeffs.get((i, i), ring.zero), diag_img(i))
+                rhs = mulc(diag_img(i), pf, diag_img(i))
+                if lhs != rhs:
+                    yield (s, labels[i]), lhs, rhs
+
+    def coefficient_sandwich():
+        for s, f in enumerate(general):
+            pf = phi_of(f)
+            for (i, j) in poset.comparable_index_pairs():
+                lhs = mulc(diag_img(i), pf, diag_img(j))
+                rhs = scaled(
+                    f.coeffs.get((i, j), ring.zero),
+                    psi_cols[basis.index_of[(i, j)]],
+                )
+                if lhs != rhs:
+                    yield (s, labels[i], labels[j]), lhs, rhs
+
+    def sandwich_failures(columns, mirror):
+        away = "forward is zero" if mirror else "reversed is zero"
+        for s, z in enumerate(strict_samples):
+            image = mat_vec(ring, columns, vec(z))
+            fz = phi_of(z)
+            for (i, j) in poset.strict_index_pairs():
+                u, v = (j, i) if mirror else (i, j)
+                lhs = mulc(diag_img(u), image, diag_img(v))
+                rhs = mulc(diag_img(u), fz, diag_img(v))
+                if lhs != rhs:
+                    yield (s, labels[i], labels[j]), lhs, rhs, "matches phi sandwich"
+                back = mulc(diag_img(v), image, diag_img(u))
+                if back != zero_vec:
+                    yield (s, labels[i], labels[j]), back, zero_vec, away
+            for i in range(n):
+                mid = mulc(diag_img(i), image, diag_img(i))
+                if mid != zero_vec:
+                    yield (s, labels[i]), mid, zero_vec, "diagonal is zero"
+
+    families = {
+        "unit_sandwich_strict": unit_sandwich_strict(),
+        "unit_sandwich_diagonal": unit_sandwich_diagonal(),
+        "coefficient_sandwich": coefficient_sandwich(),
+        "psi_sandwich": sandwich_failures(psi_cols, False),
+        "theta_sandwich": sandwich_failures(theta_cols, True),
+    }
+    return {name: run_check(name, failures) for name, failures in families.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    IDENTITY_KINDS,
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+@example(chain(5), RATIONALS, "sheared", False, 3)
+def test_sandwich_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    try:
+        report = verify_paper_identities(phi, seed, allow_torsion=True)
+    except NotInvertibleError:
+        assume(False)
+    with mock.patch("fialg.jordan.equal_by_sandwiches", scan_equal_by_sandwiches):
+        criterion_scanned = verify_paper_identities(phi, seed, allow_torsion=True)
+    scanned = scan_sandwich_checks(phi, seed)
+    assert set(scanned) <= {c.name for c in report.checks}
+    expected = VerificationReport(
+        tuple(scanned.get(c.name, c) for c in criterion_scanned.checks)
+    )
+    fmt = ring.format
+    assert report.to_json(fmt) == expected.to_json(fmt)
+
+
+def calls_per_family(phi, seed):
+    """StructAlgebra.multiply and LinMap.apply_coords calls of
+    verify_paper_identities, counted by the family whose check was running."""
+    family = [None]
+    products, images = collections.Counter(), collections.Counter()
+    multiply, apply_coords = StructAlgebra.multiply, LinMap.apply_coords
+
+    def counted_multiply(self, u, v):
+        products[family[0]] += 1
         return multiply(self, u, v)
+
+    def counted_apply(self, vec):
+        images[family[0]] += 1
+        return apply_coords(self, vec)
 
     def named(name, instances):
         family[0] = name
         return run_check(name, instances)
 
-    monkeypatch.setattr(StructAlgebra, "multiply", counted)
-    monkeypatch.setattr("fialg.jordan.run_check", named)
-    assert verify_paper_identities(phi, seed=1).passed
+    with mock.patch.object(
+        StructAlgebra, "multiply", counted_multiply
+    ), mock.patch.object(LinMap, "apply_coords", counted_apply), mock.patch(
+        "fialg.jordan.run_check", named
+    ):
+        assert verify_paper_identities(phi, seed=seed).passed
+    return products, images
+
+
+def test_window_families_build_each_factor_once():
+    # chain-5 has 15 comparable pairs and each of the 3 strict samples pulls
+    # back strict, so each family runs 3 * 3 * 15 * 4 = 540 windows: two
+    # products per direction, 4 per window, plus the halves phi(e_x) s(f) and
+    # s(f) phi(e_x) for 3 samples and 5 elements.  The left-to-right scan
+    # takes 8 per window and no halves.
+    counts, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     per_family = 4 * 540 + 2 * 3 * 5
     assert counts["psi_window_annihilation"] == per_family
     assert counts["theta_window_annihilation"] == per_family
+
+
+SANDWICH_FAMILIES = (
+    "unit_sandwich_strict",
+    "unit_sandwich_diagonal",
+    "coefficient_sandwich",
+    "psi_sandwich",
+    "theta_sandwich",
+    "sandwich_equality_criterion",
+)
+
+
+def test_sandwich_families_build_one_table_per_sample_image():
+    # On chain-5 (5 elements, 15 comparable pairs) a Peirce table costs 5 left
+    # products and 5 + 2 * 10 entries.  The suite builds one table for each
+    # of the 5 general samples, three (phi, psi and theta) for each of the 3
+    # strict samples, and two for each of the 5 criterion calls: 24 tables.
+    # The per-pair scans took 1,176 products and the whole suite 5,790.
+    counts, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    assert sum(counts[name] for name in SANDWICH_FAMILIES) == 24 * 30
+    assert counts["unit_sandwich_strict"] == 5 * 30
+    assert counts["unit_sandwich_diagonal"] == counts["coefficient_sandwich"] == 0
+    assert counts["psi_sandwich"] == 2 * 3 * 30
+    assert counts["theta_sandwich"] == 3 * 30
+    assert sum(counts.values()) == 5334
+
+
+def test_diagonal_restriction_maps_each_diagonal_part_once():
+    # 5 general samples: one image per diagonal part and one per product of
+    # two parts, 5 + 25, where mapping both factors for every pair took 125.
+    _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    assert images["diagonal_restriction_homomorphism"] == 5 + 5 * 5
 
 
 def test_equal_by_sandwiches_matches_equality():
@@ -1028,3 +1244,32 @@ def test_equal_by_sandwiches_matches_equality():
         if t % 3 == 0:
             b[rng.randrange(d)] = (b[0] + 1 + rng.randrange(8)) % 9
         assert equal_by_sandwiches(phi, a, b) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    IDENTITY_KINDS,
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_equal_by_sandwiches_agrees_with_per_pair_oracle(poset, ring, kind, twist, seed):
+    # On a damaged map the criterion can call distinct elements equal; the
+    # table version must give the per-pair scan's answer either way.
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    cod = phi.codomain
+    rng = random.Random(seed)
+    for t in range(6):
+        a = [ring.sample(rng) for _ in range(cod.dimension)]
+        if t % 3 == 0:
+            b = list(a)
+        elif t % 3 == 1 and cod.dimension:
+            b = list(a)
+            k = rng.randrange(cod.dimension)
+            b[k] = ring.add(b[k], ring.sample_unit(rng))
+        else:
+            b = [ring.sample(rng) for _ in range(cod.dimension)]
+        if t % 2:
+            a, b = AlgElem(cod, tuple(a)), AlgElem(cod, tuple(b))
+        assert equal_by_sandwiches(phi, a, b) == scan_equal_by_sandwiches(phi, a, b)

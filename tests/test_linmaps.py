@@ -24,6 +24,7 @@ from fialg import (
     TorsionRefusedError,
 )
 from fialg.errors import ContextMismatchError, FialgError
+from fialg.reports import run_check
 from fialg.matrices import (
     bareiss_determinant,
     invert_columns,
@@ -135,6 +136,67 @@ def test_witnesses_carry_both_sides():
     assert failing and failing[0].witnesses
     w = failing[0].witnesses[0]
     assert w.left != w.right
+
+
+def table_jordan_triples(m):
+    """check_jordan's triple family with every pair product images[i]
+    images[j] held in a d x d table built up front: the same instances,
+    order and products as the column-at-a-time scan, which it checks."""
+    dom, cod, add = m.domain, m.codomain, m.ring.add
+    d = dom.dimension
+    images = m.columns
+    pair_products = [
+        [cod.multiply(images[i], images[j]) for j in range(d)] for i in range(d)
+    ]
+
+    def failures():
+        for j in range(d):
+            for i in range(d):
+                left_ij = dom.basis_product(i, j)
+                for k in range(i, d):
+                    t1 = dom.multiply(left_ij, dom.unit_vector(k))
+                    t2 = dom.multiply(dom.basis_product(k, j), dom.unit_vector(i))
+                    lhs = m.apply_coords([add(a, b) for a, b in zip(t1, t2)])
+                    r1 = cod.multiply(pair_products[i][j], images[k])
+                    r2 = cod.multiply(pair_products[k][j], images[i])
+                    rhs = [add(a, b) for a, b in zip(r1, r2)]
+                    if lhs != rhs:
+                        yield (i, j, k), lhs, rhs
+
+    return run_check("jordan_triples", failures())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([P3, chain(4), diamond(), two_two_chains()]),
+    st.sampled_from(
+        [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6)]
+    ),
+    st.sampled_from(["jordan", "perturbed", "random-column"]),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_check_jordan_triples_agree_with_pair_table_oracle(
+    poset, ring, kind, twist, seed
+):
+    rng = random.Random(seed)
+    orders = order_isomorphisms(poset, poset) + order_isomorphisms(
+        poset, poset, reversing=True
+    )
+    phi = from_order_map(rng.choice(orders), ring)
+    cols = [list(c) for c in phi.columns]
+    d = len(cols)
+    if kind == "perturbed":
+        k, r = rng.randrange(d), rng.randrange(d)
+        cols[k][r] = ring.add(cols[k][r], ring.sample_unit(rng))
+    elif kind == "random-column":
+        cols[rng.randrange(d)] = [ring.sample(rng) for _ in range(d)]
+    m = LinMap(phi.domain, phi.codomain, cols)
+    if twist:
+        m = rebase_codomain(m, random_basis_change(m.codomain, seed))
+    fmt = ring.format
+    triples = check_jordan(m, allow_torsion=True).check("jordan_triples")
+    assert triples.to_json(fmt) == table_jordan_triples(m).to_json(fmt)
 
 
 # -- exact matrix kernel -------------------------------------------------------
