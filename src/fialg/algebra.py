@@ -307,6 +307,14 @@ class AlgBasis:
     def strict_indices(self) -> tuple[int, ...]:
         return tuple(range(self.diagonal_count, len(self.pairs)))
 
+    def cover_indices(self) -> tuple[int, ...]:
+        """The strict units e_xy with x covered by y; with the diagonal units
+        they generate the algebra."""
+        index = self.poset.index
+        return tuple(
+            self.index_of[(index(x), index(y))] for x, y in self.poset.covers()
+        )
+
     def __eq__(self, other):
         return isinstance(other, AlgBasis) and other.poset == self.poset
 
@@ -321,7 +329,9 @@ class StructAlgebra:
     cells[i][j] lists the nonzero coordinates of b_i * b_j as (k, coeff)
     pairs.  Construction checks only the table's shape: the two builders,
     incidence_algebra() and change_basis(), produce unital associative
-    tables by construction.
+    tables by construction.  multiply() takes and returns dense coordinate
+    lists; multiply_sparse() takes and returns {index: nonzero payload}
+    dicts and touches only the nonzero coordinates and cells.
     """
 
     def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
@@ -360,6 +370,32 @@ class StructAlgebra:
                 for k, c in cell:
                     out[k] = add(out[k], mul(ab, c))
         return out
+
+    def multiply_sparse(self, u: dict, v: dict) -> dict:
+        """Product of two vectors held as {index: nonzero payload}, with the
+        zeros of the result dropped, so that == on the dicts is equality of
+        the vectors.  The work is nonzeros of u x nonzeros of v x cell size:
+        sparse accumulation (Gustavson 1978)."""
+        ring = self.ring
+        add, mul = ring.add, ring.mul
+        cells = self.cells
+        out: dict = {}
+        for i, a in u.items():
+            row = cells[i]
+            for j, b in v.items():
+                cell = row[j]
+                if not cell:
+                    continue
+                ab = mul(a, b)
+                for k, c in cell:
+                    w = mul(ab, c)
+                    out[k] = add(out[k], w) if k in out else w
+        return {k: w for k, w in out.items() if w}
+
+    def dense(self, vec: dict) -> list:
+        """The coordinate list of a vector held as {index: nonzero payload}."""
+        zero = self.ring.zero
+        return [vec.get(k, zero) for k in range(self.dimension)]
 
     def basis_product(self, i: int, j: int) -> list:
         out = [self.ring.zero] * self.dimension
@@ -453,6 +489,12 @@ class AlgElem:
     def is_zero(self) -> bool:
         ring = self.algebra.ring
         return all(ring.is_zero(a) for a in self.coords)
+
+
+def sparse_vector(coords) -> dict:
+    """The {index: nonzero payload} form of a coordinate vector, as
+    StructAlgebra.multiply_sparse takes it."""
+    return {k: a for k, a in enumerate(coords) if a}
 
 
 @lru_cache(maxsize=None)

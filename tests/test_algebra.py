@@ -19,9 +19,11 @@ from fialg import (
     modular,
     random_basis_change,
     random_series,
+    validate_poset,
 )
-from fialg.algebra import AlgBasis, StructAlgebra
+from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
+from fialg.matrices import invert_columns, mat_vec
 
 from conftest import all_posets_up_to, chain, diamond, two_two_chains
 
@@ -290,6 +292,67 @@ def test_change_basis_transports_products():
         in_a = A.multiply(mat_vec(ring, cols, u), mat_vec(ring, cols, v))
         via_b = mat_vec(ring, cols, B.multiply(u, v))
         assert in_a == via_b
+
+
+def cancelling_pair(A, rng):
+    """u = a e_x + b e_xy and v = c e_xz + d e_yz for x < y <= z, with units
+    a, b, c and d = -a c / b: the two nonzero products ac e_xz and bd e_xz
+    cancel, so u v = 0."""
+    ring = A.ring
+    x, y = rng.choice(A.basis.poset.strict_index_pairs())
+    z = rng.choice([j for (i, j) in A.basis.pairs if i == y])
+    a, b, c = (ring.sample_unit(rng) for _ in range(3))
+    d = ring.neg(ring.mul(ring.mul(a, c), ring.invert(b)))
+    u, v = [ring.zero] * A.dimension, [ring.zero] * A.dimension
+    index = A.basis.index_of
+    u[index[(x, x)]], u[index[(x, y)]] = a, b
+    v[index[(x, z)]], v[index[(y, z)]] = c, d
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(all_posets_up_to(4) + [chain(7), validate_poset([], [])]),
+    st.sampled_from(
+        [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6)]
+    ),
+    st.sampled_from(["random", "zero-left", "zero-right", "cancelling"]),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_multiply_sparse_agrees_with_dense_multiply(poset, ring, kind, twist, seed):
+    rng = random.Random(seed)
+    A = incidence_algebra(poset, ring)
+    d = A.dimension
+
+    def sample():
+        density = rng.random()
+        return [
+            ring.sample(rng) if rng.random() < density else ring.zero
+            for _ in range(d)
+        ]
+
+    u, v = sample(), sample()
+    if kind == "zero-left":
+        u = [ring.zero] * d
+    elif kind == "zero-right":
+        v = [ring.zero] * d
+    cancelling = kind == "cancelling" and poset.strict_index_pairs()
+    if cancelling:
+        u, v = cancelling_pair(A, rng)
+    if twist:
+        # the transported table has dense cells; the product of the
+        # transported vectors is the transport of the product
+        cols = random_basis_change(A, seed)
+        inv = invert_columns(ring, cols)
+        A = change_basis(A, cols)
+        u, v = mat_vec(ring, inv, u), mat_vec(ring, inv, v)
+    dense = A.multiply(u, v)
+    product = A.multiply_sparse(sparse_vector(u), sparse_vector(v))
+    assert product == sparse_vector(dense)
+    assert A.dense(product) == dense
+    if cancelling:
+        assert product == {}
 
 
 def test_random_series_determinism():

@@ -548,6 +548,31 @@ def test_passing_certificate_needs_no_inverse_or_recognizer(monkeypatch):
         assert decompose(phi, allow_torsion=True).report.passed
 
 
+def test_certificate_makes_no_dense_product(monkeypatch):
+    # decompose's only dense products are the sandwiches that build psi and
+    # theta, two each per strict unit; the certificate runs on the nonzeros
+    phi = random_jordan_iso(chain(11), RATIONALS, seed=3)
+    d, n = phi.domain.dimension, 11
+    calls = []
+    multiply = StructAlgebra.multiply
+
+    def counting(self, u, v):
+        calls.append(1)
+        return multiply(self, u, v)
+
+    monkeypatch.setattr(StructAlgebra, "multiply", counting)
+    dec = decompose(phi)
+    assert dec.report.passed
+    assert len(calls) == 4 * (d - n) == 220
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate made a dense product")
+
+    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    assert _near_sum_holds(dec)
+    assert verify_near_sum(dec).passed
+
+
 ORACLE_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from(
     [chain(7), disjoint_union(chain(5), chain(5)), boolean_lattice(3)]
 )
