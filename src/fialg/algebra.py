@@ -307,14 +307,6 @@ class AlgBasis:
     def strict_indices(self) -> tuple[int, ...]:
         return tuple(range(self.diagonal_count, len(self.pairs)))
 
-    def cover_indices(self) -> tuple[int, ...]:
-        """The strict units e_xy with x covered by y; with the diagonal units
-        they generate the algebra."""
-        index = self.poset.index
-        return tuple(
-            self.index_of[(index(x), index(y))] for x, y in self.poset.covers()
-        )
-
     def __eq__(self, other):
         return isinstance(other, AlgBasis) and other.poset == self.poset
 

@@ -16,7 +16,7 @@ verify_near_sum() decides the five defining properties of the output.  Over
 the incidence split it certifies them on the generators of the algebra, the
 idempotents e_x and the cover units e_xy with x covered by y: (n + c) * d
 image products for n elements, c covers and dimension d, where a scan of
-every basis pair takes d^2.  It holds the columns of phi, psi and theta as
+every basis pair takes d^2.  It holds the columns of psi and theta as
 {index: nonzero} dicts and multiplies them with
 StructAlgebra.multiply_sparse, so it makes no dense product; dense lists
 appear only in witnesses.  The full scan runs only when the certificate
@@ -43,6 +43,7 @@ from .algebra import (
     StructAlgebra,
     incidence_algebra,
     random_series,
+    sparse_vector,
 )
 from .errors import (
     ContextMismatchError,
@@ -51,13 +52,7 @@ from .errors import (
     PreconditionFailedError,
     TorsionRefusedError,
 )
-from .linmaps import (
-    LinMap,
-    _generator_failures,
-    check_homomorphism,
-    check_jordan,
-    jordan_pair_check,
-)
+from .linmaps import LinMap, check_homomorphism, check_jordan, jordan_pair_check
 from .matrices import mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
@@ -452,8 +447,9 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 
     Exact when psi and theta map the incidence algebra of the split into
     phi's codomain; for any other shape this answers False, so that
-    verify_near_sum falls back to the full scan.  Every clause runs on the
-    columns as {index: nonzero} dicts: no dense product, no dense compare.
+    verify_near_sum falls back to the full scan.  The generator and
+    annihilation clauses multiply psi's and theta's columns as {index:
+    nonzero} dicts, so the certificate makes no dense product.
     """
     phi, psi, theta, split = dec.phi, dec.psi, dec.theta, dec.split
     dom, cod = split.algebra, phi.codomain
@@ -468,25 +464,30 @@ def _near_sum_holds(dec: Decomposition) -> bool:
         or theta.codomain != cod
     ):
         return False
-    # The idempotents e_x and the cover units generate the algebra, so the
-    # generator rows of the homomorphism scans settle them (see
-    # _generator_failures).  For annihilation, a strict unit e_xy is a
-    # product of cover units g_1 ... g_k: e_xy = a'' g_k gives psi(e_xy)
-    # theta(b) = psi(a'') psi(g_k) theta(b) = 0, and e_xy = g_1 a' gives
-    # theta(e_xy) psi(b) = theta(a') theta(g_1) psi(b) = 0, for every strict
-    # unit b.  The argument needs only the codomain's associativity.
-    covers = basis.cover_indices()
-    generators = split.diagonal + covers
-    cols = _sparse_triple(dec)
-    _, psi_cols, theta_cols = cols
+    # The idempotents e_x and the cover units generate the algebra: a strict
+    # unit e_xy is the product g_1 ... g_k of the cover units along a maximal
+    # chain from x to y.  Write e_xy = g a' with g = g_1; by induction on k,
+    # psi(e_xy b) = psi(g (a'b)) = psi(g) psi(a') psi(b) = psi(e_xy) psi(b),
+    # and theta(e_xy b) = theta(a'b) theta(g) = theta(b) theta(e_xy).  For
+    # annihilation, e_xy = a'' g_k gives psi(e_xy) theta(b) =
+    # psi(a'') psi(g_k) theta(b) = 0, and e_xy = g_1 a' gives theta(e_xy)
+    # psi(b) = theta(a') theta(g_1) psi(b) = 0, for every strict unit b.  So
+    # the generator rows of the full scan settle all of it; the argument
+    # needs only the codomain's associativity.
+    poset = basis.poset
+    covers = [
+        basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
+    ]
+    generators = list(split.diagonal) + covers
+    psi_cols, theta_cols = _sparse_columns(dec)
     return all(
         next(failures, None) is None
         for failures in (
-            _agreement_failures(dec, cols),
-            _recomposition_failures(dec, cols),
+            _agreement_failures(dec),
+            _recomposition_failures(dec),
             _generator_failures(psi, psi_cols, generators, anti=False),
             _generator_failures(theta, theta_cols, generators, anti=True),
-            _annihilation_failures(dec, cols, covers),
+            _annihilation_failures(dec, psi_cols, theta_cols, covers),
         )
     )
 
@@ -494,58 +495,75 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 def _near_sum_scan(dec: Decomposition) -> VerificationReport:
     """The five near-sum checks over every basis pair."""
     psi_hom, theta_anti, agreement, recomposition, annihilation = _NEAR_SUM_CHECKS
-    cols = _sparse_triple(dec)
+    psi_cols, theta_cols = _sparse_columns(dec)
     return VerificationReport(
         (
             replace(check_homomorphism(dec.psi).checks[0], name=psi_hom),
             replace(
                 check_homomorphism(dec.theta, anti=True).checks[0], name=theta_anti
             ),
-            run_check(agreement, _agreement_failures(dec, cols)),
-            run_check(recomposition, _recomposition_failures(dec, cols)),
+            run_check(agreement, _agreement_failures(dec)),
+            run_check(recomposition, _recomposition_failures(dec)),
             run_check(
-                annihilation, _annihilation_failures(dec, cols, dec.split.strict)
+                annihilation,
+                _annihilation_failures(dec, psi_cols, theta_cols, dec.split.strict),
             ),
         )
     )
 
 
-def _sparse_triple(dec: Decomposition):
-    """The columns of phi, psi and theta as {index: nonzero} dicts."""
-    return tuple(m.sparse_columns() for m in (dec.phi, dec.psi, dec.theta))
+def _sparse_columns(dec: Decomposition):
+    """The columns of psi and theta as {index: nonzero} dicts, for
+    StructAlgebra.multiply_sparse."""
+    return tuple(
+        [sparse_vector(col) for col in m.columns] for m in (dec.psi, dec.theta)
+    )
 
 
-# The clauses below decide on the sparse columns cols = (phi, psi, theta) of
-# _sparse_triple and yield dense witnesses, as the full scan reports them.
+def _generator_failures(m: LinMap, columns, generators, anti: bool):
+    """m(g b) against m(g) m(b), or m(b) m(g) with anti, for every generator
+    g and basis unit b of an incidence domain; columns are m's columns as
+    {index: nonzero} dicts, and witnesses are dense.  There g b is zero or
+    one basis unit, so the left side is the zero vector or one column of m."""
+    basis = m.domain.basis
+    cod = m.codomain
+    multiply = cod.multiply_sparse
+    zero = {}
+    for g in generators:
+        x, y = basis.pairs[g]
+        for b, (u, v) in enumerate(basis.pairs):
+            lhs = columns[basis.index_of[(x, v)]] if u == y else zero
+            rhs = (
+                multiply(columns[b], columns[g])
+                if anti
+                else multiply(columns[g], columns[b])
+            )
+            if lhs != rhs:
+                yield (g, b), cod.dense(lhs), cod.dense(rhs)
 
 
-def _agreement_failures(dec: Decomposition, cols):
-    phi, psi, theta = cols
+def _agreement_failures(dec: Decomposition):
+    phi, psi, theta = dec.phi, dec.psi, dec.theta
     for k in dec.split.diagonal:
-        if psi[k] != phi[k]:
-            yield (k,), dec.psi.columns[k], dec.phi.columns[k], "psi vs phi"
-        if theta[k] != phi[k]:
-            yield (k,), dec.theta.columns[k], dec.phi.columns[k], "theta vs phi"
+        if psi.columns[k] != phi.columns[k]:
+            yield (k,), psi.columns[k], phi.columns[k], "psi vs phi"
+        if theta.columns[k] != phi.columns[k]:
+            yield (k,), theta.columns[k], phi.columns[k], "theta vs phi"
 
 
-def _recomposition_failures(dec: Decomposition, cols):
-    phi, psi, theta = cols
-    ring = dec.phi.ring
-    add, zero = ring.add, ring.zero
+def _recomposition_failures(dec: Decomposition):
+    phi, psi, theta = dec.phi, dec.psi, dec.theta
+    add = phi.ring.add
     for k in dec.split.strict:
-        p, t, f = psi[k], theta[k], phi[k]
-        if any(
-            add(p.get(i, zero), t.get(i, zero)) != f.get(i, zero)
-            for i in p.keys() | t.keys() | f.keys()
-        ):
-            s = [add(a, b) for a, b in zip(dec.psi.columns[k], dec.theta.columns[k])]
-            yield (k,), s, dec.phi.columns[k]
+        s = [add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
+        if tuple(s) != tuple(phi.columns[k]):
+            yield (k,), s, phi.columns[k]
 
 
-def _annihilation_failures(dec: Decomposition, cols, rows):
+def _annihilation_failures(dec: Decomposition, psi, theta, rows):
     """psi(b_i) theta(b_j) and theta(b_i) psi(b_j) against zero, for i in
-    rows and every strict j."""
-    _, psi, theta = cols
+    rows and every strict j; psi and theta are the sparse columns of
+    _sparse_columns, and witnesses are dense."""
     cod = dec.phi.codomain
     multiply = cod.multiply_sparse
     zero_vec = [dec.phi.ring.zero] * cod.dimension

@@ -14,20 +14,17 @@ from fialg import (
     RATIONALS,
     check_homomorphism,
     check_jordan,
-    conjugate_by_unit,
     from_order_map,
     incidence_algebra,
     modular,
     order_isomorphisms,
     random_jordan_iso,
-    random_unit_series,
     rebase_codomain,
     random_basis_change,
     TorsionRefusedError,
 )
 from fialg.errors import ContextMismatchError, FialgError
-from fialg.algebra import StructAlgebra
-from fialg.reports import VerificationReport, run_check
+from fialg.reports import run_check
 from fialg.matrices import (
     bareiss_determinant,
     invert_columns,
@@ -35,7 +32,7 @@ from fialg.matrices import (
     require_unit_determinant,
 )
 
-from conftest import all_posets_up_to, chain, diamond, two_two_chains
+from conftest import chain, diamond, two_two_chains
 
 P3 = chain(3)
 
@@ -200,97 +197,6 @@ def test_check_jordan_triples_agree_with_pair_table_oracle(
     fmt = ring.format
     triples = check_jordan(m, allow_torsion=True).check("jordan_triples")
     assert triples.to_json(fmt) == table_jordan_triples(m).to_json(fmt)
-
-
-def scan_homomorphism(m, anti=False, unital=False):
-    """check_homomorphism as a scan of every basis pair, kept as the oracle
-    of its generator certificate."""
-    dom, cod = m.domain, m.codomain
-    d = dom.dimension
-    images = m.columns
-
-    def failures():
-        for i in range(d):
-            for j in range(d):
-                lhs = m.apply_coords(dom.basis_product(i, j))
-                rhs = (
-                    cod.multiply(images[j], images[i])
-                    if anti
-                    else cod.multiply(images[i], images[j])
-                )
-                if lhs != rhs:
-                    yield (i, j), lhs, rhs
-
-    checks = [run_check("anti_homomorphism" if anti else "homomorphism", failures())]
-    if unital:
-        lhs = m.apply_coords(dom.identity)
-        rhs = list(cod.identity)
-        checks.append(run_check("unital", [] if lhs == rhs else [((), lhs, rhs)]))
-    return VerificationReport(tuple(checks))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(all_posets_up_to(4) + [chain(5), diamond()]),
-    st.sampled_from(
-        [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6)]
-    ),
-    st.sampled_from(
-        ["order-map", "conjugated", "perturbed", "sheared", "random-column"]
-    ),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-    st.integers(0, 10 ** 6),
-)
-def test_check_homomorphism_agrees_with_full_scan(
-    poset, ring, kind, anti, unital, twist, seed
-):
-    rng = random.Random(seed)
-    orders = order_isomorphisms(poset, poset) + order_isomorphisms(
-        poset, poset, reversing=True
-    )
-    m = from_order_map(rng.choice(orders), ring)
-    if kind != "order-map":
-        m = conjugate_by_unit(random_unit_series(poset, ring, rng)).compose(m)
-    cols = [list(c) for c in m.columns]
-    d, n = len(cols), poset.size
-    if kind == "perturbed":
-        k, r = rng.randrange(d), rng.randrange(d)
-        cols[k][r] = ring.add(cols[k][r], ring.sample_unit(rng))
-    elif kind == "sheared" and n > 1:
-        x, y = rng.sample(range(n), 2)
-        cols[x] = [ring.add(a, ring.add(b, b)) for a, b in zip(cols[x], cols[y])]
-    elif kind == "random-column":
-        cols[rng.randrange(d)] = [ring.sample(rng) for _ in range(d)]
-    m = LinMap(m.domain, m.codomain, cols)
-    if twist:
-        m = rebase_codomain(m, random_basis_change(m.codomain, seed))
-    fmt = ring.format
-    assert check_homomorphism(m, anti=anti, unital=unital).to_json(
-        fmt
-    ) == scan_homomorphism(m, anti=anti, unital=unital).to_json(fmt)
-
-
-def test_check_homomorphism_scans_only_on_failure(monkeypatch):
-    # a passing certificate makes no dense product; a failing one scans
-    ring, c4 = RATIONALS, chain(4)
-    unit = random_unit_series(c4, ring, random.Random(2))
-    reversal = order_isomorphisms(c4, c4, reversing=True)[0]
-    flip = conjugate_by_unit(unit).compose(from_order_map(reversal, ring))
-    expected = scan_homomorphism(flip)
-    calls = []
-    original = StructAlgebra.multiply
-
-    def counting(self, u, v):
-        calls.append(1)
-        return original(self, u, v)
-
-    monkeypatch.setattr(StructAlgebra, "multiply", counting)
-    assert check_homomorphism(flip, anti=True).passed
-    assert calls == []
-    assert check_homomorphism(flip) == expected
-    assert len(calls) == flip.domain.dimension ** 2
 
 
 # -- exact matrix kernel -------------------------------------------------------
