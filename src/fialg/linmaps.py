@@ -79,7 +79,7 @@ class LinMap:
 
     def invert(self) -> "LinMap":
         """Exact inverse; NotInvertibleError unless det is a unit."""
-        inv = invert_columns(self.ring, [list(c) for c in self.columns])
+        inv = invert_columns(self.ring, self.columns)
         return LinMap(self.codomain, self.domain, inv)
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -133,7 +133,7 @@ def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     new basis vectors).  The rewritten map acts identically; its codomain is
     a generic StructAlgebra with transported structure constants."""
     target = change_basis(m.codomain, new_basis_columns)
-    inv = invert_columns(m.ring, [list(c) for c in new_basis_columns])
+    inv = invert_columns(m.ring, new_basis_columns)
     return LinMap(m.domain, target, [mat_vec(m.ring, inv, col) for col in m.columns])
 
 

@@ -25,6 +25,7 @@ from fialg import (
 )
 from fialg.errors import ContextMismatchError, FialgError
 from fialg.reports import run_check
+from fialg.rings import RationalRing
 from fialg.matrices import (
     bareiss_determinant,
     invert_columns,
@@ -32,7 +33,7 @@ from fialg.matrices import (
     require_unit_determinant,
 )
 
-from conftest import chain, diamond, two_two_chains
+from conftest import all_posets_up_to, chain, diamond, two_two_chains
 
 P3 = chain(3)
 
@@ -319,3 +320,127 @@ def test_unit_determinant_known_cases(ring, rows, unit):
             require_unit_determinant(ring, cols)
     with pytest.raises(NotInvertibleError, match="not square"):
         require_unit_determinant(ring, [cols[0]])
+
+
+# -- sparse inversion against the dense oracle ---------------------------------
+
+
+def dense_gauss_jordan_inverse(rows):
+    """Exact inverse over the rationals of a nonsingular matrix, with dense
+    rows.  Input rows may be ints or Fractions; output rows are Fractions."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = a[col][col]
+        if pivot != 1:
+            a[col] = [v / pivot for v in a[col]]
+            inv[col] = [v / pivot for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
+def dense_invert_columns(ring, columns):
+    """The dense path the sparse invert_columns replaced: the Bareiss unit
+    check, dense Gauss-Jordan over the rationals, and over the integers and
+    residue rings the integral adjugate scaled by the inverted determinant."""
+    det = require_unit_determinant(ring, columns)
+    n = len(columns)
+    rows = [[columns[j][i] for j in range(n)] for i in range(n)]
+    inv_rows = dense_gauss_jordan_inverse(rows)
+    if isinstance(ring, RationalRing):
+        return [[inv_rows[i][j] for i in range(n)] for j in range(n)]
+    inv_det = ring.invert(ring.normalize(det))
+    return [
+        [ring.normalize(int(inv_rows[i][j] * det) * inv_det) for i in range(n)]
+        for j in range(n)
+    ]
+
+
+def inversion_outcome(invert, ring, columns):
+    """Columns with each payload's type (Fraction(1) == 1 would hide a type
+    drift), or the refusal message."""
+    try:
+        inverse = invert(ring, columns)
+    except NotInvertibleError as exc:
+        return str(exc)
+    return [[(type(v), v) for v in col] for col in inverse]
+
+
+ORACLE_RINGS = {
+    "rationals": RATIONALS,
+    "integers": INTEGERS,
+    "mod9": modular(9),
+    "mod15": modular(15),
+    "mod2": modular(2),
+    "mod4": modular(4),
+    "mod6": modular(6),
+}
+SMALL_POSETS = all_posets_up_to(4)
+
+
+def oracle_matrix(source, ring, seed, poset_index):
+    rng = random.Random(seed)
+    poset = SMALL_POSETS[poset_index % len(SMALL_POSETS)]
+    if source in ("jordan", "twisted") and not ring.is_two_torsionfree():
+        source = "basis_change"  # Jordan maps are generated only without 2-torsion
+    if source == "empty":
+        return []
+    if source in ("random", "repeated_column"):
+        n, density = rng.randint(1, 7), rng.random()
+        cols = [
+            [ring.sample(rng) if rng.random() < density else ring.zero for _ in range(n)]
+            for _ in range(n)
+        ]
+        if source == "repeated_column" and n > 1:
+            cols[rng.randrange(n)] = list(cols[rng.randrange(n)])
+        return cols
+    if source in ("basis_change", "doubled_column"):
+        cols = random_basis_change(incidence_algebra(poset, ring), seed)
+        if source == "doubled_column":  # determinant ±2 over the integers
+            two = ring.normalize(2)
+            cols[0] = [ring.mul(two, v) for v in cols[0]]
+        return cols
+    phi = random_jordan_iso(poset, ring, seed)
+    if source == "twisted":
+        phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed + 1))
+    return phi.columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(
+        ["random", "repeated_column", "doubled_column", "basis_change",
+         "jordan", "twisted", "empty"]
+    ),
+    st.sampled_from(sorted(ORACLE_RINGS)),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 3),
+)
+def test_invert_columns_matches_dense_oracle(source, ring_name, seed, poset_index):
+    ring = ORACLE_RINGS[ring_name]
+    cols = oracle_matrix(source, ring, seed, poset_index)
+    assert inversion_outcome(invert_columns, ring, cols) == inversion_outcome(
+        dense_invert_columns, ring, cols
+    )
+
+
+def test_invert_columns_known_determinants():
+    swap = [[0, 1], [1, 0]]  # one row swap: determinant -1
+    assert invert_columns(INTEGERS, swap) == swap
+    with pytest.raises(
+        NotInvertibleError, match="^determinant 6 is not a unit of integers$"
+    ):
+        invert_columns(INTEGERS, [[2, 0], [0, 3]])
+    singular = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 3), Fraction(1, 6)]]
+    with pytest.raises(
+        NotInvertibleError, match="^determinant 0 is not a unit of rationals$"
+    ):
+        invert_columns(RATIONALS, singular)
