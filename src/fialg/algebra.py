@@ -534,9 +534,7 @@ def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
         for j in range(d):
             w = algebra.multiply(cols[i], cols[j])
             coords = mat_vec(ring, inv_cols, w)
-            row.append(
-                tuple((k, c) for k, c in enumerate(coords) if not ring.is_zero(c))
-            )
+            row.append(tuple((k, c) for k, c in enumerate(coords) if c))
         cells.append(tuple(row))
     identity = mat_vec(ring, inv_cols, algebra.identity)
     return StructAlgebra(ring, tuple(cells), tuple(identity), basis=None)

@@ -265,6 +265,39 @@ def test_change_basis_tables_are_unital_and_associative(ring):
             assert_unital_associative(change_basis(A, random_basis_change(A, seed)))
 
 
+def is_zero_change_basis_cells(algebra, cols):
+    """change_basis's cells with every coordinate tested by ring.is_zero."""
+    ring = algebra.ring
+    inv = invert_columns(ring, cols)
+    d = algebra.dimension
+    return tuple(
+        tuple(
+            tuple(
+                (k, c)
+                for k, c in enumerate(
+                    mat_vec(ring, inv, algebra.multiply(cols[i], cols[j]))
+                )
+                if not ring.is_zero(c)
+            )
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6), modular(15)],
+    ids=repr,
+)
+def test_change_basis_cells_match_is_zero_oracle(ring):
+    for poset in (P3, D, two_two_chains(), validate_poset([], [])):
+        A = incidence_algebra(poset, ring)
+        for seed in range(3):
+            cols = random_basis_change(A, seed)
+            assert change_basis(A, cols).cells == is_zero_change_basis_cells(A, cols)
+
+
 def test_element_context_guard():
     A = incidence_algebra(P3, RATIONALS)
     B = incidence_algebra(D, RATIONALS)

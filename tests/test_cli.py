@@ -8,6 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from fialg import cli, jordan
+from test_linmaps import (
+    dense_check_homomorphism,
+    dense_check_jordan,
+    dense_jordan_pair_check,
+)
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -322,3 +329,44 @@ def test_internal_error_is_exit_3_with_traceback(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "Traceback" in captured.err and "RuntimeError: injected fault" in captured.err
+
+
+FIXTURE_MAPS = [
+    ("poset_3chain.json", "ring_rationals.json", "map_identity_3chain_rationals.json"),
+    ("poset_3chain.json", "ring_rationals.json", "map_perturbed_3chain_rationals.json"),
+    ("poset_diamond.json", "ring_mod9.json", "map_jordan_diamond_mod9.json"),
+    ("poset_two_2chains.json", "ring_rationals.json", "map_jordan_two_2chains_rationals.json"),
+]
+RECOGNIZER_COMMANDS = [
+    ["check-map"],
+    ["check-map", "--anti"],
+    ["check-map", "--jordan"],
+    ["decompose"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("command", RECOGNIZER_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("poset, ring, phi", FIXTURE_MAPS, ids=lambda name: name)
+def test_fixture_reports_match_dense_recognizers(
+    monkeypatch, capsys, command, poset, ring, phi
+):
+    argv = [*command, "--poset", fx(poset), "--ring", fx(ring), "--map", fx(phi)]
+    outcomes = []
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(cli, "check_homomorphism", dense_check_homomorphism)
+            monkeypatch.setattr(jordan, "check_homomorphism", dense_check_homomorphism)
+            monkeypatch.setattr(jordan, "jordan_pair_check", dense_jordan_pair_check)
+            for module in (cli, jordan):
+                monkeypatch.setattr(
+                    module,
+                    "check_jordan",
+                    lambda m, allow_torsion=False: dense_check_jordan(m),
+                )
+        code = cli.run(argv)
+        outcomes.append((code, capsys.readouterr()))
+    (code, out), (dense_code, dense_out) = outcomes
+    assert code == dense_code
+    assert out.out == dense_out.out
+    assert out.err == dense_out.err

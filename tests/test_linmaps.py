@@ -16,15 +16,18 @@ from fialg import (
     check_jordan,
     from_order_map,
     incidence_algebra,
+    jordan_pair_check,
     modular,
     order_isomorphisms,
     random_jordan_iso,
     rebase_codomain,
     random_basis_change,
     TorsionRefusedError,
+    validate_poset,
 )
+from fialg.algebra import StructAlgebra
 from fialg.errors import ContextMismatchError, FialgError
-from fialg.reports import run_check
+from fialg.reports import VerificationReport, run_check
 from fialg.rings import RationalRing
 from fialg.matrices import (
     bareiss_determinant,
@@ -198,6 +201,145 @@ def test_check_jordan_triples_agree_with_pair_table_oracle(
     fmt = ring.format
     triples = check_jordan(m, allow_torsion=True).check("jordan_triples")
     assert triples.to_json(fmt) == table_jordan_triples(m).to_json(fmt)
+
+
+# -- sparse recognizers against the dense scans --------------------------------
+
+
+def dense_check_homomorphism(m, anti=False, unital=False):
+    """check_homomorphism on dense coordinate lists: every left side through
+    mat_vec and every image product through StructAlgebra.multiply."""
+    dom, cod = m.domain, m.codomain
+    images = m.columns
+
+    def failures():
+        for i in range(dom.dimension):
+            for j in range(dom.dimension):
+                lhs = m.apply_coords(dom.basis_product(i, j))
+                rhs = (
+                    cod.multiply(images[j], images[i])
+                    if anti
+                    else cod.multiply(images[i], images[j])
+                )
+                if lhs != rhs:
+                    yield (i, j), lhs, rhs
+
+    checks = [run_check("anti_homomorphism" if anti else "homomorphism", failures())]
+    if unital:
+        lhs = m.apply_coords(dom.identity)
+        rhs = list(cod.identity)
+        checks.append(run_check("unital", [] if lhs == rhs else [((), lhs, rhs)]))
+    return VerificationReport(tuple(checks))
+
+
+def dense_jordan_pair_check(m):
+    """jordan_pair_check on dense coordinate lists."""
+    dom, cod, add = m.domain, m.codomain, m.ring.add
+    images = m.columns
+
+    def failures():
+        for i in range(dom.dimension):
+            for j in range(i, dom.dimension):
+                sym = [
+                    add(a, b)
+                    for a, b in zip(dom.basis_product(i, j), dom.basis_product(j, i))
+                ]
+                lhs = m.apply_coords(sym)
+                p = cod.multiply(images[i], images[j])
+                q = cod.multiply(images[j], images[i])
+                rhs = [add(a, b) for a, b in zip(p, q)]
+                if lhs != rhs:
+                    yield (i, j), lhs, rhs
+
+    return VerificationReport((run_check("jordan_pairs", failures()),))
+
+
+def dense_check_jordan(m):
+    """check_jordan with allow_torsion, on dense coordinate lists."""
+    return dense_jordan_pair_check(m).extend(
+        VerificationReport((table_jordan_triples(m),))
+    )
+
+
+EMPTY_POSET = validate_poset([], [])
+
+
+def recognizer_map(poset, ring, kind, twist, seed):
+    """A map for the recognizer oracles: a Jordan map (random_jordan_iso,
+    or an order automorphism over a ring with 2-torsion), an anti-
+    homomorphism from an order-reversing bijection, or a Jordan map with one
+    entry shifted by a unit or one column replaced by random ring elements;
+    with twist, its codomain rebased onto a random basis."""
+    rng = random.Random(seed)
+    if kind == "anti" or not ring.is_two_torsionfree():
+        orders = order_isomorphisms(poset, poset, reversing=kind == "anti")
+        phi = from_order_map(rng.choice(orders), ring)
+    else:
+        phi = random_jordan_iso(poset, ring, seed)
+    cols = [list(c) for c in phi.columns]
+    d = len(cols)
+    if kind == "perturbed" and d:
+        k, r = rng.randrange(d), rng.randrange(d)
+        cols[k][r] = ring.add(cols[k][r], ring.sample_unit(rng))
+    elif kind == "random-column" and d:
+        cols[rng.randrange(d)] = [ring.sample(rng) for _ in range(d)]
+    m = LinMap(phi.domain, phi.codomain, cols)
+    if twist:
+        m = rebase_codomain(m, random_basis_change(m.codomain, seed + 1))
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([P3, chain(4), diamond(), two_two_chains(), EMPTY_POSET]),
+    st.sampled_from(
+        [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6)]
+    ),
+    st.sampled_from(["jordan", "perturbed", "random-column", "anti"]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_recognizers_match_dense_oracles(
+    poset, ring, kind, twist, anti, unital, seed
+):
+    m = recognizer_map(poset, ring, kind, twist, seed)
+    fmt = ring.format
+    assert check_homomorphism(m, anti=anti, unital=unital).to_json(
+        fmt
+    ) == dense_check_homomorphism(m, anti=anti, unital=unital).to_json(fmt)
+    assert jordan_pair_check(m).to_json(fmt) == dense_jordan_pair_check(m).to_json(fmt)
+    assert check_jordan(m, allow_torsion=True).to_json(fmt) == dense_check_jordan(
+        m
+    ).to_json(fmt)
+
+
+def test_recognizers_make_no_dense_product(monkeypatch):
+    # the scans multiply {index: nonzero} columns with multiply_sparse; a
+    # dense product anywhere in them, witnesses included, fails this test
+    ring, poset = RATIONALS, diamond()
+    phi = random_jordan_iso(poset, ring, seed=5)
+    hom = from_order_map(order_isomorphisms(poset, poset)[1], ring)
+    anti = from_order_map(order_isomorphisms(poset, poset, reversing=True)[0], ring)
+    cols = [list(c) for c in phi.columns]
+    cols[4][0] = ring.add(cols[4][0], ring.one)
+    failing = LinMap(phi.domain, phi.codomain, cols)
+    maps = [phi, hom, anti, failing]
+    maps += [rebase_codomain(m, random_basis_change(m.codomain, seed=7)) for m in maps]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recognizer made a dense product")
+
+    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    for jordan, straight, backward, bad in (maps[:4], maps[4:]):
+        assert jordan_pair_check(jordan).passed
+        assert check_jordan(jordan).passed
+        assert check_homomorphism(straight, unital=True).passed
+        assert check_homomorphism(backward, anti=True, unital=True).passed
+        assert check_jordan(backward).passed
+        assert not check_jordan(bad).passed
+        assert not check_homomorphism(bad, anti=True).passed
 
 
 # -- exact matrix kernel -------------------------------------------------------
