@@ -61,12 +61,14 @@ def _load_ring(path: str):
         raise CliError(f"ring file {path!r}: {exc}")
 
 
-def _load_map(path: str, algebra) -> LinMap:
-    obj = _read_json(path, "map")
+def _load_map(args) -> LinMap:
+    """The --map file, over the incidence algebra of --poset and --ring."""
+    algebra = incidence_algebra(_load_poset(args.poset), _load_ring(args.ring))
+    obj = _read_json(args.map, "map")
     try:
         return LinMap.from_json(algebra, algebra, obj)
     except FialgError as exc:
-        raise CliError(f"map file {path!r}: {exc}")
+        raise CliError(f"map file {args.map!r}: {exc}")
 
 
 def _emit(obj, out_path: str | None) -> None:
@@ -128,42 +130,32 @@ def _cmd_gen_jordan(args) -> int:
 
 
 def _cmd_check_map(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _load_ring(args.ring)
-    algebra = incidence_algebra(poset, ring)
-    phi = _load_map(args.map, algebra)
+    phi = _load_map(args)
     if args.jordan:
         report = check_jordan(phi, allow_torsion=args.allow_torsion)
     elif args.anti:
         report = check_homomorphism(phi, anti=True)
     else:
         report = check_homomorphism(phi)
-    return _report_exit(report, ring, args.out)
+    return _report_exit(report, phi.ring, args.out)
 
 
 def _cmd_decompose(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _load_ring(args.ring)
-    algebra = incidence_algebra(poset, ring)
-    phi = _load_map(args.map, algebra)
-    dec = decompose(phi, allow_torsion=args.allow_torsion)
+    dec = decompose(_load_map(args), allow_torsion=args.allow_torsion)
     _emit(dec.to_json(), args.out)
     _note(dec.report.summary())
     return 0 if dec.report.passed else 1
 
 
 def _cmd_verify(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _load_ring(args.ring)
-    algebra = incidence_algebra(poset, ring)
-    phi = _load_map(args.map, algebra)
+    phi = _load_map(args)
     if args.identities:
         report = verify_paper_identities(
             phi, seed=args.seed, allow_torsion=args.allow_torsion
         )
     else:
         report = decompose(phi, allow_torsion=args.allow_torsion).report
-    return _report_exit(report, ring, args.out)
+    return _report_exit(report, phi.ring, args.out)
 
 
 # -- parser -------------------------------------------------------------------

@@ -47,11 +47,19 @@ class NotInvertibleError(FialgError):
 
 class NotJordanError(FialgError):
     """A map required to be a Jordan homomorphism fails the defining
-    identities; the offending witnesses are attached."""
+    identities; the offending witnesses are attached.  ``report`` is the
+    report or a function of no arguments that builds it on the first read
+    of ``.report``, so a caller that never reads it never pays for it."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
-        self.report = report
+        self._report = report
+
+    @property
+    def report(self):
+        if callable(self._report):
+            self._report = self._report()
+        return self._report
 
 
 class TorsionRefusedError(FialgError):

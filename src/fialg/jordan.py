@@ -16,16 +16,16 @@ verify_near_sum() decides the five defining properties of the output.  Over
 the incidence split it certifies them on the generators of the algebra, the
 idempotents e_x and the cover units e_xy with x covered by y: (n + c) * d
 image products for n elements, c covers and dimension d, where a scan of
-every basis pair takes d^2.  It holds the columns of psi and theta as
-{index: nonzero} dicts and multiplies them with
-StructAlgebra.multiply_sparse, so it makes no dense product; dense lists
-appear only in witnesses.  The full scan runs only when the certificate
-fails, to count the failing instances and collect witnesses; decompose()
-runs the Jordan recognizer before it, so that only a Jordan map pays for the
-failing report.  verify_paper_identities() exercises the full family of
-sandwich, idempotent, and annihilation identities that make the construction
-work.  Its sandwich families read one table of Peirce components
-phi(e_x) v phi(e_y) per sample image v, and report what a per-pair scan does.
+every basis pair takes d^2.  decompose() multiplies the maps' columns as
+{index: nonzero} dicts (LinMap.sparse_columns) with multiply_sparse, from
+the sandwiches to the verdict.  The full scan runs only when the certificate
+fails, to collect witnesses; decompose() runs the Jordan recognizer before
+it, so that only a Jordan map pays for the failing report, and the
+recognizer's own report is built only when NotJordanError.report is read.
+verify_paper_identities() exercises the full family of sandwich,
+idempotent, and annihilation identities that make the construction work.
+Its sandwich families read one table of Peirce components phi(e_x) v
+phi(e_y) per sample image v, and report what a per-pair scan does.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -43,7 +43,6 @@ from .algebra import (
     StructAlgebra,
     incidence_algebra,
     random_series,
-    sparse_vector,
 )
 from .errors import (
     ContextMismatchError,
@@ -52,7 +51,14 @@ from .errors import (
     PreconditionFailedError,
     TorsionRefusedError,
 )
-from .linmaps import LinMap, check_homomorphism, check_jordan, jordan_pair_check
+from .linmaps import (
+    LinMap,
+    _jordan_pair_verdict,
+    _sparse_add,
+    check_homomorphism,
+    check_jordan,
+    jordan_pair_check,
+)
 from .matrices import mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
@@ -307,21 +313,21 @@ def _incidence_domain(phi: LinMap) -> StructAlgebra:
 
 
 def _near_sum_columns(phi: LinMap):
-    """The defining sandwich products, one column per basis unit."""
-    dom = _incidence_domain(phi)
-    basis = dom.basis
-    cod = phi.codomain
+    """The defining sandwich products, one {index: nonzero} column per basis
+    unit, multiplied from phi's sparse columns."""
+    basis = _incidence_domain(phi).basis
+    multiply = phi.codomain.multiply_sparse
+    cols = phi.sparse_columns
     psi_cols, theta_cols = [], []
     for k, (i, j) in enumerate(basis.pairs):
         if i == j:
-            psi_cols.append(phi.columns[k])
-            theta_cols.append(phi.columns[k])
+            psi_cols.append(cols[k])
+            theta_cols.append(cols[k])
         else:
-            ex = phi.columns[basis.index_of[(i, i)]]
-            ey = phi.columns[basis.index_of[(j, j)]]
-            exy = phi.columns[k]
-            psi_cols.append(cod.multiply(cod.multiply(ex, exy), ey))
-            theta_cols.append(cod.multiply(cod.multiply(ey, exy), ex))
+            ex = cols[basis.index_of[(i, i)]]
+            ey = cols[basis.index_of[(j, j)]]
+            psi_cols.append(multiply(multiply(ex, cols[k]), ey))
+            theta_cols.append(multiply(multiply(ey, cols[k]), ex))
     return psi_cols, theta_cols
 
 
@@ -332,9 +338,10 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     determinant, over a 2-torsion-free ring (override with allow_torsion).
     Returns psi, theta, the split and the verify_near_sum report, whose five
     checks are the Jordan verdict.  When the generator certificate fails, the
-    Jordan recognizer runs first: a map that fails it raises NotJordanError
-    with its witnesses, and only a Jordan map pays for the full scan and
-    comes back with the failing report.
+    Jordan recognizer runs first: a map that fails it raises NotJordanError,
+    and only a Jordan map pays for the full scan.  Over a 2-torsion-free ring
+    the pair scan stops at the first failure, and the exception's report,
+    jordan_pair_check's, is built when first read.
     """
     dom = _incidence_domain(phi)
     ring = phi.ring
@@ -344,9 +351,11 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         )
     require_unit_determinant(ring, phi.columns)
 
-    psi_cols, theta_cols = _near_sum_columns(phi)
-    psi = LinMap(dom, phi.codomain, psi_cols)
-    theta = LinMap(dom, phi.codomain, theta_cols)
+    cod = phi.codomain
+    psi, theta = (
+        LinMap._of_canonical(dom, cod, [cod.dense(c) for c in cols], cols)
+        for cols in _near_sum_columns(phi)
+    )
     dec = Decomposition(phi, psi, theta, NearSumSplit.for_incidence(dom), None)
     # A passing report makes phi Jordan on every ring.  Write d = psi(a_D),
     # p = psi(a_Z), t = theta(a_Z), so that phi(a) = d + p + t.  Any product
@@ -358,15 +367,15 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     # forces the triple law, so the pair scan is enough there.
     if _near_sum_holds(dec):
         return replace(dec, report=_NEAR_SUM_PASS)
-    jordan_report = (
-        jordan_pair_check(phi)
-        if ring.is_two_torsionfree()
-        else check_jordan(phi, allow_torsion=True)
-    )
-    if not jordan_report.passed:
+    if ring.is_two_torsionfree():
+        failed = not _jordan_pair_verdict(phi).passed
+        report = functools.partial(jordan_pair_check, phi)
+    else:
+        report = check_jordan(phi, allow_torsion=True)
+        failed = not report.passed
+    if failed:
         raise NotJordanError(
-            "map fails the Jordan identities; see attached report",
-            report=jordan_report,
+            "map fails the Jordan identities; see attached report", report=report
         )
     return replace(dec, report=_near_sum_scan(dec))
 
@@ -447,9 +456,7 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 
     Exact when psi and theta map the incidence algebra of the split into
     phi's codomain; for any other shape this answers False, so that
-    verify_near_sum falls back to the full scan.  The generator and
-    annihilation clauses multiply psi's and theta's columns as {index:
-    nonzero} dicts, so the certificate makes no dense product.
+    verify_near_sum falls back to the full scan.
     """
     phi, psi, theta, split = dec.phi, dec.psi, dec.theta, dec.split
     dom, cod = split.algebra, phi.codomain
@@ -479,15 +486,14 @@ def _near_sum_holds(dec: Decomposition) -> bool:
         basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
     ]
     generators = list(split.diagonal) + covers
-    psi_cols, theta_cols = _sparse_columns(dec)
     return all(
         next(failures, None) is None
         for failures in (
             _agreement_failures(dec),
             _recomposition_failures(dec),
-            _generator_failures(psi, psi_cols, generators, anti=False),
-            _generator_failures(theta, theta_cols, generators, anti=True),
-            _annihilation_failures(dec, psi_cols, theta_cols, covers),
+            _generator_failures(psi, generators, anti=False),
+            _generator_failures(theta, generators, anti=True),
+            _annihilation_failures(dec, covers),
         )
     )
 
@@ -495,7 +501,6 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 def _near_sum_scan(dec: Decomposition) -> VerificationReport:
     """The five near-sum checks over every basis pair."""
     psi_hom, theta_anti, agreement, recomposition, annihilation = _NEAR_SUM_CHECKS
-    psi_cols, theta_cols = _sparse_columns(dec)
     return VerificationReport(
         (
             replace(check_homomorphism(dec.psi).checks[0], name=psi_hom),
@@ -504,29 +509,19 @@ def _near_sum_scan(dec: Decomposition) -> VerificationReport:
             ),
             run_check(agreement, _agreement_failures(dec)),
             run_check(recomposition, _recomposition_failures(dec)),
-            run_check(
-                annihilation,
-                _annihilation_failures(dec, psi_cols, theta_cols, dec.split.strict),
-            ),
+            run_check(annihilation, _annihilation_failures(dec, dec.split.strict)),
         )
     )
 
 
-def _sparse_columns(dec: Decomposition):
-    """The columns of psi and theta as {index: nonzero} dicts, for
-    StructAlgebra.multiply_sparse."""
-    return tuple(
-        [sparse_vector(col) for col in m.columns] for m in (dec.psi, dec.theta)
-    )
-
-
-def _generator_failures(m: LinMap, columns, generators, anti: bool):
+def _generator_failures(m: LinMap, generators, anti: bool):
     """m(g b) against m(g) m(b), or m(b) m(g) with anti, for every generator
-    g and basis unit b of an incidence domain; columns are m's columns as
-    {index: nonzero} dicts, and witnesses are dense.  There g b is zero or
-    one basis unit, so the left side is the zero vector or one column of m."""
+    g and basis unit b of an incidence domain, on m's sparse columns; the
+    witnesses are dense.  There g b is zero or one basis unit, so the left
+    side is the zero vector or one column of m."""
     basis = m.domain.basis
     cod = m.codomain
+    columns = m.sparse_columns
     multiply = cod.multiply_sparse
     zero = {}
     for g in generators:
@@ -545,26 +540,28 @@ def _generator_failures(m: LinMap, columns, generators, anti: bool):
 def _agreement_failures(dec: Decomposition):
     phi, psi, theta = dec.phi, dec.psi, dec.theta
     for k in dec.split.diagonal:
-        if psi.columns[k] != phi.columns[k]:
+        if psi.sparse_columns[k] != phi.sparse_columns[k]:
             yield (k,), psi.columns[k], phi.columns[k], "psi vs phi"
-        if theta.columns[k] != phi.columns[k]:
+        if theta.sparse_columns[k] != phi.sparse_columns[k]:
             yield (k,), theta.columns[k], phi.columns[k], "theta vs phi"
 
 
 def _recomposition_failures(dec: Decomposition):
+    """psi + theta against phi on the strict units, summed on the nonzeros;
+    the witnesses are dense."""
     phi, psi, theta = dec.phi, dec.psi, dec.theta
-    add = phi.ring.add
     for k in dec.split.strict:
-        s = [add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
-        if tuple(s) != tuple(phi.columns[k]):
-            yield (k,), s, phi.columns[k]
+        s = _sparse_add(phi.ring, psi.sparse_columns[k], theta.sparse_columns[k])
+        if s != phi.sparse_columns[k]:
+            yield (k,), phi.codomain.dense(s), phi.columns[k]
 
 
-def _annihilation_failures(dec: Decomposition, psi, theta, rows):
+def _annihilation_failures(dec: Decomposition, rows):
     """psi(b_i) theta(b_j) and theta(b_i) psi(b_j) against zero, for i in
-    rows and every strict j; psi and theta are the sparse columns of
-    _sparse_columns, and witnesses are dense."""
+    rows and every strict j, on the sparse columns; the witnesses are
+    dense."""
     cod = dec.phi.codomain
+    psi, theta = dec.psi.sparse_columns, dec.theta.sparse_columns
     multiply = cod.multiply_sparse
     zero_vec = [dec.phi.ring.zero] * cod.dimension
     for i in rows:
@@ -761,7 +758,9 @@ def verify_paper_identities(
             out = cod.multiply(out, v)
         return out
 
-    psi_cols, theta_cols = _near_sum_columns(phi)
+    psi_cols, theta_cols = (
+        [cod.dense(col) for col in cols] for cols in _near_sum_columns(phi)
+    )
     labels = poset.elements
 
     # The sandwich families read the Peirce components phi(e_x) v phi(e_y)

@@ -6,10 +6,10 @@ domain basis vectors).  All recognizers quantify over basis tuples — enough,
 by bilinearity, to decide the corresponding law for arbitrary elements —
 and report witnesses instead of bare booleans.
 
-The scans run on the nonzeros.  Each recognizer converts the columns to
-{index: nonzero} dicts once and multiplies images with
-StructAlgebra.multiply_sparse.  The left side, m(b_i b_j + b_j b_i) or
-m(b_i b_j), is the combination of the columns that the domain's cells
+The scans run on the nonzeros: each recognizer multiplies the map's
+columns as {index: nonzero} dicts, LinMap.sparse_columns (built once per
+map), with StructAlgebra.multiply_sparse.  The left side, m(b_i b_j + b_j
+b_i) or m(b_i b_j), is the combination of the columns the domain's cells
 touch, so it costs nothing where a basis product is zero, as most are in an
 incidence algebra.  Sides are compared as dicts, and dense coordinate lists
 are built only for witnesses, so a report is the one a dense scan gives.
@@ -21,6 +21,8 @@ are one instance), plus the d^2 products images[i] images[j] it reuses.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgElem, StructAlgebra, change_basis, sparse_vector
@@ -29,8 +31,8 @@ from .errors import (
     FialgError,
     TorsionRefusedError,
 )
-from .matrices import identity_columns, invert_columns, mat_vec
-from .reports import VerificationReport, run_check
+from .matrices import invert_columns, mat_vec
+from .reports import CheckResult, VerificationReport, run_check
 
 
 @dataclass(frozen=True)
@@ -42,17 +44,38 @@ class LinMap:
     columns: tuple
 
     def __post_init__(self):
+        self._store(self.domain.ring.normalize)
+
+    def _store(self, normalize) -> None:
+        """Check the shape and store the columns as tuples, each entry passed
+        through normalize unless that is None."""
         if self.domain.ring != self.codomain.ring:
             raise ContextMismatchError("domain and codomain rings differ")
-        ring = self.domain.ring
         if len(self.columns) != self.domain.dimension:
             raise FialgError("column count does not match domain dimension")
         cols = []
         for col in self.columns:
             if len(col) != self.codomain.dimension:
                 raise FialgError("column height does not match codomain dimension")
-            cols.append(tuple(ring.normalize(v) for v in col))
+            cols.append(tuple(col if normalize is None else (normalize(v) for v in col)))
         object.__setattr__(self, "columns", tuple(cols))
+
+    @classmethod
+    def _of_canonical(cls, domain, codomain, columns, sparse_columns=None):
+        """The map with these columns of canonical payloads (as ring.parse and
+        the ring operations return them), shape-checked, not normalized
+        again; sparse_columns, if given, is kept as its sparse view."""
+        m = cls.__new__(cls)
+        m.__dict__.update(domain=domain, codomain=codomain, columns=columns)
+        m._store(None)
+        if sparse_columns is not None:
+            m.__dict__["sparse_columns"] = tuple(sparse_columns)
+        return m
+
+    @functools.cached_property
+    def sparse_columns(self) -> tuple:
+        """The columns as {index: nonzero} dicts, built on first use."""
+        return tuple(sparse_vector(col) for col in self.columns)
 
     @property
     def ring(self):
@@ -62,7 +85,8 @@ class LinMap:
 
     @classmethod
     def identity(cls, algebra: StructAlgebra) -> "LinMap":
-        return cls(algebra, algebra, identity_columns(algebra.ring, algebra.dimension))
+        units = [algebra.unit_vector(k) for k in range(algebra.dimension)]
+        return cls(algebra, algebra, units)
 
     @classmethod
     def zero(cls, domain: StructAlgebra, codomain: StructAlgebra) -> "LinMap":
@@ -94,19 +118,6 @@ class LinMap:
         inv = invert_columns(self.ring, self.columns)
         return LinMap(self.codomain, self.domain, inv)
 
-    def add(self, other: "LinMap") -> "LinMap":
-        if other.domain != self.domain or other.codomain != self.codomain:
-            raise ContextMismatchError("maps have different domains or codomains")
-        ring = self.ring
-        return LinMap(
-            self.domain,
-            self.codomain,
-            [
-                [ring.add(a, b) for a, b in zip(ca, cb)]
-                for ca, cb in zip(self.columns, other.columns)
-            ],
-        )
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -137,7 +148,7 @@ class LinMap:
             raise FialgError("linear-map columns must be a list of lists")
         parse = domain.ring.parse
         cols = [[parse(v) for v in col] for col in columns]
-        return cls(domain, codomain, cols)
+        return cls._of_canonical(domain, codomain, cols)
 
 
 def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
@@ -184,7 +195,7 @@ def check_homomorphism(
     dom, cod = m.domain, m.codomain
     d = dom.dimension
     ring = m.ring
-    images = [sparse_vector(col) for col in m.columns]
+    images = m.sparse_columns
     multiply = cod.multiply_sparse
 
     def failures():
@@ -211,30 +222,45 @@ def check_homomorphism(
     return VerificationReport(tuple(checks))
 
 
+def _jordan_pair_failures(m: LinMap, pairs):
+    """The failures of the polarized square law
+    m(b_i b_j + b_j b_i) = m(b_i)m(b_j) + m(b_j)m(b_i) on the basis pairs
+    (i, j) given, in their order, as run_check takes them."""
+    cod, ring = m.codomain, m.ring
+    images = m.sparse_columns
+    multiply = cod.multiply_sparse
+    cells = m.domain.cells
+    for i, j in pairs:
+        sym = _sparse_add(ring, dict(cells[i][j]), dict(cells[j][i]))
+        lhs = _sparse_image(ring, images, sym)
+        rhs = _sparse_add(
+            ring,
+            multiply(images[i], images[j]),
+            multiply(images[j], images[i]),
+        )
+        if lhs != rhs:
+            yield (i, j), cod.dense(lhs), cod.dense(rhs)
+
+
 def jordan_pair_check(m: LinMap) -> VerificationReport:
     """The polarized square law on basis pairs:
     m(ab + ba) = m(a)m(b) + m(b)m(a)."""
-    dom, cod = m.domain, m.codomain
-    d = dom.dimension
-    ring = m.ring
-    images = [sparse_vector(col) for col in m.columns]
-    multiply = cod.multiply_sparse
-    cells = dom.cells
+    d = m.domain.dimension
+    pairs = ((i, j) for i in range(d) for j in range(i, d))
+    return VerificationReport(
+        (run_check("jordan_pairs", _jordan_pair_failures(m, pairs)),)
+    )
 
-    def failures():
-        for i in range(d):
-            for j in range(i, d):
-                sym = _sparse_add(ring, dict(cells[i][j]), dict(cells[j][i]))
-                lhs = _sparse_image(ring, images, sym)
-                rhs = _sparse_add(
-                    ring,
-                    multiply(images[i], images[j]),
-                    multiply(images[j], images[i]),
-                )
-                if lhs != rhs:
-                    yield (i, j), cod.dense(lhs), cod.dense(rhs)
 
-    return VerificationReport((run_check("jordan_pairs", failures()),))
+def _jordan_pair_verdict(m: LinMap) -> CheckResult:
+    """The pair law's verdict from a scan that stops at the first failing
+    pair, squares b_i b_i first (a shear of one diagonal image by another
+    fails on a square); a failure carries that one witness."""
+    d = m.domain.dimension
+    squares = ((i, i) for i in range(d))
+    others = ((i, j) for i in range(d) for j in range(i + 1, d))
+    failures = _jordan_pair_failures(m, itertools.chain(squares, others))
+    return run_check("jordan_pairs", itertools.islice(failures, 1))
 
 
 def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
@@ -253,7 +279,7 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
         )
     dom, cod = m.domain, m.codomain
     d = dom.dimension
-    images = [sparse_vector(col) for col in m.columns]
+    images = m.sparse_columns
     multiply = cod.multiply_sparse
     dom_multiply = dom.multiply_sparse
     units = [{k: ring.one} for k in range(d)]

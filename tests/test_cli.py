@@ -128,6 +128,31 @@ def test_decompose_perturbed_fixture_is_precondition_error():
     assert "NotJordan" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_non_jordan_map_is_refused_without_building_the_report(
+    command, monkeypatch, capsys
+):
+    # exit 2 with the one-line diagnostic, byte for byte; the attached
+    # report is never read, so it is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI built the NotJordanError report")
+
+    monkeypatch.setattr(jordan, "jordan_pair_check", refuse)
+    code = cli.run([
+        command,
+        "--poset", fx("poset_3chain.json"),
+        "--ring", fx("ring_rationals.json"),
+        "--map", fx("map_perturbed_3chain_rationals.json"),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: NotJordanError: map fails the Jordan identities; "
+        "see attached report\n"
+    )
+
+
 def test_verify_identities_torsion_gate():
     r = run_cli(
         "verify", "--identities",

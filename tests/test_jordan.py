@@ -47,6 +47,7 @@ from fialg import (
     verify_near_sum,
     verify_paper_identities,
 )
+from fialg import linmaps
 from fialg.errors import FialgError
 from fialg.jordan import _near_sum_columns, _near_sum_holds
 from fialg.matrices import mat_vec
@@ -87,6 +88,25 @@ def jordan_map(poset, ring, seed):
     if ring.is_two_torsionfree():
         return random_jordan_iso(poset, ring, seed)
     return order_jordan_map(poset, ring, seed)
+
+
+def dense_near_sum_columns(phi):
+    """The sandwich columns psi(e_xy) = phi(e_x) phi(e_xy) phi(e_y) and
+    theta(e_xy) = phi(e_y) phi(e_xy) phi(e_x) as dense products, kept as the
+    oracle of the sparse _near_sum_columns."""
+    cod, basis = phi.codomain, phi.domain.basis
+    psi_cols, theta_cols = [], []
+    for k, (i, j) in enumerate(basis.pairs):
+        ex = phi.columns[basis.index_of[(i, i)]]
+        ey = phi.columns[basis.index_of[(j, j)]]
+        exy = phi.columns[k]
+        if i == j:
+            psi_cols.append(exy)
+            theta_cols.append(exy)
+        else:
+            psi_cols.append(cod.multiply(cod.multiply(ex, exy), ey))
+            theta_cols.append(cod.multiply(cod.multiply(ey, exy), ex))
+    return psi_cols, theta_cols
 
 
 def strict_zero(algebra):
@@ -413,18 +433,7 @@ def prepass_decompose(phi, allow_torsion=False):
     if not jordan_report.passed:
         raise NotJordanError("not Jordan", report=jordan_report)
     dom, cod = phi.domain, phi.codomain
-    basis = dom.basis
-    psi_cols, theta_cols = [], []
-    for k, (i, j) in enumerate(basis.pairs):
-        ex = phi.columns[basis.index_of[(i, i)]]
-        ey = phi.columns[basis.index_of[(j, j)]]
-        exy = phi.columns[k]
-        if i == j:
-            psi_cols.append(exy)
-            theta_cols.append(exy)
-        else:
-            psi_cols.append(cod.multiply(cod.multiply(ex, exy), ey))
-            theta_cols.append(cod.multiply(cod.multiply(ey, exy), ex))
+    psi_cols, theta_cols = dense_near_sum_columns(phi)
     dec = Decomposition(
         phi,
         LinMap(dom, cod, psi_cols),
@@ -549,10 +558,10 @@ def test_passing_certificate_needs_no_inverse_or_recognizer(monkeypatch):
 
 
 def test_certificate_makes_no_dense_product(monkeypatch):
-    # decompose's only dense products are the sandwiches that build psi and
-    # theta, two each per strict unit; the certificate runs on the nonzeros
+    # decompose runs on the nonzeros: the sandwiches that build psi and
+    # theta (4 * (d - n) = 220 dense products here while they were dense)
+    # and the certificate make no dense product
     phi = random_jordan_iso(chain(11), RATIONALS, seed=3)
-    d, n = phi.domain.dimension, 11
     calls = []
     multiply = StructAlgebra.multiply
 
@@ -563,7 +572,7 @@ def test_certificate_makes_no_dense_product(monkeypatch):
     monkeypatch.setattr(StructAlgebra, "multiply", counting)
     dec = decompose(phi)
     assert dec.report.passed
-    assert len(calls) == 4 * (d - n) == 220
+    assert len(calls) == 0
 
     def refuse(*args, **kwargs):
         raise AssertionError("the certificate made a dense product")
@@ -596,6 +605,87 @@ def damaged_map(phi, kind, rng):
     return LinMap(phi.domain, phi.codomain, cols)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(all_posets_up_to(4) + [chain(6)]),
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    st.sampled_from(["jordan", "perturbed", "random-column"]),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_sparse_sandwich_columns_match_dense_products(poset, ring, kind, twist, seed):
+    rng = random.Random(seed)
+    phi = damaged_map(jordan_map(poset, ring, seed), kind, rng)
+    if twist:
+        phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed))
+    dense = dense_near_sum_columns(phi)
+    for sparse, columns in zip(_near_sum_columns(phi), dense):
+        assert [phi.codomain.dense(col) for col in sparse] == [
+            list(col) for col in columns
+        ]
+
+
+def sheared(phi, x, y):
+    """phi with the image of e_x raised by twice the image of e_y."""
+    add = phi.ring.add
+    cols = [list(c) for c in phi.columns]
+    cols[x] = [add(a, add(b, b)) for a, b in zip(cols[x], cols[y])]
+    return LinMap(phi.domain, phi.codomain, cols)
+
+
+@pytest.mark.parametrize(
+    "poset", [chain(7), disjoint_union(chain(7), chain(7))], ids=["7", "2x7"]
+)
+def test_decompose_stops_at_the_first_pair_law_failure(poset, monkeypatch):
+    # The shear phi(e_x) += 2 phi(e_y) fails the pair law at (e_x, e_x), and
+    # at no square before it.  The pair scan, squares first, is over after
+    # x + 1 pairs, where jordan_pair_check evaluates all d(d+1)/2, and the
+    # exception's report is that full check, built when it is first read.
+    ring = RATIONALS
+    phi = random_jordan_iso(poset, ring, seed=1)
+    d, n = phi.domain.dimension, poset.size
+    products = [0]
+    multiply_sparse = StructAlgebra.multiply_sparse
+
+    def counting(self, u, v):
+        products[0] += 1
+        return multiply_sparse(self, u, v)
+
+    scans = []
+    verdict = linmaps._jordan_pair_verdict
+
+    def counted_verdict(m):
+        before = products[0]
+        result = verdict(m)
+        scans.append(products[0] - before)
+        return result
+
+    built = []
+
+    def recorded_pair_check(m):
+        built.append(m)
+        return jordan_pair_check(m)
+
+    monkeypatch.setattr(StructAlgebra, "multiply_sparse", counting)
+    monkeypatch.setattr("fialg.jordan._jordan_pair_verdict", counted_verdict)
+    monkeypatch.setattr("fialg.jordan.jordan_pair_check", recorded_pair_check)
+    for x, y in [(0, n - 1), (n // 2, 1), (n - 1, 0)]:
+        bad = sheared(phi, x, y)
+        products[0] = 0
+        with pytest.raises(NotJordanError) as exc:
+            decompose(bad)
+        assert scans.pop() == 2 * (x + 1)
+        assert products[0] < d * (d + 1) // 2
+        assert built == []
+        report = exc.value.report
+        assert exc.value.report is report
+        assert built == [bad]  # built on the first read, and only then
+        built.clear()
+        fmt = ring.format
+        assert report.to_json(fmt) == jordan_pair_check(bad).to_json(fmt)
+        assert not report.passed
+
+
 def damaged_decomposition(phi, corrupt, rng):
     """The near-sum candidate decompose() builds from phi, with at most one
     generator column of psi or theta replaced by u * column + r * e_t for a
@@ -607,7 +697,7 @@ def damaged_decomposition(phi, corrupt, rng):
     dom = phi.domain
     basis = dom.basis
     cols = {"phi": [list(c) for c in phi.columns]}
-    cols["psi"], cols["theta"] = map(list, _near_sum_columns(phi))
+    cols["psi"], cols["theta"] = map(list, dense_near_sum_columns(phi))
     poset = basis.poset
     covers = [
         basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
@@ -1077,7 +1167,7 @@ def scan_sandwich_checks(phi, seed, samples=3):
         random_series(poset, ring, rng, density=0.7, strict_only=True)
         for _ in range(samples)
     ]
-    psi_cols, theta_cols = _near_sum_columns(phi)
+    psi_cols, theta_cols = dense_near_sum_columns(phi)
 
     def vec(f):
         return dom.element_from_series(f).coords
@@ -1242,14 +1332,16 @@ def test_sandwich_families_build_one_table_per_sample_image():
     # products and 5 + 2 * 10 entries.  The suite builds one table for each
     # of the 5 general samples, three (phi, psi and theta) for each of the 3
     # strict samples, and two for each of the 5 criterion calls: 24 tables.
-    # The per-pair scans took 1,176 products and the whole suite 5,790.
+    # The per-pair scans took 1,176 products and the whole suite 5,790.  The
+    # suite took 5,334 while it sandwiched its psi and theta columns densely,
+    # 4 * (15 - 5) = 40 products that now run on the nonzeros.
     counts, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert sum(counts[name] for name in SANDWICH_FAMILIES) == 24 * 30
     assert counts["unit_sandwich_strict"] == 5 * 30
     assert counts["unit_sandwich_diagonal"] == counts["coefficient_sandwich"] == 0
     assert counts["psi_sandwich"] == 2 * 3 * 30
     assert counts["theta_sandwich"] == 3 * 30
-    assert sum(counts.values()) == 5334
+    assert sum(counts.values()) == 5294
 
 
 def test_diagonal_restriction_maps_each_diagonal_part_once():

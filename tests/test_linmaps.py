@@ -1,6 +1,7 @@
 """Linear maps between presentations, law recognizers, exact inversion."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,12 +30,7 @@ from fialg.algebra import StructAlgebra
 from fialg.errors import ContextMismatchError, FialgError
 from fialg.reports import VerificationReport, run_check
 from fialg.rings import RationalRing
-from fialg.matrices import (
-    bareiss_determinant,
-    invert_columns,
-    mat_vec,
-    require_unit_determinant,
-)
+from fialg.matrices import invert_columns, mat_vec, require_unit_determinant
 
 from conftest import all_posets_up_to, chain, diamond, two_two_chains
 
@@ -103,6 +99,24 @@ def test_json_round_trip():
         LinMap.from_json(
             phi.domain, phi.codomain, {**obj, "domain_dim": 3}
         )
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_from_json_normalizes_each_entry_once(ring, monkeypatch):
+    # ring.parse returns canonical payloads, and the loaded map keeps them
+    phi = random_jordan_iso(diamond(), ring, seed=4)
+    obj = phi.to_json()
+
+    def refuse(self, a):
+        raise AssertionError("a parsed entry was normalized again")
+
+    monkeypatch.setattr(type(ring), "normalize", refuse)
+    back = LinMap.from_json(phi.domain, phi.codomain, obj)
+    monkeypatch.undo()
+    assert back == phi
+    assert [[type(v) for v in col] for col in back.columns] == [
+        [type(v) for v in col] for col in phi.columns
+    ]
 
 
 def test_rebase_codomain_preserves_action():
@@ -345,6 +359,58 @@ def test_recognizers_make_no_dense_product(monkeypatch):
 # -- exact matrix kernel -------------------------------------------------------
 
 
+def bareiss_determinant(rows: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix, kept as the
+    oracle of the sparse elimination.
+
+    Every intermediate value stays an integer; each elimination step divides
+    exactly by the previous pivot (Bareiss's one-step condensation).
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def bareiss_unit_determinant(ring, columns) -> int:
+    """require_unit_determinant as a dense Bareiss determinant of the integer
+    lift (each rational column scaled by the lcm of its denominators)."""
+    n = len(columns)
+    if any(len(col) != n for col in columns):
+        raise NotInvertibleError("matrix is not square")
+    if isinstance(ring, RationalRing):
+        lifted = []
+        for col in columns:
+            scale = math.lcm(*(v.denominator for v in col))
+            lifted.append([v.numerator * (scale // v.denominator) for v in col])
+    else:
+        lifted = columns
+    det = bareiss_determinant(lifted)  # the transpose has the same determinant
+    if not ring.is_unit(ring.normalize(det)):
+        raise NotInvertibleError(
+            f"determinant {ring.format(ring.normalize(det))} is not a unit of {ring!r}"
+        )
+    return det
+
+
 def test_bareiss_determinant_known_values():
     assert bareiss_determinant([[2, 0], [0, 3]]) == 6
     assert bareiss_determinant([[1, 2], [3, 4]]) == -2
@@ -493,7 +559,7 @@ def dense_invert_columns(ring, columns):
     """The dense path the sparse invert_columns replaced: the Bareiss unit
     check, dense Gauss-Jordan over the rationals, and over the integers and
     residue rings the integral adjugate scaled by the inverted determinant."""
-    det = require_unit_determinant(ring, columns)
+    det = bareiss_unit_determinant(ring, columns)
     n = len(columns)
     rows = [[columns[j][i] for j in range(n)] for i in range(n)]
     inv_rows = dense_gauss_jordan_inverse(rows)
@@ -535,6 +601,13 @@ def oracle_matrix(source, ring, seed, poset_index):
         source = "basis_change"  # Jordan maps are generated only without 2-torsion
     if source == "empty":
         return []
+    if source == "integer":  # small integers, as sparse or as dense as drawn
+        n, density = rng.randint(1, 7), rng.random()
+        return [
+            [ring.normalize(rng.randint(-3, 3)) if rng.random() < density else ring.zero
+             for _ in range(n)]
+            for _ in range(n)
+        ]
     if source in ("random", "repeated_column"):
         n, density = rng.randint(1, 7), rng.random()
         cols = [
@@ -586,3 +659,30 @@ def test_invert_columns_known_determinants():
         NotInvertibleError, match="^determinant 0 is not a unit of rationals$"
     ):
         invert_columns(RATIONALS, singular)
+
+
+def determinant_outcome(determinant, ring, columns):
+    """The returned determinant, or the refusal message."""
+    try:
+        return determinant(ring, columns)
+    except NotInvertibleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(
+        ["integer", "random", "repeated_column", "doubled_column", "jordan",
+         "twisted", "empty"]
+    ),
+    st.sampled_from(["rationals", "integers", "mod9", "mod15"]),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 3),
+)
+def test_sparse_determinant_matches_bareiss(source, ring_name, seed, poset_index):
+    # the same integer-lift determinant, or the same refusal text
+    ring = ORACLE_RINGS[ring_name]
+    cols = oracle_matrix(source, ring, seed, poset_index)
+    assert determinant_outcome(require_unit_determinant, ring, cols) == (
+        determinant_outcome(bareiss_unit_determinant, ring, cols)
+    )
