@@ -16,16 +16,18 @@ verify_near_sum() decides the five defining properties of the output.  Over
 the incidence split it certifies them on the generators of the algebra, the
 idempotents e_x and the cover units e_xy with x covered by y: (n + c) * d
 image products for n elements, c covers and dimension d, where a scan of
-every basis pair takes d^2.  decompose() multiplies the maps' columns as
-{index: nonzero} dicts (LinMap.sparse_columns) with multiply_sparse, from
-the sandwiches to the verdict.  The full scan runs only when the certificate
-fails, to collect witnesses; decompose() runs the Jordan recognizer before
-it, so that only a Jordan map pays for the failing report, and the
-recognizer's own report is built only when NotJordanError.report is read.
-verify_paper_identities() exercises the full family of sandwich,
-idempotent, and annihilation identities that make the construction work.
-Its sandwich families read one table of Peirce components phi(e_x) v
-phi(e_y) per sample image v, and report what a per-pair scan does.
+every basis pair takes d^2; its homomorphism clauses are
+check_homomorphism's own scan, run on the generator rows.  decompose()
+multiplies the maps' columns as {index: nonzero} dicts
+(LinMap.sparse_columns) with multiply_sparse, from the sandwiches to the
+verdict.  The full scan runs only when the certificate fails, to collect
+witnesses; decompose() runs the Jordan recognizer before it, so that only a
+Jordan map pays for the failing report, and the recognizer's own report is
+built only when NotJordanError.report is read.  verify_paper_identities()
+exercises the full family of sandwich, idempotent, and annihilation
+identities that make the construction work.  Its sandwich families read one
+table of Peirce components phi(e_x) v phi(e_y) per sample image v, and
+report what a per-pair scan does.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -53,9 +55,9 @@ from .errors import (
 )
 from .linmaps import (
     LinMap,
+    _homomorphism_failures,
     _jordan_pair_verdict,
     _sparse_add,
-    check_homomorphism,
     check_jordan,
     jordan_pair_check,
 )
@@ -441,9 +443,10 @@ def verify_near_sum(dec: Decomposition) -> VerificationReport:
     Over the incidence split the verdict comes from the generator
     certificate, which checks the products of the idempotents and cover
     units with every basis unit, (n + c) * d of them, where a scan of every
-    basis pair takes d^2.  A pass is reported as five passing checks with no
-    witnesses, which is what the full scan reports.  On failure, and for any
-    other split, the full scan runs and the report carries each check's
+    basis pair takes d^2; for psi and theta it is check_homomorphism's scan
+    on the generator rows.  A pass is reported as five passing checks with
+    no witnesses, which is what the full scan reports.  On failure, and for
+    any other split, the full scan runs and the report carries each check's
     failure count and witnesses.
     """
     if _near_sum_holds(dec):
@@ -479,8 +482,8 @@ def _near_sum_holds(dec: Decomposition) -> bool:
     # annihilation, e_xy = a'' g_k gives psi(e_xy) theta(b) =
     # psi(a'') psi(g_k) theta(b) = 0, and e_xy = g_1 a' gives theta(e_xy)
     # psi(b) = theta(a') theta(g_1) psi(b) = 0, for every strict unit b.  So
-    # the generator rows of the full scan settle all of it; the argument
-    # needs only the codomain's associativity.
+    # the generator rows of the full scan, run by the scan's own code, settle
+    # all of it; the argument needs only the codomain's associativity.
     poset = basis.poset
     covers = [
         basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
@@ -491,8 +494,8 @@ def _near_sum_holds(dec: Decomposition) -> bool:
         for failures in (
             _agreement_failures(dec),
             _recomposition_failures(dec),
-            _generator_failures(psi, generators, anti=False),
-            _generator_failures(theta, generators, anti=True),
+            _homomorphism_failures(psi, generators, anti=False),
+            _homomorphism_failures(theta, generators, anti=True),
             _annihilation_failures(dec, covers),
         )
     )
@@ -501,40 +504,17 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 def _near_sum_scan(dec: Decomposition) -> VerificationReport:
     """The five near-sum checks over every basis pair."""
     psi_hom, theta_anti, agreement, recomposition, annihilation = _NEAR_SUM_CHECKS
+    psi_rows = range(dec.psi.domain.dimension)
+    theta_rows = range(dec.theta.domain.dimension)
     return VerificationReport(
         (
-            replace(check_homomorphism(dec.psi).checks[0], name=psi_hom),
-            replace(
-                check_homomorphism(dec.theta, anti=True).checks[0], name=theta_anti
-            ),
+            run_check(psi_hom, _homomorphism_failures(dec.psi, psi_rows, False)),
+            run_check(theta_anti, _homomorphism_failures(dec.theta, theta_rows, True)),
             run_check(agreement, _agreement_failures(dec)),
             run_check(recomposition, _recomposition_failures(dec)),
             run_check(annihilation, _annihilation_failures(dec, dec.split.strict)),
         )
     )
-
-
-def _generator_failures(m: LinMap, generators, anti: bool):
-    """m(g b) against m(g) m(b), or m(b) m(g) with anti, for every generator
-    g and basis unit b of an incidence domain, on m's sparse columns; the
-    witnesses are dense.  There g b is zero or one basis unit, so the left
-    side is the zero vector or one column of m."""
-    basis = m.domain.basis
-    cod = m.codomain
-    columns = m.sparse_columns
-    multiply = cod.multiply_sparse
-    zero = {}
-    for g in generators:
-        x, y = basis.pairs[g]
-        for b, (u, v) in enumerate(basis.pairs):
-            lhs = columns[basis.index_of[(x, v)]] if u == y else zero
-            rhs = (
-                multiply(columns[b], columns[g])
-                if anti
-                else multiply(columns[g], columns[b])
-            )
-            if lhs != rhs:
-                yield (g, b), cod.dense(lhs), cod.dense(rhs)
 
 
 def _agreement_failures(dec: Decomposition):

@@ -381,7 +381,6 @@ def test_fixture_reports_match_dense_recognizers(
     for dense in (False, True):
         if dense:
             monkeypatch.setattr(cli, "check_homomorphism", dense_check_homomorphism)
-            monkeypatch.setattr(jordan, "check_homomorphism", dense_check_homomorphism)
             monkeypatch.setattr(jordan, "jordan_pair_check", dense_jordan_pair_check)
             for module in (cli, jordan):
                 monkeypatch.setattr(

@@ -860,7 +860,7 @@ def test_decompose_runs_the_full_scan_only_for_jordan_maps(monkeypatch):
     oracle = decompose_outcome(prepass_decompose, bad, False)
     assert oracle[0] == "NotJordanError"
 
-    monkeypatch.setattr("fialg.jordan.check_homomorphism", refuse)
+    monkeypatch.setattr("fialg.jordan._near_sum_scan", refuse)
     monkeypatch.setattr("fialg.jordan.run_check", refuse)
     for m in maps:
         assert decompose(m, allow_torsion=True).report.passed
