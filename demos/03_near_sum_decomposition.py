@@ -44,7 +44,7 @@ print("theta is an anti-homomorphism:",
 
 # On the strict basis columns, phi literally equals psi + theta.
 ring = RATIONALS
-for k in dec.split.strict:
+for k in phi.domain.basis.strict_indices():
     mixed = [
         ring.add(a, b)
         for a, b in zip(dec.psi.columns[k], dec.theta.columns[k])

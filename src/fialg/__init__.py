@@ -32,7 +32,6 @@ from .errors import (
 )
 from .jordan import (
     Decomposition,
-    NearSumSplit,
     conjugate_by_unit,
     decompose,
     equal_by_sandwiches,
@@ -87,7 +86,6 @@ __all__ = [
     "IntegerRing",
     "LinMap",
     "ModularRing",
-    "NearSumSplit",
     "NotAUnitError",
     "NotComparableError",
     "NotInvertibleError",

@@ -12,15 +12,14 @@ which annihilate each other on the ideal.  decompose() builds the pair by
 linear extension over the unit basis; extend_via_inverse() rebuilds the same
 maps pointwise through phi^-1 and serves as the independent oracle.
 
-verify_near_sum() decides the five defining properties of the output.  Over
-the incidence split it certifies them on the generators of the algebra, the
-idempotents e_x and the cover units e_xy with x covered by y: (n + c) * d
-image products for n elements, c covers and dimension d, where a scan of
-every basis pair takes d^2; its homomorphism clauses are
-check_homomorphism's own scan, run on the generator rows.  decompose()
-multiplies the maps' columns as {index: nonzero} dicts
-(LinMap.sparse_columns) with multiply_sparse, from the sandwiches to the
-verdict.  The full scan runs only when the certificate fails, to collect
+verify_near_sum() decides the five defining properties of the output.  It
+certifies them on the generators of the algebra, the idempotents e_x and
+the cover units e_xy with x covered by y: (n + c) * d image products for n
+elements, c covers and dimension d, where a scan of every basis pair takes
+d^2; its homomorphism clauses are check_homomorphism's own scan, run on the
+generator rows.  decompose() multiplies the maps' columns as {index:
+nonzero} dicts (LinMap.sparse_columns) with multiply_sparse, from the
+sandwiches to the verdict.  The full scan runs only when the certificate fails, to collect
 witnesses; decompose() runs the Jordan recognizer before it, so that only a
 Jordan map pays for the failing report, and the recognizer's own report is
 built only when NotJordanError.report is read.  verify_paper_identities()
@@ -48,7 +47,6 @@ from .algebra import (
 )
 from .errors import (
     ContextMismatchError,
-    FialgError,
     NotJordanError,
     PreconditionFailedError,
     TorsionRefusedError,
@@ -68,57 +66,6 @@ from .rings import Ring
 
 
 @dataclass(frozen=True)
-class NearSumSplit:
-    """A basis split A = A_0 (+) A_1 with A_0 a subalgebra and A_1 an ideal,
-    recorded as index sets into the algebra's basis and checked against the
-    structure constants on construction."""
-
-    algebra: StructAlgebra
-    diagonal: tuple[int, ...]
-    strict: tuple[int, ...]
-
-    def __post_init__(self):
-        d = self.algebra.dimension
-        if sorted(self.diagonal + self.strict) != list(range(d)):
-            raise FialgError("split index sets do not partition the basis")
-        diag = set(self.diagonal)
-        strict = set(self.strict)
-        cells = self.algebra.cells
-        for i in self.diagonal:
-            for j in self.diagonal:
-                for k, _ in cells[i][j]:
-                    if k not in diag:
-                        raise FialgError(
-                            f"diagonal block is not a subalgebra: "
-                            f"b_{i} b_{j} leaves it at coordinate {k}"
-                        )
-        for i in self.strict:
-            for j in range(d):
-                for k, _ in cells[i][j]:
-                    if k not in strict:
-                        raise FialgError(
-                            f"strict block is not a right ideal: "
-                            f"b_{i} b_{j} leaves it at coordinate {k}"
-                        )
-                for k, _ in cells[j][i]:
-                    if k not in strict:
-                        raise FialgError(
-                            f"strict block is not a left ideal: "
-                            f"b_{j} b_{i} leaves it at coordinate {k}"
-                        )
-
-    @classmethod
-    def for_incidence(cls, algebra: StructAlgebra) -> "NearSumSplit":
-        if algebra.basis is None:
-            raise ContextMismatchError("algebra carries no incidence basis")
-        return cls(
-            algebra,
-            algebra.basis.diagonal_indices(),
-            algebra.basis.strict_indices(),
-        )
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """The output of decompose(): phi = psi + theta on the strict ideal,
     phi = psi = theta on the diagonal, plus the verification report."""
@@ -126,7 +73,6 @@ class Decomposition:
     phi: LinMap
     psi: LinMap
     theta: LinMap
-    split: NearSumSplit
     report: VerificationReport | None
 
     def to_json(self) -> dict:
@@ -169,27 +115,26 @@ def conjugate_by_unit(u: FinSeries) -> LinMap:
     return LinMap(algebra, algebra, cols)
 
 
-def near_sum_build(psi: LinMap, theta: LinMap, split: NearSumSplit) -> LinMap:
-    """Assemble the near-sum of a homomorphism and an anti-homomorphism:
-    psi on the diagonal block, psi + theta on the strict block.
+def near_sum_build(psi: LinMap, theta: LinMap) -> LinMap:
+    """Assemble the near-sum of a homomorphism and an anti-homomorphism out
+    of an incidence algebra: psi on the diagonal units, psi + theta on the
+    strict units.
 
     The assembled map must pass verify_near_sum: psi is a homomorphism,
     theta is an anti-homomorphism that agrees with psi on the diagonal
-    block, and their images of the strict block annihilate each other in
+    units, and their images of the strict units annihilate each other in
     both orders.  Each violated clause is reported with witnesses inside
     PreconditionFailedError.
     """
     if psi.domain != theta.domain or psi.codomain != theta.codomain:
         raise ContextMismatchError("psi and theta must share domain and codomain")
-    if split.algebra != psi.domain:
-        raise ContextMismatchError("split does not describe the maps' domain")
     add = psi.ring.add
     cols = list(psi.columns)
-    for k in split.strict:
+    for k in _incidence_domain(psi).basis.strict_indices():
         cols[k] = [add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
     phi = LinMap(psi.domain, psi.codomain, cols)
 
-    report = verify_near_sum(Decomposition(phi, psi, theta, split, None))
+    report = verify_near_sum(Decomposition(phi, psi, theta, None))
     violated = [c for c in report.checks if not c.passed]
     if violated:
         names = ", ".join(c.name for c in violated)
@@ -288,17 +233,17 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
             images[global_i] = comps[tgt][chosen.images[local]]
 
     # Each basis unit goes to one unit: e_xy -> e_{m(x)m(y)}, or
-    # e_{m(y)m(x)} for a strict pair on an anti component.
+    # e_{m(y)m(x)} for a strict pair on an anti component.  The conjugation
+    # after it sends e_xy to the conjugation's column of that unit.
+    conj = conjugate_by_unit(random_unit_series(poset, ring, rng))
     comp_of = {i: ci for ci, comp in enumerate(comps) for i in comp}
     cols = []
     for (i, j) in basis.pairs:
         pair = (images[i], images[j])
         if i != j and anti_comp[comp_of[i]]:
             pair = pair[::-1]
-        cols.append(algebra.unit_vector(basis.index_of[pair]))
-    base = LinMap(algebra, algebra, cols)
-    conj = conjugate_by_unit(random_unit_series(poset, ring, rng))
-    return conj.compose(base)
+        cols.append(conj.columns[basis.index_of[pair]])
+    return LinMap._of_canonical(algebra, algebra, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +283,7 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
 
     Requires phi out of an incidence-algebra presentation with a unit
     determinant, over a 2-torsion-free ring (override with allow_torsion).
-    Returns psi, theta, the split and the verify_near_sum report, whose five
+    Returns psi, theta and the verify_near_sum report, whose five
     checks are the Jordan verdict.  When the generator certificate fails, the
     Jordan recognizer runs first: a map that fails it raises NotJordanError,
     and only a Jordan map pays for the full scan.  Over a 2-torsion-free ring
@@ -358,7 +303,7 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         LinMap._of_canonical(dom, cod, [cod.dense(c) for c in cols], cols)
         for cols in _near_sum_columns(phi)
     )
-    dec = Decomposition(phi, psi, theta, NearSumSplit.for_incidence(dom), None)
+    dec = Decomposition(phi, psi, theta, None)
     # A passing report makes phi Jordan on every ring.  Write d = psi(a_D),
     # p = psi(a_Z), t = theta(a_Z), so that phi(a) = d + p + t.  Any product
     # holding both a p and a t vanishes by strict_annihilation, because a d
@@ -440,14 +385,14 @@ def verify_near_sum(dec: Decomposition) -> VerificationReport:
     """Decide the five properties that make (psi, theta) a near-sum
     presentation of phi; exact, basis-level, witness-reporting.
 
-    Over the incidence split the verdict comes from the generator
-    certificate, which checks the products of the idempotents and cover
-    units with every basis unit, (n + c) * d of them, where a scan of every
-    basis pair takes d^2; for psi and theta it is check_homomorphism's scan
-    on the generator rows.  A pass is reported as five passing checks with
-    no witnesses, which is what the full scan reports.  On failure, and for
-    any other split, the full scan runs and the report carries each check's
-    failure count and witnesses.
+    The verdict comes from the generator certificate, which checks the
+    products of the idempotents and cover units with every basis unit,
+    (n + c) * d of them, where a scan of every basis pair takes d^2; for psi
+    and theta it is check_homomorphism's scan on the generator rows.  A pass
+    is reported as five passing checks with no witnesses, which is what the
+    full scan reports.  Only on failure does the full scan run, and its
+    report carries each check's failure count and witnesses.  phi's domain
+    must carry an incidence basis.
     """
     if _near_sum_holds(dec):
         return _NEAR_SUM_PASS
@@ -455,25 +400,17 @@ def verify_near_sum(dec: Decomposition) -> VerificationReport:
 
 
 def _near_sum_holds(dec: Decomposition) -> bool:
-    """The verdict of the full scan, from the generators of the domain.
+    """The verdict of the full scan, from the generators of phi's incidence
+    domain.
 
-    Exact when psi and theta map the incidence algebra of the split into
-    phi's codomain; for any other shape this answers False, so that
-    verify_near_sum falls back to the full scan.
+    Exact when psi and theta share phi's domain and codomain; for any other
+    shape this answers False, so that verify_near_sum runs the full scan.
     """
-    phi, psi, theta, split = dec.phi, dec.psi, dec.theta, dec.split
-    dom, cod = split.algebra, phi.codomain
-    basis = dom.basis
-    if (
-        basis is None
-        or split.diagonal != basis.diagonal_indices()
-        or split.strict != basis.strict_indices()
-        or psi.domain != dom
-        or theta.domain != dom
-        or psi.codomain != cod
-        or theta.codomain != cod
-    ):
+    phi, psi, theta = dec.phi, dec.psi, dec.theta
+    dom, cod = _incidence_domain(phi), phi.codomain
+    if (psi.domain, theta.domain, psi.codomain, theta.codomain) != (dom, dom, cod, cod):
         return False
+    basis = dom.basis
     # The idempotents e_x and the cover units generate the algebra: a strict
     # unit e_xy is the product g_1 ... g_k of the cover units along a maximal
     # chain from x to y.  Write e_xy = g a' with g = g_1; by induction on k,
@@ -488,7 +425,7 @@ def _near_sum_holds(dec: Decomposition) -> bool:
     covers = [
         basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
     ]
-    generators = list(split.diagonal) + covers
+    generators = list(basis.diagonal_indices()) + covers
     return all(
         next(failures, None) is None
         for failures in (
@@ -506,20 +443,21 @@ def _near_sum_scan(dec: Decomposition) -> VerificationReport:
     psi_hom, theta_anti, agreement, recomposition, annihilation = _NEAR_SUM_CHECKS
     psi_rows = range(dec.psi.domain.dimension)
     theta_rows = range(dec.theta.domain.dimension)
+    strict = dec.phi.domain.basis.strict_indices()
     return VerificationReport(
         (
             run_check(psi_hom, _homomorphism_failures(dec.psi, psi_rows, False)),
             run_check(theta_anti, _homomorphism_failures(dec.theta, theta_rows, True)),
             run_check(agreement, _agreement_failures(dec)),
             run_check(recomposition, _recomposition_failures(dec)),
-            run_check(annihilation, _annihilation_failures(dec, dec.split.strict)),
+            run_check(annihilation, _annihilation_failures(dec, strict)),
         )
     )
 
 
 def _agreement_failures(dec: Decomposition):
     phi, psi, theta = dec.phi, dec.psi, dec.theta
-    for k in dec.split.diagonal:
+    for k in phi.domain.basis.diagonal_indices():
         if psi.sparse_columns[k] != phi.sparse_columns[k]:
             yield (k,), psi.columns[k], phi.columns[k], "psi vs phi"
         if theta.sparse_columns[k] != phi.sparse_columns[k]:
@@ -530,7 +468,7 @@ def _recomposition_failures(dec: Decomposition):
     """psi + theta against phi on the strict units, summed on the nonzeros;
     the witnesses are dense."""
     phi, psi, theta = dec.phi, dec.psi, dec.theta
-    for k in dec.split.strict:
+    for k in phi.domain.basis.strict_indices():
         s = _sparse_add(phi.ring, psi.sparse_columns[k], theta.sparse_columns[k])
         if s != phi.sparse_columns[k]:
             yield (k,), phi.codomain.dense(s), phi.columns[k]
@@ -544,8 +482,9 @@ def _annihilation_failures(dec: Decomposition, rows):
     psi, theta = dec.psi.sparse_columns, dec.theta.sparse_columns
     multiply = cod.multiply_sparse
     zero_vec = [dec.phi.ring.zero] * cod.dimension
+    strict = dec.phi.domain.basis.strict_indices()
     for i in rows:
-        for j in dec.split.strict:
+        for j in strict:
             p = multiply(psi[i], theta[j])
             if p:
                 yield (i, j), cod.dense(p), zero_vec, "psi(b_i) * theta(b_j)"
@@ -681,10 +620,13 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
                         yield (s1, s2, labels[j], labels[i], w), bwd, zero_vec
 
 
+# How many seeded general and strict sample series the identity suite draws.
+_IDENTITY_SAMPLES = 3
+
+
 def verify_paper_identities(
     phi: LinMap,
     seed: int = 7,
-    samples: int = 3,
     allow_torsion: bool = False,
 ) -> VerificationReport:
     """Exercise every identity the decomposition rests on, against seeded
@@ -707,6 +649,7 @@ def verify_paper_identities(
     n = poset.size
     add, mul = ring.add, ring.mul
     zero_vec = [ring.zero] * cod.dimension
+    samples = _IDENTITY_SAMPLES
 
     rng = random.Random(seed)
     general = [

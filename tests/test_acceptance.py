@@ -290,7 +290,7 @@ def test_criterion_6_ring_gate():
 
 
 def test_criterion_7_recomposition():
-    """near_sum_build(psi, theta, split) reproduces phi column-for-column on
+    """near_sum_build(psi, theta) reproduces phi column-for-column on
     every corpus decomposition, twisted codomains included."""
     for build in NAMED_POSETS.values():
         poset = build()
@@ -302,7 +302,7 @@ def test_criterion_7_recomposition():
                         phi, random_basis_change(phi.codomain, seed + 90)
                     )
                 dec = decompose(phi)
-                rebuilt = near_sum_build(dec.psi, dec.theta, dec.split)
+                rebuilt = near_sum_build(dec.psi, dec.theta)
                 assert rebuilt.columns == phi.columns
     passed(7, "recomposition")
 

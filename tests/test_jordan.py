@@ -12,11 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fialg import (
     AlgElem,
+    ContextMismatchError,
     Decomposition,
     FinSeries,
     INTEGERS,
     LinMap,
-    NearSumSplit,
     NotInvertibleError,
     NotJordanError,
     PreconditionFailedError,
@@ -24,6 +24,7 @@ from fialg import (
     StructAlgebra,
     TorsionRefusedError,
     VerificationReport,
+    change_basis,
     check_homomorphism,
     check_jordan,
     conjugate_by_unit,
@@ -49,7 +50,7 @@ from fialg import (
 )
 from fialg import linmaps
 from fialg.errors import FialgError
-from fialg.jordan import _near_sum_columns, _near_sum_holds
+from fialg.jordan import _IDENTITY_SAMPLES, _near_sum_columns, _near_sum_holds
 from fialg.matrices import mat_vec
 
 from conftest import (
@@ -136,12 +137,7 @@ def mixed_pair(ring):
             theta_cols.append(
                 algebra.unit_vector(basis.index_of[(swap[j], swap[i])])
             )
-    split = NearSumSplit.for_incidence(algebra)
-    return (
-        LinMap(algebra, algebra, psi_cols),
-        LinMap(algebra, algebra, theta_cols),
-        split,
-    )
+    return LinMap(algebra, algebra, psi_cols), LinMap(algebra, algebra, theta_cols)
 
 
 # -- generators ----------------------------------------------------------------
@@ -186,8 +182,8 @@ def test_conjugation_is_a_unital_automorphism():
 
 
 def test_near_sum_build_mixed_example():
-    psi, theta, split = mixed_pair(RATIONALS)
-    phi = near_sum_build(psi, theta, split)
+    psi, theta = mixed_pair(RATIONALS)
+    phi = near_sum_build(psi, theta)
     assert check_jordan(phi).passed
     # genuinely mixed: neither law holds globally
     assert not check_homomorphism(phi).passed
@@ -199,24 +195,12 @@ def test_near_sum_build_reports_every_violated_clause():
     # anti-homomorphism there, and psi * theta never annihilates
     A = incidence_algebra(P3, RATIONALS)
     ident = LinMap.identity(A)
-    split = NearSumSplit.for_incidence(A)
     with pytest.raises(PreconditionFailedError) as exc:
-        near_sum_build(ident, ident, split)
+        near_sum_build(ident, ident)
     names = {c.name for c in exc.value.clauses}
     assert names == {"theta_anti_homomorphism", "strict_annihilation"}
     ann = next(c for c in exc.value.clauses if c.name == "strict_annihilation")
     assert ann.witnesses  # e.g. psi(e_12) * theta(e_23) = e_13 != 0
-
-
-def test_split_validation_rejects_bad_partitions():
-    A = incidence_algebra(P3, RATIONALS)
-    good = NearSumSplit.for_incidence(A)
-    with pytest.raises(FialgError):
-        # swapping the roles makes the "ideal" block leak: e_x b = b for
-        # strict b, which lands outside the diagonal span
-        NearSumSplit(A, good.strict, good.diagonal)
-    with pytest.raises(FialgError):
-        NearSumSplit(A, good.diagonal, good.strict[:-1])  # not a partition
 
 
 def test_random_jordan_iso_is_deterministic_and_jordan():
@@ -297,7 +281,7 @@ def test_decompose_identity_map():
     dec = decompose(LinMap.identity(A))
     assert dec.report.passed
     assert dec.psi.columns == LinMap.identity(A).columns
-    for k in dec.split.strict:
+    for k in A.basis.strict_indices():
         assert dec.theta.columns[k] == tuple(strict_zero(A)) or list(
             dec.theta.columns[k]
         ) == strict_zero(A)
@@ -308,19 +292,69 @@ def test_decompose_anti_map_puts_strict_part_in_theta():
     phi = from_order_map(rev, modular(9))
     dec = decompose(phi)
     assert dec.report.passed
-    for k in dec.split.strict:
+    for k in phi.domain.basis.strict_indices():
         assert list(dec.psi.columns[k]) == strict_zero(phi.codomain)
         assert dec.theta.columns[k] == phi.columns[k]
 
 
 def test_decompose_recovers_mixed_blocks():
-    psi, theta, split = mixed_pair(modular(9))
-    phi = near_sum_build(psi, theta, split)
+    psi, theta = mixed_pair(modular(9))
+    phi = near_sum_build(psi, theta)
     dec = decompose(phi)
     assert dec.report.passed
-    for k in split.strict:
+    for k in phi.domain.basis.strict_indices():
         assert dec.psi.columns[k] == psi.columns[k]
         assert dec.theta.columns[k] == theta.columns[k]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_decompose_splits_both_halves_on_one_component(n):
+    # Over Z/15 the idempotents 6 and 10 sum to 1, so phi = c o (6 id + 10 rev)
+    # is straight on the 6-part and reversed on the 10-part of one connected
+    # chain: a proper near-sum, with psi and theta both nonzero on its
+    # strict units.
+    ring = modular(15)
+    poset = chain(n)
+    algebra = incidence_algebra(poset, ring)
+    rev = from_order_map(order_isomorphisms(poset, poset, reversing=True)[0], ring)
+    mixed = LinMap(
+        algebra,
+        algebra,
+        [
+            [ring.add(ring.mul(6, a), ring.mul(10, b)) for a, b in zip(e, r)]
+            for e, r in zip(LinMap.identity(algebra).columns, rev.columns)
+        ],
+    )
+    conj = conjugate_by_unit(random_unit_series(poset, ring, random.Random(n)))
+    phi = conj.compose(mixed)
+
+    assert not check_homomorphism(phi).passed
+    assert not check_homomorphism(phi, anti=True).passed
+    assert check_jordan(phi).passed
+    dec = decompose(phi)
+    assert dec.report.passed
+    assert dec.psi.columns != phi.columns
+    assert dec.theta.columns != phi.columns
+    # On a strict unit psi keeps the straight 6-part and theta the reversed
+    # 10-part: psi(e_xy) = c(6 e_xy) and theta(e_xy) = c(10 rev(e_xy)).
+    for k in algebra.basis.strict_indices():
+        assert list(dec.psi.columns[k]) == [ring.mul(6, v) for v in conj.columns[k]]
+        assert list(dec.theta.columns[k]) == conj.apply_coords(
+            [ring.mul(10, v) for v in rev.columns[k]]
+        )
+    assert near_sum_build(dec.psi, dec.theta).columns == phi.columns
+    assert verify_paper_identities(phi).passed
+
+
+def test_near_sum_needs_an_incidence_domain():
+    A = incidence_algebra(P3, RATIONALS)
+    m = LinMap.identity(change_basis(A, random_basis_change(A, 1)))
+    with pytest.raises(ContextMismatchError):
+        decompose(m)
+    with pytest.raises(ContextMismatchError):
+        verify_near_sum(Decomposition(m, m, m, None))
+    with pytest.raises(ContextMismatchError):
+        near_sum_build(m, m)
 
 
 def test_decompose_rejects_non_jordan_with_report():
@@ -347,7 +381,7 @@ def test_decompose_degenerate_posets():
         phi = random_jordan_iso(poset, RATIONALS, seed=1)
         dec = decompose(phi)
         assert dec.report.passed
-        assert dec.split.strict == ()
+        assert dec.phi.domain.basis.strict_indices() == ()
         assert dec.psi.columns == phi.columns
         assert dec.theta.columns == phi.columns
 
@@ -374,7 +408,7 @@ def test_near_sum_totality_on_random_seeds(seed):
     phi = random_jordan_iso(poset, ring, seed)
     dec = decompose(phi)
     assert dec.report.passed
-    rebuilt = near_sum_build(dec.psi, dec.theta, dec.split)
+    rebuilt = near_sum_build(dec.psi, dec.theta)
     assert rebuilt.columns == phi.columns
 
 
@@ -414,7 +448,7 @@ def test_near_sum_is_jordan(seed, poset, ring):
     else:
         dec = decompose(order_jordan_map(poset, ring, seed), allow_torsion=True)
     assume(dec.report.passed)
-    phi = near_sum_build(dec.psi, dec.theta, dec.split)
+    phi = near_sum_build(dec.psi, dec.theta)
     assert check_jordan(phi, allow_torsion=True).passed
 
 
@@ -438,7 +472,6 @@ def prepass_decompose(phi, allow_torsion=False):
         phi,
         LinMap(dom, cod, psi_cols),
         LinMap(dom, cod, theta_cols),
-        NearSumSplit.for_incidence(dom),
         None,
     )
     return replace(dec, report=scan_near_sum(dec))
@@ -447,26 +480,28 @@ def prepass_decompose(phi, allow_torsion=False):
 def scan_near_sum(dec):
     """verify_near_sum as a scan of every basis pair, kept as the oracle of
     the generator certificate."""
-    phi, psi, theta, split = dec.phi, dec.psi, dec.theta, dec.split
+    phi, psi, theta = dec.phi, dec.psi, dec.theta
     ring, cod = phi.ring, phi.codomain
+    diagonal = phi.domain.basis.diagonal_indices()
+    strict = phi.domain.basis.strict_indices()
     zero = [ring.zero] * cod.dimension
 
     def agreement():
-        for k in split.diagonal:
+        for k in diagonal:
             if psi.columns[k] != phi.columns[k]:
                 yield (k,), psi.columns[k], phi.columns[k], "psi vs phi"
             if theta.columns[k] != phi.columns[k]:
                 yield (k,), theta.columns[k], phi.columns[k], "theta vs phi"
 
     def recomposition():
-        for k in split.strict:
+        for k in strict:
             s = [ring.add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
             if tuple(s) != tuple(phi.columns[k]):
                 yield (k,), s, phi.columns[k]
 
     def annihilation():
-        for i in split.strict:
-            for j in split.strict:
+        for i in strict:
+            for j in strict:
                 p = cod.multiply(psi.columns[i], theta.columns[j])
                 if p != zero:
                     yield (i, j), p, zero, "psi(b_i) * theta(b_j)"
@@ -719,9 +754,7 @@ def damaged_decomposition(phi, corrupt, rng):
                     ring.add(a, b) for a, b in zip(cols["psi"][k], cols["theta"][k])
                 ]
     maps = {name: LinMap(dom, phi.codomain, c) for name, c in cols.items()}
-    return Decomposition(
-        maps["phi"], maps["psi"], maps["theta"], NearSumSplit.for_incidence(dom), None
-    )
+    return Decomposition(maps["phi"], maps["psi"], maps["theta"], None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -780,7 +813,7 @@ def test_generator_certificate_sees_each_clause_alone():
                 for (i, j), p, t in zip(dom.basis.pairs, psi.columns, theta.columns)
             ],
         )
-        return Decomposition(phi, psi, theta, NearSumSplit.for_incidence(dom), None)
+        return Decomposition(phi, psi, theta, None)
 
     units = {0: {(0, 0): 1}, 1: {(1, 1): 1}, 2: {(2, 2): 1}}
     cases = {
@@ -826,17 +859,6 @@ def test_generator_certificate_sees_each_clause_alone():
             assert {w.note for w in bad[0].witnesses} == {case}
         assert not _near_sum_holds(dec), case
         assert verify_near_sum(dec) == expected
-
-
-def test_full_scan_decides_other_splits():
-    # a split that is not the incidence split gets the full scan's verdict
-    A = incidence_algebra(P3, RATIONALS)
-    ident = LinMap.identity(A)
-    whole = NearSumSplit(A, tuple(range(A.dimension)), ())
-    dec = Decomposition(ident, ident, ident, whole, None)
-    assert not _near_sum_holds(dec)
-    assert verify_near_sum(dec) == scan_near_sum(dec)
-    assert not verify_near_sum(dec).passed  # the identity is not anti here
 
 
 def test_twisted_codomain_certificate_agrees_with_full_scan():
@@ -889,7 +911,7 @@ def test_verify_near_sum_flags_tampering():
     rev = order_isomorphisms(P3, P3, reversing=True)[0]
     phi = from_order_map(rev, RATIONALS)
     dec = decompose(phi)
-    tampered = Decomposition(phi, phi, dec.theta, dec.split, None)
+    tampered = Decomposition(phi, phi, dec.theta, None)
     rep = verify_near_sum(tampered)
     assert not rep.passed
     bad_names = {c.name for c in rep.checks if not c.passed}
@@ -1148,7 +1170,7 @@ def scan_equal_by_sandwiches(phi, a, b):
     return True
 
 
-def scan_sandwich_checks(phi, seed, samples=3):
+def scan_sandwich_checks(phi, seed):
     """The five sandwich families of verify_paper_identities as per-pair
     scans: each sandwich phi(e_x) v phi(e_y) multiplied afresh, left to
     right, for every instance that reads it.  The samples are the suite's
@@ -1159,6 +1181,7 @@ def scan_sandwich_checks(phi, seed, samples=3):
     n, labels = poset.size, poset.elements
     add, mul = ring.add, ring.mul
     zero_vec = [ring.zero] * cod.dimension
+    samples = _IDENTITY_SAMPLES
     rng = random.Random(seed)
     general = [FinSeries.delta(poset, ring), FinSeries.zeta(poset, ring)] + [
         random_series(poset, ring, rng, density=0.6) for _ in range(samples)
