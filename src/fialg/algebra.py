@@ -25,7 +25,7 @@ from .errors import (
     NotAUnitError,
     NotComparableError,
 )
-from .matrices import invert_columns, mat_vec
+from .matrices import _sparse_image, invert_columns
 from .posets import Poset
 from .rings import Ring
 
@@ -520,24 +520,33 @@ def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
 
     new_basis_columns[j] holds the old coordinates of the j-th new basis
     vector; the column matrix must be invertible over the ring.  The result
-    carries no incidence basis — it is a generic StructAlgebra.
+    carries no incidence basis — it is a generic StructAlgebra.  It costs one
+    invert_columns, then works on the nonzeros: cell (i, j) is the
+    multiply_sparse product of new basis vectors i and j, mapped through the
+    inverse's {index: nonzero} columns, so a zero product costs one check.
     """
+    return _change_basis(algebra, new_basis_columns)[0]
+
+
+def _change_basis(algebra: StructAlgebra, new_basis_columns):
+    """change_basis's algebra, and the inverse of the basis change as
+    {index: nonzero} columns, for callers that carry vectors across too."""
     ring = algebra.ring
     d = algebra.dimension
     cols = [list(c) for c in new_basis_columns]
     if len(cols) != d or any(len(c) != d for c in cols):
         raise FialgError("change of basis must be a square matrix of full size")
-    inv_cols = invert_columns(ring, cols)
-    cells = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            w = algebra.multiply(cols[i], cols[j])
-            coords = mat_vec(ring, inv_cols, w)
-            row.append(tuple((k, c) for k, c in enumerate(coords) if c))
-        cells.append(tuple(row))
-    identity = mat_vec(ring, inv_cols, algebra.identity)
-    return StructAlgebra(ring, tuple(cells), tuple(identity), basis=None)
+    inverse = [sparse_vector(c) for c in invert_columns(ring, cols)]
+    basis = [sparse_vector(c) for c in cols]
+
+    def transported(w: dict) -> tuple:
+        return tuple(sorted(_sparse_image(ring, inverse, w.items()).items())) if w else ()
+
+    multiply = algebra.multiply_sparse
+    cells = [[transported(multiply(u, v)) for v in basis] for u in basis]
+    one = sparse_vector(algebra.identity)
+    identity = algebra.dense(_sparse_image(ring, inverse, one.items()))
+    return StructAlgebra(ring, cells, identity, basis=None), inverse
 
 
 def random_series(

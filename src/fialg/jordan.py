@@ -105,14 +105,21 @@ def from_order_map(m: OrderMap, ring: Ring) -> LinMap:
 
 def conjugate_by_unit(u: FinSeries) -> LinMap:
     """The inner automorphism f -> u f u^-1 of the incidence algebra of u's
-    poset; u must have unit diagonal entries."""
+    poset; u must have unit diagonal entries.  The column of e_xy is the
+    outer product of column x of u and row y of u^-1,
+    (u e_xy u^-1)(a, b) = u(a, x) u^-1(y, b): one product per entry."""
     algebra = incidence_algebra(u.poset, u.ring)
-    u_inv = u.inverse()
+    index_of, mul = algebra.basis.index_of, u.ring.mul
+    left, right = {}, {}  # column x of u, row y of u^-1
+    for (a, x), c in u.coeffs.items():
+        left.setdefault(x, []).append((a, c))
+    for (y, b), e in u.inverse().coeffs.items():
+        right.setdefault(y, []).append((b, e))
     cols = []
-    for pair in algebra.basis.pairs:
-        b = FinSeries(u.poset, u.ring, {pair: u.ring.one})
-        cols.append(algebra.element_from_series(u * b * u_inv).coords)
-    return LinMap(algebra, algebra, cols)
+    for x, y in algebra.basis.pairs:
+        terms = ((index_of[a, b], mul(c, e)) for a, c in left[x] for b, e in right[y])
+        cols.append({k: w for k, w in terms if w})
+    return LinMap._of_canonical(algebra, algebra, [algebra.dense(c) for c in cols], cols)
 
 
 def near_sum_build(psi: LinMap, theta: LinMap) -> LinMap:
@@ -288,7 +295,9 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     Jordan recognizer runs first: a map that fails it raises NotJordanError,
     and only a Jordan map pays for the full scan.  Over a 2-torsion-free ring
     the pair scan stops at the first failure, and the exception's report,
-    jordan_pair_check's, is built when first read.
+    jordan_pair_check's, is built when first read.  With 2-torsion the report
+    is check_jordan's, whose jordan_quadratic check catches the maps that
+    pass the polarized laws but not m(aba) = m(a)m(b)m(a).
     """
     dom = _incidence_domain(phi)
     ring = phi.ring

@@ -16,7 +16,8 @@ are built only for witnesses, so a report is the one a dense scan gives.
 For a domain of dimension d, check_homomorphism takes one image product on
 each of d^2 pairs, the pair law two on each of d(d+1)/2 pairs, and the
 triple law two on each of d^2(d+1)/2 triples (b_i b_j b_k and b_k b_j b_i
-are one instance), plus the d^2 products images[i] images[j] it reuses.
+are one instance), plus the d^2 products images[i] images[j] it reuses;
+over a ring with 2-torsion the unpolarized laws add d + 2 d^2 products.
 The near-sum certificate behind decompose is check_homomorphism's scan,
 _homomorphism_failures, run on the generator rows of an incidence domain.
 """
@@ -27,13 +28,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgElem, StructAlgebra, change_basis, sparse_vector
+from .algebra import AlgElem, StructAlgebra, _change_basis, sparse_vector
 from .errors import (
     ContextMismatchError,
     FialgError,
     TorsionRefusedError,
 )
-from .matrices import invert_columns, mat_vec
+from .matrices import _sparse_image, invert_columns, mat_vec
 from .reports import CheckResult, VerificationReport, run_check
 
 
@@ -158,10 +159,12 @@ class LinMap:
 def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     """Rewrite m over a new codomain basis (columns = old coordinates of the
     new basis vectors).  The rewritten map acts identically; its codomain is
-    a generic StructAlgebra with transported structure constants."""
-    target = change_basis(m.codomain, new_basis_columns)
-    inv = invert_columns(m.ring, new_basis_columns)
-    return LinMap(m.domain, target, [mat_vec(m.ring, inv, col) for col in m.columns])
+    a generic StructAlgebra with transported structure constants.  The basis
+    change is inverted once, for change_basis's cells and for the columns,
+    which are the inverse's images of m's sparse columns."""
+    target, inverse = _change_basis(m.codomain, new_basis_columns)
+    cols = [_sparse_image(m.ring, inverse, c.items()) for c in m.sparse_columns]
+    return LinMap._of_canonical(m.domain, target, [target.dense(c) for c in cols], cols)
 
 
 def _sparse_add(ring, u: dict, v: dict) -> dict:
@@ -171,19 +174,6 @@ def _sparse_add(ring, u: dict, v: dict) -> dict:
     out = dict(u)
     for k, b in v.items():
         out[k] = add(out[k], b) if k in out else b
-    return {k: w for k, w in out.items() if w}
-
-
-def _sparse_image(ring, columns, pairs) -> dict:
-    """The image of the vector with these (index, nonzero payload) pairs
-    under the map with the given columns, all held as {index: nonzero
-    payload}: a combination of the columns the vector touches."""
-    add, mul = ring.add, ring.mul
-    out: dict = {}
-    for j, a in pairs:
-        for i, c in columns[j].items():
-            w = mul(a, c)
-            out[i] = add(out[i], w) if i in out else w
     return {k: w for k, w in out.items() if w}
 
 
@@ -274,7 +264,10 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
     basis pairs and the polarized triple law
     m(abc + cba) = m(a)m(b)m(c) + m(c)m(b)m(a) on all basis triples; over a
     2-torsion-free ring the two families pin down Jordan-ness for arbitrary
-    elements.  Refuses rings with 2-torsion unless allow_torsion is set.
+    elements.  Refuses rings with 2-torsion unless allow_torsion is set; on
+    such a ring a third check, jordan_quadratic, adds the unpolarized basis
+    laws m(b_i^2) = m(b_i)^2 and m(b_i b_j b_i) = m(b_i)m(b_j)m(b_i), which
+    with the two families give m(a^2) = m(a)^2 and m(aba) = m(a)m(b)m(a).
     """
     ring = m.ring
     if not ring.is_two_torsionfree() and not allow_torsion:
@@ -315,6 +308,31 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
                     if lhs != rhs:
                         yield (i, j, k), cod.dense(lhs), cod.dense(rhs)
 
-    return report.extend(
-        VerificationReport((run_check("jordan_triples", triple_failures()),))
-    )
+    checks = [run_check("jordan_triples", triple_failures())]
+    if not ring.is_two_torsionfree():
+        checks.append(run_check("jordan_quadratic", _quadratic_failures(m)))
+    return report.extend(VerificationReport(tuple(checks)))
+
+
+def _quadratic_failures(m: LinMap):
+    """The failures of the unpolarized basis laws m(b_i b_i) = m(b_i)m(b_i),
+    at (i, i), and m(b_i b_j b_i) = m(b_i)m(b_j)m(b_i), at (i, j, i).  The
+    polarized instances with a repeated index are twice these, so over a ring
+    with 2-torsion they can pass where these fail."""
+    dom, cod, ring = m.domain, m.codomain, m.ring
+    images = m.sparse_columns
+    multiply = cod.multiply_sparse
+    d = dom.dimension
+    for i in range(d):
+        lhs = _sparse_image(ring, images, dom.cells[i][i])
+        rhs = multiply(images[i], images[i])
+        if lhs != rhs:
+            yield (i, i), cod.dense(lhs), cod.dense(rhs)
+    for i in range(d):
+        unit = {i: ring.one}
+        for j in range(d):
+            inner = dom.multiply_sparse(dict(dom.cells[i][j]), unit)
+            lhs = _sparse_image(ring, images, inner.items())
+            rhs = multiply(multiply(images[i], images[j]), images[i])
+            if lhs != rhs:
+                yield (i, j, i), cod.dense(lhs), cod.dense(rhs)

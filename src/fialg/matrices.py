@@ -1,7 +1,8 @@
 """Exact matrix kernels used by the linear-map layer.
 
 Matrices are lists of columns (column[j][i] is the (i, j) entry), matching
-how linear maps store basis images.
+how linear maps store basis images; _sparse_image is mat_vec on columns and
+vectors held as {index: nonzero} dicts.
 
 Both invertibility kernels run one elimination loop over the rationals on
 sparse rows, {column: nonzero} dicts, since the pipeline's matrices (Jordan
@@ -35,6 +36,19 @@ def mat_vec(ring: Ring, columns, vec):
             if c:
                 out[i] = add(out[i], mul(a, c))
     return out
+
+
+def _sparse_image(ring, columns, pairs) -> dict:
+    """The image of the vector with these (index, nonzero payload) pairs
+    under the map with the given columns, all held as {index: nonzero
+    payload}: a combination of the columns the vector touches."""
+    add, mul = ring.add, ring.mul
+    out: dict = {}
+    for j, a in pairs:
+        for i, c in columns[j].items():
+            w = mul(a, c)
+            out[i] = add(out[i], w) if i in out else w
+    return {k: w for k, w in out.items() if w}
 
 
 def _eliminate(rows, reduce_above: bool) -> Fraction:

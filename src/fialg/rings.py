@@ -7,10 +7,10 @@ A Ring object owns the arithmetic and works on plain canonical payloads
 
 from __future__ import annotations
 
+import bisect
 import operator
 import re
 from fractions import Fraction
-from math import gcd
 
 from .errors import FialgError, NotAUnitError
 
@@ -190,9 +190,7 @@ class ModularRing(Ring):
 
     def sample_unit(self, rng):
         if self._units is None:
-            self._units = tuple(
-                r for r in range(1, self.modulus) if gcd(r, self.modulus) == 1
-            )
+            self._units = _UnitResidues(self.modulus)
         return rng.choice(self._units)
 
     def to_json(self):
@@ -206,6 +204,40 @@ class ModularRing(Ring):
 
     def __hash__(self):
         return hash(("modular", self.modulus))
+
+
+class _UnitResidues:
+    """The units of Z/n in increasing order, as a sequence that rng.choice
+    draws from without listing them: the length is Euler's phi(n), and entry
+    k is the least x with k + 1 units in [1, x], found by binary search on
+    that count, an inclusion-exclusion over n's prime factors (found once,
+    by trial division)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._divisors = [(1, 1)]  # the squarefree divisors, with Moebius signs
+        rest, p = n, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                self._divisors += [(d * p, -sign) for d, sign in self._divisors]
+                while rest % p == 0:
+                    rest //= p
+            p += 1 if p == 2 else 2
+        if rest > 1:  # the one prime factor above sqrt(n)
+            self._divisors += [(d * rest, -sign) for d, sign in self._divisors]
+        self._length = self._count(n)
+
+    def _count(self, x: int) -> int:
+        """The number of units in [1, x]."""
+        return sum(sign * (x // d) for d, sign in self._divisors)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k < self._length:
+            raise IndexError(k)
+        return 1 + bisect.bisect_left(range(1, self.n), k + 1, key=self._count)
 
 
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")

@@ -2,6 +2,7 @@
 corpus of generated Jordan isomorphisms used across test modules."""
 
 import itertools
+import random
 
 import pytest
 
@@ -63,6 +64,18 @@ def disjoint_union(*posets):
         labels += [f"{k}:{e}" for e in p.elements]
         pairs += [(f"{k}:{x}", f"{k}:{y}") for x, y in p.covers()]
     return validate_poset(labels, pairs)
+
+
+def unitriangular_shear(algebra, seed):
+    """A dense basis change: 1 on the diagonal, a ring sample at every entry
+    above it, so invertible over every ring."""
+    ring, d = algebra.ring, algebra.dimension
+    rng = random.Random(seed)
+    return [
+        [ring.sample(rng) if i < j else ring.one if i == j else ring.zero
+         for i in range(d)]
+        for j in range(d)
+    ]
 
 
 NAMED_POSETS = {

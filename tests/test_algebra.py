@@ -25,7 +25,14 @@ from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
 from fialg.matrices import invert_columns, mat_vec
 
-from conftest import all_posets_up_to, chain, diamond, two_two_chains
+from conftest import (
+    all_posets_up_to,
+    boolean_lattice,
+    chain,
+    diamond,
+    two_two_chains,
+    unitriangular_shear,
+)
 
 P3 = chain(3)
 D = diamond()
@@ -291,11 +298,16 @@ def is_zero_change_basis_cells(algebra, cols):
     ids=repr,
 )
 def test_change_basis_cells_match_is_zero_oracle(ring):
-    for poset in (P3, D, two_two_chains(), validate_poset([], [])):
+    posets = (P3, D, two_two_chains(), boolean_lattice(3), validate_poset([], []))
+    for poset in posets:
         A = incidence_algebra(poset, ring)
-        for seed in range(3):
-            cols = random_basis_change(A, seed)
-            assert change_basis(A, cols).cells == is_zero_change_basis_cells(A, cols)
+        changes = [random_basis_change(A, seed) for seed in range(3)]
+        changes.append(unitriangular_shear(A, seed=1))
+        for cols in changes:
+            B = change_basis(A, cols)
+            assert B.cells == is_zero_change_basis_cells(A, cols)
+            inverse = invert_columns(ring, cols)
+            assert B.identity == tuple(mat_vec(ring, inverse, A.identity))
 
 
 def test_element_context_guard():

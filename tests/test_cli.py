@@ -172,6 +172,24 @@ def test_verify_identities_torsion_gate():
     assert r2.returncode == 0
 
 
+def test_swap_shear_over_z2_is_not_jordan(tmp_path, capsys):
+    # phi(e_a) = e_b, phi(e_b) = e_a + e_b on the 2-element antichain over
+    # Z/2 passes the polarized laws; the unpolarized ones refuse it
+    poset = {"elements": ["a", "b"], "relations": []}
+    phi = {"domain_dim": 2, "codomain_dim": 2, "columns": [["0", "1"], ["1", "1"]]}
+    ctx = [
+        "--poset", write_json(tmp_path / "poset.json", poset),
+        "--ring", write_json(tmp_path / "ring.json", {"ring": {"modular": 2}}),
+        "--map", write_json(tmp_path / "map.json", phi),
+        "--allow-torsion",
+    ]
+    assert cli.run(["check-map", "--jordan", *ctx]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["jordan_quadratic"]
+    assert cli.run(["decompose", *ctx]) == 2
+    assert capsys.readouterr().err.startswith("error: NotJordanError")
+
+
 def test_verify_near_sum_and_identities_on_fixture():
     common = [
         "--poset", fx("poset_two_2chains.json"),

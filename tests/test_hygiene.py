@@ -46,3 +46,40 @@ def test_all_lists_exactly_the_public_names_of_the_package():
     public = {name for name in bound if not name.startswith("_")}
     assert len(fialg.__all__) == len(set(fialg.__all__))
     assert set(fialg.__all__) == public
+
+
+# The functions that still use the dense kernels, StructAlgebra.multiply
+# and mat_vec: what remains of ROADMAP item 3 (sparse-only kernels).  The list
+# only shrinks; a function that drops its dense call leaves it.
+DENSE_KERNEL_USERS = {
+    "algebra.AlgElem.__mul__",
+    "jordan._peirce_table",
+    "jordan._window_failures",
+    "jordan.extend_via_inverse",
+    "jordan.verify_paper_identities",
+    "linmaps.LinMap.apply_coords",
+}
+
+
+def functions(body, prefix=""):
+    """The module-level functions and the methods of a module body, by
+    qualified name; nested functions belong to the function around them."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node.body, prefix + node.name + ".")
+
+
+def test_dense_kernel_users_are_the_allowlist():
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, fn in functions(tree.body):
+            if any(
+                (isinstance(node, ast.Attribute) and node.attr == "multiply")
+                or (isinstance(node, ast.Name) and node.id == "mat_vec")
+                for node in ast.walk(fn)
+            ):
+                users.add(f"{path.stem}.{name}")
+    assert users == DENSE_KERNEL_USERS

@@ -181,6 +181,39 @@ def test_conjugation_is_a_unital_automorphism():
         conj.invert()  # must not raise
 
 
+def convolution_conjugation(u):
+    """conjugate_by_unit by FinSeries convolution, u * e_xy * u^-1 per basis
+    unit: the oracle for the outer-product columns."""
+    algebra = incidence_algebra(u.poset, u.ring)
+    u_inv = u.inverse()
+    cols = []
+    for pair in algebra.basis.pairs:
+        b = FinSeries(u.poset, u.ring, {pair: u.ring.one})
+        cols.append(algebra.element_from_series(u * b * u_inv).coords)
+    return LinMap(algebra, algebra, cols)
+
+
+@pytest.mark.parametrize("ring", TORSIONFREE_RINGS + (modular(15),), ids=repr)
+def test_conjugation_matches_convolution_oracle(ring, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjugate_by_unit made a convolution")
+
+    rng = random.Random(3)
+    for poset in all_posets_up_to(4):
+        for density in (0.4, 1.0):
+            u = random_unit_series(poset, ring, rng, density=density)
+            expected = convolution_conjugation(u)
+            with monkeypatch.context() as patch:
+                patch.setattr(FinSeries, "__mul__", refuse)
+                conj = conjugate_by_unit(u)
+            assert conj == expected
+            # zero products (3 * 3 over Z/9) are dropped from the sparse view
+            assert conj.sparse_columns == tuple(
+                {k: v for k, v in enumerate(col) if not ring.is_zero(v)}
+                for col in expected.columns
+            )
+
+
 def test_near_sum_build_mixed_example():
     psi, theta = mixed_pair(RATIONALS)
     phi = near_sum_build(psi, theta)
@@ -565,18 +598,52 @@ def test_decompose_agrees_with_prepass_oracle(seed, poset, ring, kind, allow_tor
     )
 
 
-def test_decompose_returns_failing_report_for_jordan_map_over_z4():
-    # e_x -> 3 e_x keeps the Jordan laws over Z/4, since 2 * (9 - 3) = 0 there,
-    # but psi(e_x)^2 = 9 e_x = e_x is not psi(e_x)
+def test_quadratic_check_refuses_a_polarized_jordan_map_over_z4():
+    # e_x -> 3 e_x keeps the polarized laws over Z/4, since 2 * (9 - 3) = 0
+    # there, but phi(e_x)^2 = 9 e_x = e_x is not phi(e_x) = phi(e_x^2)
     ring = modular(4)
     A = incidence_algebra(antichain(2), ring)
     phi = LinMap(A, A, [[3, 0], [0, 1]])
-    assert check_jordan(phi, allow_torsion=True).passed
-    dec = decompose(phi, allow_torsion=True)
-    assert [c.name for c in dec.report.checks if not c.passed] == [
-        "psi_homomorphism",
-        "theta_anti_homomorphism",
+    report = check_jordan(phi, allow_torsion=True)
+    assert [c.name for c in report.checks if not c.passed] == ["jordan_quadratic"]
+    quadratic = report.check("jordan_quadratic")
+    assert [(w.indices, w.left, w.right) for w in quadratic.witnesses] == [
+        ((0, 0), (3, 0), (1, 0))
     ]
+    with pytest.raises(NotJordanError) as info:
+        decompose(phi, allow_torsion=True)
+    assert info.value.report == report
+
+
+def swap_shear(ring):
+    """On the 2-element antichain, phi(e_a) = e_b and phi(e_b) = e_a + e_b.
+    phi(e_b e_a e_b) = 0, but phi(e_b)phi(e_a)phi(e_b) = e_b; the polarized
+    instances with a repeated index are twice that, which is 0 over Z/2."""
+    A = incidence_algebra(antichain(2), ring)
+    return LinMap(A, A, [[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 6])
+def test_quadratic_check_refuses_the_swap_shear_on_every_torsion_ring(modulus):
+    phi = swap_shear(modular(modulus))
+    report = check_jordan(phi, allow_torsion=True)
+    polarized = [c.passed for c in report.checks[:2]]
+    assert polarized == [modulus == 2] * 2
+    quadratic = report.check("jordan_quadratic")
+    assert [(w.indices, w.left, w.right) for w in quadratic.witnesses] == [
+        ((0, 1, 0), (0, 0), (0, 1)),
+        ((1, 0, 1), (0, 0), (0, 1)),
+    ]
+    with pytest.raises(NotJordanError) as info:
+        decompose(phi, allow_torsion=True)
+    assert info.value.report == report
+
+
+@pytest.mark.parametrize("ring", TORSIONFREE_RINGS, ids=repr)
+def test_torsionfree_jordan_reports_keep_two_checks(ring):
+    for phi in (swap_shear(ring), random_jordan_iso(TT, ring, seed=2)):
+        names = [c.name for c in check_jordan(phi).checks]
+        assert names == ["jordan_pairs", "jordan_triples"]
 
 
 def test_passing_certificate_needs_no_inverse_or_recognizer(monkeypatch):

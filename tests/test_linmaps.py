@@ -15,6 +15,7 @@ from fialg import (
     LinMap,
     NotInvertibleError,
     RATIONALS,
+    change_basis,
     check_homomorphism,
     check_jordan,
     conjugate_by_unit,
@@ -37,7 +38,13 @@ from fialg.reports import VerificationReport, run_check
 from fialg.rings import RationalRing
 from fialg.matrices import invert_columns, mat_vec, require_unit_determinant
 
-from conftest import all_posets_up_to, chain, diamond, two_two_chains
+from conftest import (
+    all_posets_up_to,
+    chain,
+    diamond,
+    two_two_chains,
+    unitriangular_shear,
+)
 
 P3 = chain(3)
 
@@ -149,6 +156,41 @@ def test_rebase_codomain_preserves_action():
         assert mat_vec(ring, U, new) == old
     # products still transported correctly: tw stays Jordan
     assert check_jordan(tw).passed
+
+
+@pytest.mark.parametrize(
+    "ring", [RATIONALS, INTEGERS, modular(9), modular(4), modular(15)], ids=repr
+)
+def test_rebase_codomain_inverts_once_and_matches_the_dense_route(ring, monkeypatch):
+    inversions = []
+
+    def counted(*args):
+        inversions.append(args)
+        return invert_columns(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rebase_codomain made a dense product")
+
+    for poset in (P3, diamond(), two_two_chains(), EMPTY_POSET):
+        orders = order_isomorphisms(poset, poset, reversing=True)
+        phi = from_order_map(orders[0], ring)
+        A = phi.codomain
+        for cols in (random_basis_change(A, seed=3), unitriangular_shear(A, seed=4)):
+            inverse = invert_columns(ring, cols)
+            expected = [mat_vec(ring, inverse, col) for col in phi.columns]
+            inversions.clear()
+            with monkeypatch.context() as patch:
+                for module in ("fialg.algebra", "fialg.linmaps"):
+                    patch.setattr(f"{module}.invert_columns", counted)
+                patch.setattr(StructAlgebra, "multiply", refuse)
+                patch.setattr("fialg.linmaps.mat_vec", refuse)
+                tw = rebase_codomain(phi, cols)
+            assert len(inversions) == 1
+            assert tw.codomain == change_basis(A, cols)
+            assert tw.columns == tuple(tuple(col) for col in expected)
+            assert tw.sparse_columns == tuple(
+                {k: v for k, v in enumerate(col) if v} for col in expected
+            )
 
 
 def test_check_jordan_torsion_gate():
@@ -285,11 +327,35 @@ def dense_jordan_pair_check(m):
     return VerificationReport((run_check("jordan_pairs", failures()),))
 
 
+def dense_quadratic_laws(m):
+    """check_jordan's jordan_quadratic check on dense coordinate lists."""
+    dom, cod = m.domain, m.codomain
+    images = m.columns
+
+    def failures():
+        for i in range(dom.dimension):
+            lhs = m.apply_coords(dom.basis_product(i, i))
+            rhs = cod.multiply(images[i], images[i])
+            if lhs != rhs:
+                yield (i, i), lhs, rhs
+        for i in range(dom.dimension):
+            for j in range(dom.dimension):
+                lhs = m.apply_coords(
+                    dom.multiply(dom.basis_product(i, j), dom.unit_vector(i))
+                )
+                rhs = cod.multiply(cod.multiply(images[i], images[j]), images[i])
+                if lhs != rhs:
+                    yield (i, j, i), lhs, rhs
+
+    return run_check("jordan_quadratic", failures())
+
+
 def dense_check_jordan(m):
     """check_jordan with allow_torsion, on dense coordinate lists."""
-    return dense_jordan_pair_check(m).extend(
-        VerificationReport((table_jordan_triples(m),))
-    )
+    checks = (table_jordan_triples(m),)
+    if not m.ring.is_two_torsionfree():
+        checks += (dense_quadratic_laws(m),)
+    return dense_jordan_pair_check(m).extend(VerificationReport(checks))
 
 
 EMPTY_POSET = validate_poset([], [])

@@ -1,5 +1,8 @@
 """Exact coefficient rings: axioms, units, torsion, serialization."""
 
+import math
+import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,10 +17,12 @@ from fialg import (
     NotAUnitError,
     incidence_algebra,
     modular,
+    random_jordan_iso,
     ring_from_json,
     validate_poset,
 )
 from fialg.errors import FialgError
+from fialg.rings import _UnitResidues
 
 RINGS = [INTEGERS, RATIONALS, modular(2), modular(9), modular(12), modular(97)]
 
@@ -97,6 +102,28 @@ def test_modular_units_by_gcd():
     from math import gcd
 
     assert units == {a for a in range(12) if gcd(a, 12) == 1}
+
+
+@pytest.mark.parametrize("n", [2, 9, 15, 45, 105, 2 * 3 * 5 * 7 * 11 * 13])
+def test_unit_sequence_equals_the_listed_units(n):
+    units = _UnitResidues(n)
+    listed = tuple(r for r in range(1, n) if math.gcd(r, n) == 1)
+    assert len(units) == len(listed)
+    assert tuple(units[k] for k in range(len(units))) == listed
+    with pytest.raises(IndexError):
+        units[len(listed)]
+    # rng.choice reads only len and [k], so it draws what the tuple gave
+    for seed in range(5):
+        assert random.Random(seed).choice(units) == random.Random(seed).choice(listed)
+
+
+def test_gen_jordan_over_a_large_prime_modulus_starts_at_once():
+    ring = modular(1000000007)
+    chain3 = validate_poset(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    start = time.perf_counter()
+    phi = random_jordan_iso(chain3, ring, seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert LinMap.from_json(phi.domain, phi.codomain, phi.to_json()) == phi
 
 
 def test_two_torsionfree_iff_odd_modulus():
