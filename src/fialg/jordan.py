@@ -12,21 +12,22 @@ which annihilate each other on the ideal.  decompose() builds the pair by
 linear extension over the unit basis; extend_via_inverse() rebuilds the same
 maps pointwise through phi^-1 and serves as the independent oracle.
 
-verify_near_sum() decides the five defining properties of the output.  It
-certifies them on the generators of the algebra, the idempotents e_x and
-the cover units e_xy with x covered by y: (n + c) * d image products for n
-elements, c covers and dimension d, where a scan of every basis pair takes
-d^2; its homomorphism clauses are check_homomorphism's own scan, run on the
-generator rows.  decompose() multiplies the maps' columns as {index:
-nonzero} dicts (LinMap.sparse_columns) with multiply_sparse, from the
-sandwiches to the verdict.  The full scan runs only when the certificate fails, to collect
-witnesses; decompose() runs the Jordan recognizer before it, so that only a
-Jordan map pays for the failing report, and the recognizer's own report is
-built only when NotJordanError.report is read.  verify_paper_identities()
-exercises the full family of sandwich, idempotent, and annihilation
-identities that make the construction work.  Its sandwich families read one
-table of Peirce components phi(e_x) v phi(e_y) per sample image v, and
-report what a per-pair scan does.
+verify_near_sum() decides the five defining properties of the output on
+pairs read off the incidence basis: the idempotent pairs (e_x, e_y), and
+each cover unit g = e_uv with e_u, e_v, the units e_vz that continue it and,
+for annihilation, the units e_yv and e_uz that meet it.  That is
+n^2 + O(c n) image products for n elements and c covers (505 on chain-13,
+where a scan of every basis pair takes 2 d^2); its homomorphism clauses are
+check_homomorphism's own scan.  decompose() multiplies the maps' columns as
+{index: nonzero} dicts (LinMap.sparse_columns) with multiply_sparse, from
+the sandwiches to the verdict.  The full scan runs only when the certificate
+fails, to collect witnesses; decompose() runs the Jordan recognizer before
+it, so that only a Jordan map pays for the failing report, and the
+recognizer's own report is built only when NotJordanError.report is read.
+verify_paper_identities() exercises the full family of sandwich, idempotent,
+and annihilation identities that make the construction work.  Its sandwich
+families read one table of Peirce components phi(e_x) v phi(e_y) per sample
+image v, and report what a per-pair scan does.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -35,6 +36,7 @@ coordinates.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, replace
 
@@ -291,10 +293,12 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     Requires phi out of an incidence-algebra presentation with a unit
     determinant, over a 2-torsion-free ring (override with allow_torsion).
     Returns psi, theta and the verify_near_sum report, whose five
-    checks are the Jordan verdict.  When the generator certificate fails, the
-    Jordan recognizer runs first: a map that fails it raises NotJordanError,
-    and only a Jordan map pays for the full scan.  Over a 2-torsion-free ring
-    the pair scan stops at the first failure, and the exception's report,
+    checks are the Jordan verdict.  The certificate's idempotent pairs read
+    only phi's diagonal columns, which psi and theta share, so they run
+    before psi and theta are built.  When the certificate fails, the Jordan
+    recognizer runs first: a map that fails it raises NotJordanError, and
+    only a Jordan map pays for the full scan.  Over a 2-torsion-free ring the
+    pair scan stops at the first failure, and the exception's report,
     jordan_pair_check's, is built when first read.  With 2-torsion the report
     is check_jordan's, whose jordan_quadratic check catches the maps that
     pass the polarized laws but not m(aba) = m(a)m(b)m(a).
@@ -307,12 +311,12 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         )
     require_unit_determinant(ring, phi.columns)
 
-    cod = phi.codomain
-    psi, theta = (
-        LinMap._of_canonical(dom, cod, [cod.dense(c) for c in cols], cols)
-        for cols in _near_sum_columns(phi)
-    )
-    dec = Decomposition(phi, psi, theta, None)
+    def sandwiches():
+        cod = phi.codomain
+        maps = (LinMap._of_canonical(dom, cod, [cod.dense(c) for c in cols], cols)
+                for cols in _near_sum_columns(phi))
+        return Decomposition(phi, *maps, None)
+
     # A passing report makes phi Jordan on every ring.  Write d = psi(a_D),
     # p = psi(a_Z), t = theta(a_Z), so that phi(a) = d + p + t.  Any product
     # holding both a p and a t vanishes by strict_annihilation, because a d
@@ -321,7 +325,8 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     # no division by 2.  The recognizer is needed only on failure, for the
     # witnesses of NotJordanError; over a 2-torsion-free ring the pair law
     # forces the triple law, so the pair scan is enough there.
-    if _near_sum_holds(dec):
+    dec = sandwiches() if _idempotents_hold(phi) else None
+    if dec is not None and _covers_hold(dec):
         return replace(dec, report=_NEAR_SUM_PASS)
     if ring.is_two_torsionfree():
         failed = not _jordan_pair_verdict(phi).passed
@@ -333,6 +338,7 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         raise NotJordanError(
             "map fails the Jordan identities; see attached report", report=report
         )
+    dec = dec or sandwiches()
     return replace(dec, report=_near_sum_scan(dec))
 
 
@@ -394,14 +400,14 @@ def verify_near_sum(dec: Decomposition) -> VerificationReport:
     """Decide the five properties that make (psi, theta) a near-sum
     presentation of phi; exact, basis-level, witness-reporting.
 
-    The verdict comes from the generator certificate, which checks the
-    products of the idempotents and cover units with every basis unit,
-    (n + c) * d of them, where a scan of every basis pair takes d^2; for psi
-    and theta it is check_homomorphism's scan on the generator rows.  A pass
-    is reported as five passing checks with no witnesses, which is what the
-    full scan reports.  Only on failure does the full scan run, and its
-    report carries each check's failure count and witnesses.  phi's domain
-    must carry an incidence basis.
+    The verdict comes from the certificate, which runs the instances of the
+    full scan that are not zero on both sides once phi's idempotent images
+    are orthogonal: the idempotent pairs, and the pairs of each cover unit
+    that _cover_pairs lists; for psi and theta it is check_homomorphism's
+    scan on those pairs.  A pass is reported as five passing checks with no
+    witnesses, which is what the full scan reports.  Only on failure does
+    the full scan run, and its report carries each check's failure count and
+    witnesses.  phi's domain must carry an incidence basis.
     """
     if _near_sum_holds(dec):
         return _NEAR_SUM_PASS
@@ -409,40 +415,60 @@ def verify_near_sum(dec: Decomposition) -> VerificationReport:
 
 
 def _near_sum_holds(dec: Decomposition) -> bool:
-    """The verdict of the full scan, from the generators of phi's incidence
-    domain.
+    """The verdict of the full scan, from pairs read off phi's incidence
+    domain: those of the cover units, then the idempotent pairs."""
+    return _covers_hold(dec) and _idempotents_hold(dec.psi)
 
-    Exact when psi and theta share phi's domain and codomain; for any other
-    shape this answers False, so that verify_near_sum runs the full scan.
-    """
+
+def _idempotents_hold(m: LinMap) -> bool:
+    """The idempotent pairs: does m(e_x) m(e_y) = delta_xy m(e_x) hold?"""
+    pairs = itertools.product(m.domain.basis.diagonal_indices(), repeat=2)
+    return next(_homomorphism_failures(m, pairs, anti=False), None) is None
+
+
+def _cover_pairs(basis):
+    """The certificate's pairs of each cover g = e_uv, by family: placements
+    (e_u, g) and (g, e_v), rows (g, e_vz) for z > v, and annihilation pairs
+    (g, e_yv, False) for y < v and (g, e_uz, True) for z > u."""
+    poset, index_of = basis.poset, basis.index_of
+    rel, n = poset.relation, poset.size
+    placements, rows, left, right = [], [], [], []
+    for a, b in poset.covers():
+        u, v = poset.index(a), poset.index(b)
+        g = index_of[u, v]
+        placements += [(index_of[u, u], g), (g, index_of[v, v])]
+        rows += [(g, index_of[v, z]) for z in range(n) if z != v and rel[v][z]]
+        left += [(g, index_of[y, v], False) for y in range(n) if y != v and rel[y][v]]
+        right += [(g, index_of[u, z], True) for z in range(n) if z != u and rel[u][z]]
+    return placements, rows, left, right
+
+
+def _covers_hold(dec: Decomposition) -> bool:
+    """The certificate but for the idempotent pairs, which it presumes; False
+    unless psi and theta share phi's domain and codomain."""
     phi, psi, theta = dec.phi, dec.psi, dec.theta
     dom, cod = _incidence_domain(phi), phi.codomain
     if (psi.domain, theta.domain, psi.codomain, theta.codomain) != (dom, dom, cod, cod):
         return False
-    basis = dom.basis
-    # The idempotents e_x and the cover units generate the algebra: a strict
-    # unit e_xy is the product g_1 ... g_k of the cover units along a maximal
-    # chain from x to y.  Write e_xy = g a' with g = g_1; by induction on k,
-    # psi(e_xy b) = psi(g (a'b)) = psi(g) psi(a') psi(b) = psi(e_xy) psi(b),
-    # and theta(e_xy b) = theta(a'b) theta(g) = theta(b) theta(e_xy).  For
-    # annihilation, e_xy = a'' g_k gives psi(e_xy) theta(b) =
-    # psi(a'') psi(g_k) theta(b) = 0, and e_xy = g_1 a' gives theta(e_xy)
-    # psi(b) = theta(a') theta(g_1) psi(b) = 0, for every strict unit b.  So
-    # the generator rows of the full scan, run by the scan's own code, settle
-    # all of it; the argument needs only the codomain's associativity.
-    poset = basis.poset
-    covers = [
-        basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
-    ]
-    generators = list(basis.diagonal_indices()) + covers
+    # With P_x = psi(e_x) = theta(e_x) and P_x P_y = delta_xy P_x, a cover
+    # g = e_uv's placements psi(g) = P_u psi(g) = psi(g) P_v and rows psi(e_uz)
+    # = psi(g) psi(e_vz) give, by induction along a maximal chain, psi(e_yz) =
+    # P_y psi(e_yz) = psi(e_yz) P_z and psi(e_yw) psi(e_wz) = psi(e_yz) for all
+    # strict units.  So psi is a homomorphism: a product of units that do not
+    # meet holds some P_a P_b with a != b, zero on both sides; theta mirrors
+    # it.  psi(e_ab) theta(e_cd) = psi(e_ab) P_b P_d theta(e_cd) is zero unless
+    # b = d, and then it is psi(a'') psi(g) theta(e_cb) for a cover g = e_wb, a
+    # listed pair; theta(e_ab) psi(e_ad) mirrors it.  Only associativity is
+    # used, and every pair is an instance of the full scan.
+    placements, rows, left, right = _cover_pairs(dom.basis)
     return all(
         next(failures, None) is None
         for failures in (
             _agreement_failures(dec),
             _recomposition_failures(dec),
-            _homomorphism_failures(psi, generators, anti=False),
-            _homomorphism_failures(theta, generators, anti=True),
-            _annihilation_failures(dec, covers),
+            _homomorphism_failures(psi, placements + rows, anti=False),
+            _homomorphism_failures(theta, placements + rows, anti=True),
+            _annihilation_failures(dec, left + right),
         )
     )
 
@@ -450,16 +476,17 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 def _near_sum_scan(dec: Decomposition) -> VerificationReport:
     """The five near-sum checks over every basis pair."""
     psi_hom, theta_anti, agreement, recomposition, annihilation = _NEAR_SUM_CHECKS
-    psi_rows = range(dec.psi.domain.dimension)
-    theta_rows = range(dec.theta.domain.dimension)
+    psi_pairs = itertools.product(range(dec.psi.domain.dimension), repeat=2)
+    theta_pairs = itertools.product(range(dec.theta.domain.dimension), repeat=2)
     strict = dec.phi.domain.basis.strict_indices()
+    strict_pairs = ((i, j, t) for i in strict for j in strict for t in (False, True))
     return VerificationReport(
         (
-            run_check(psi_hom, _homomorphism_failures(dec.psi, psi_rows, False)),
-            run_check(theta_anti, _homomorphism_failures(dec.theta, theta_rows, True)),
+            run_check(psi_hom, _homomorphism_failures(dec.psi, psi_pairs, False)),
+            run_check(theta_anti, _homomorphism_failures(dec.theta, theta_pairs, True)),
             run_check(agreement, _agreement_failures(dec)),
             run_check(recomposition, _recomposition_failures(dec)),
-            run_check(annihilation, _annihilation_failures(dec, strict)),
+            run_check(annihilation, _annihilation_failures(dec, strict_pairs)),
         )
     )
 
@@ -483,23 +510,19 @@ def _recomposition_failures(dec: Decomposition):
             yield (k,), phi.codomain.dense(s), phi.columns[k]
 
 
-def _annihilation_failures(dec: Decomposition, rows):
-    """psi(b_i) theta(b_j) and theta(b_i) psi(b_j) against zero, for i in
-    rows and every strict j, on the sparse columns; the witnesses are
-    dense."""
+def _annihilation_failures(dec: Decomposition, pairs):
+    """psi(b_i) theta(b_j), or theta(b_i) psi(b_j) when mirrored, against
+    zero for (i, j, mirrored) in pairs, on the sparse columns; the witnesses
+    are dense."""
     cod = dec.phi.codomain
     psi, theta = dec.psi.sparse_columns, dec.theta.sparse_columns
     multiply = cod.multiply_sparse
     zero_vec = [dec.phi.ring.zero] * cod.dimension
-    strict = dec.phi.domain.basis.strict_indices()
-    for i in rows:
-        for j in strict:
-            p = multiply(psi[i], theta[j])
-            if p:
-                yield (i, j), cod.dense(p), zero_vec, "psi(b_i) * theta(b_j)"
-            q = multiply(theta[i], psi[j])
-            if q:
-                yield (i, j), cod.dense(q), zero_vec, "theta(b_i) * psi(b_j)"
+    notes = ("psi(b_i) * theta(b_j)", "theta(b_i) * psi(b_j)")
+    for i, j, mirrored in pairs:
+        p = multiply(theta[i], psi[j]) if mirrored else multiply(psi[i], theta[j])
+        if p:
+            yield (i, j), cod.dense(p), zero_vec, notes[mirrored]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ triple law two on each of d^2(d+1)/2 triples (b_i b_j b_k and b_k b_j b_i
 are one instance), plus the d^2 products images[i] images[j] it reuses;
 over a ring with 2-torsion the unpolarized laws add d + 2 d^2 products.
 The near-sum certificate behind decompose is check_homomorphism's scan,
-_homomorphism_failures, run on the generator rows of an incidence domain.
+_homomorphism_failures, run on basis pairs read off an incidence domain.
 """
 
 from __future__ import annotations
@@ -177,23 +177,20 @@ def _sparse_add(ring, u: dict, v: dict) -> dict:
     return {k: w for k, w in out.items() if w}
 
 
-def _homomorphism_failures(m: LinMap, rows, anti: bool):
-    """m(b_i b_j) against m(b_i) m(b_j), or m(b_j) m(b_i) with anti, for i in
-    rows and every j, on m's sparse columns; the witnesses are dense, as
-    run_check takes them."""
+def _homomorphism_failures(m: LinMap, pairs, anti: bool):
+    """m(b_i b_j) against m(b_i) m(b_j), or m(b_j) m(b_i) with anti, for the
+    basis pairs (i, j) given, in their order, on m's sparse columns; the
+    witnesses are dense, as run_check takes them."""
     cod, ring = m.codomain, m.ring
     images = m.sparse_columns
     multiply = cod.multiply_sparse
-    for i in rows:
-        for j, cell in enumerate(m.domain.cells[i]):
-            lhs = _sparse_image(ring, images, cell) if cell else {}
-            rhs = (
-                multiply(images[j], images[i])
-                if anti
-                else multiply(images[i], images[j])
-            )
-            if lhs != rhs:
-                yield (i, j), cod.dense(lhs), cod.dense(rhs)
+    cells = m.domain.cells
+    for i, j in pairs:
+        cell = cells[i][j]
+        lhs = _sparse_image(ring, images, cell) if cell else {}
+        rhs = multiply(images[j], images[i]) if anti else multiply(images[i], images[j])
+        if lhs != rhs:
+            yield (i, j), cod.dense(lhs), cod.dense(rhs)
 
 
 def check_homomorphism(
@@ -207,8 +204,8 @@ def check_homomorphism(
     checked as a separate clause.
     """
     name = "anti_homomorphism" if anti else "homomorphism"
-    rows = range(m.domain.dimension)
-    checks = [run_check(name, _homomorphism_failures(m, rows, anti))]
+    pairs = itertools.product(range(m.domain.dimension), repeat=2)
+    checks = [run_check(name, _homomorphism_failures(m, pairs, anti))]
     if unital:
         lhs = m.apply_coords(m.domain.identity)
         rhs = list(m.codomain.identity)

@@ -83,3 +83,60 @@ def test_dense_kernel_users_are_the_allowlist():
             ):
                 users.add(f"{path.stem}.{name}")
     assert users == DENSE_KERNEL_USERS
+
+
+# The functions that read a domain's structure constants (.cells) and
+# multiply images with multiply_sparse: the one homomorphism scan and the
+# Jordan scans.  A second homomorphism or anti-homomorphism scan would join
+# this list.
+IMAGE_SCANS = {
+    "linmaps._homomorphism_failures",
+    "linmaps._jordan_pair_failures",
+    "linmaps._quadratic_failures",
+    "linmaps.check_jordan",
+}
+
+
+def call_graph():
+    """Each function of the package, by qualified name, with the functions
+    it calls by plain name; a name defined in several modules links to
+    each."""
+    bodies = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, fn in functions(tree.body):
+            bodies[f"{path.stem}.{name}"] = fn
+    by_name = {}
+    for qualified in bodies:
+        by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(qualified)
+    return {
+        qualified: {
+            callee
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            for callee in by_name.get(node.func.id, [])
+        }
+        for qualified, fn in bodies.items()
+    }, bodies
+
+
+def reaches(graph, start, target):
+    seen, stack = {start}, [start]
+    while stack:
+        for callee in graph[stack.pop()] - seen:
+            seen.add(callee)
+            stack.append(callee)
+    return target in seen
+
+
+def test_one_homomorphism_scan():
+    graph, bodies = call_graph()
+    for caller in ("jordan._near_sum_holds", "linmaps.check_homomorphism"):
+        assert reaches(graph, caller, "linmaps._homomorphism_failures"), caller
+    scans = {
+        name
+        for name, fn in bodies.items()
+        if {"cells", "multiply_sparse"}
+        <= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    }
+    assert scans == IMAGE_SCANS

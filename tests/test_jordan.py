@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -50,7 +51,13 @@ from fialg import (
 )
 from fialg import linmaps
 from fialg.errors import FialgError
-from fialg.jordan import _IDENTITY_SAMPLES, _near_sum_columns, _near_sum_holds
+from fialg.jordan import (
+    _IDENTITY_SAMPLES,
+    _annihilation_failures,
+    _cover_pairs,
+    _near_sum_columns,
+    _near_sum_holds,
+)
 from fialg.matrices import mat_vec
 
 from conftest import (
@@ -84,8 +91,36 @@ def order_jordan_map(poset, ring, seed):
     return conjugate_by_unit(random_unit_series(poset, ring, rng)).compose(base)
 
 
+# Complementary idempotents e + f = 1 of the rings with more than two.
+SPLIT_IDEMPOTENTS = {modular(15): (6, 10), modular(45): (10, 36)}
+
+
+def proper_near_sum(poset, ring, seed):
+    """c o (e sigma + f tau) for the complementary idempotents e, f of Z/15
+    or Z/45, a random order automorphism sigma and anti-automorphism tau and
+    a unit conjugation c.  It is Jordan, and psi and theta are both nonzero
+    on each component with a strict pair; a poset with no anti-automorphism
+    gets the generator's map."""
+    rng = random.Random(seed)
+    reversed_maps = order_isomorphisms(poset, poset, reversing=True)
+    if not reversed_maps:
+        return random_jordan_iso(poset, ring, seed)
+    e, f = SPLIT_IDEMPOTENTS[ring]
+    sigma = from_order_map(rng.choice(order_isomorphisms(poset, poset)), ring)
+    tau = from_order_map(rng.choice(reversed_maps), ring)
+    mixed = [
+        [ring.add(ring.mul(e, a), ring.mul(f, b)) for a, b in zip(s, t)]
+        for s, t in zip(sigma.columns, tau.columns)
+    ]
+    conj = conjugate_by_unit(random_unit_series(poset, ring, rng))
+    return conj.compose(LinMap(sigma.domain, sigma.codomain, mixed))
+
+
 def jordan_map(poset, ring, seed):
-    """The generator's map over a 2-torsion-free ring, else an order map."""
+    """The generator's map over a 2-torsion-free ring, a proper near-sum over
+    Z/15 and Z/45, else an order map."""
+    if ring in SPLIT_IDEMPOTENTS:
+        return proper_near_sum(poset, ring, seed)
     if ring.is_two_torsionfree():
         return random_jordan_iso(poset, ring, seed)
     return order_jordan_map(poset, ring, seed)
@@ -790,11 +825,12 @@ def test_decompose_stops_at_the_first_pair_law_failure(poset, monkeypatch):
 
 def damaged_decomposition(phi, corrupt, rng):
     """The near-sum candidate decompose() builds from phi, with at most one
-    generator column of psi or theta replaced by u * column + r * e_t for a
-    random unit u and scalar r.  A cover column is corrupted with phi's
-    column recomposed as psi + theta, so strict_sum_recomposition still
-    holds; a "shared" diagonal column is corrupted in phi, psi and theta
-    alike, so diagonal_agreement still holds."""
+    diagonal, cover or other strict column of psi or theta replaced by u *
+    column + r * e_t for a random unit u and scalar r.  A strict column is
+    corrupted with phi's column recomposed as psi + theta, so
+    strict_sum_recomposition still holds; a "shared" diagonal column is
+    corrupted in phi, psi and theta alike, so diagonal_agreement still
+    holds."""
     ring = phi.ring
     dom = phi.domain
     basis = dom.basis
@@ -806,7 +842,11 @@ def damaged_decomposition(phi, corrupt, rng):
     ]
     if corrupt is not None:
         target, block = corrupt.split("-")
-        pool = covers if block == "cover" else list(basis.diagonal_indices())
+        pool = {
+            "cover": covers,
+            "strict": [k for k in basis.strict_indices() if k not in covers],
+            "diagonal": list(basis.diagonal_indices()),
+        }[block]
         if pool:
             k = rng.choice(pool)
             u, r = ring.sample_unit(rng), ring.sample(rng)
@@ -816,7 +856,7 @@ def damaged_decomposition(phi, corrupt, rng):
                 col = [ring.mul(u, v) for v in cols[name][k]]
                 col[t] = ring.add(col[t], r)
                 cols[name][k] = col
-            if block == "cover":
+            if block != "diagonal":
                 cols["phi"][k] = [
                     ring.add(a, b) for a, b in zip(cols["psi"][k], cols["theta"][k])
                 ]
@@ -824,20 +864,25 @@ def damaged_decomposition(phi, corrupt, rng):
     return Decomposition(maps["phi"], maps["psi"], maps["theta"], None)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     ORACLE_POSETS,
-    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS),
+    st.sampled_from(TORSIONFREE_RINGS + TORSION_RINGS + tuple(SPLIT_IDEMPOTENTS)),
     st.sampled_from(["jordan", "perturbed", "sheared", "random-column"]),
     st.sampled_from(
-        [None, "psi-cover", "theta-cover", "psi-diagonal", "theta-diagonal",
-         "shared-diagonal"]
+        [None, "psi-cover", "theta-cover", "psi-strict", "theta-strict",
+         "psi-diagonal", "theta-diagonal", "shared-diagonal"]
     ),
+    st.booleans(),
     st.integers(0, 10 ** 6),
 )
-def test_generator_certificate_agrees_with_full_scan(poset, ring, kind, corrupt, seed):
+def test_generator_certificate_agrees_with_full_scan(
+    poset, ring, kind, corrupt, twist, seed
+):
     rng = random.Random(seed)
     phi = damaged_map(jordan_map(poset, ring, seed), kind, rng)
+    if twist:
+        phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed))
     dec = damaged_decomposition(phi, corrupt, rng)
     expected = scan_near_sum(dec)
     assert _near_sum_holds(dec) == expected.passed
@@ -845,10 +890,37 @@ def test_generator_certificate_agrees_with_full_scan(poset, ring, kind, corrupt,
     assert verify_near_sum(dec).to_json(fmt) == expected.to_json(fmt)
 
 
+def certificate_families(dec):
+    """The pair families of the near-sum certificate that fail on dec, in
+    the order the certificate lists them."""
+    basis = dec.phi.domain.basis
+    diagonal = basis.diagonal_indices()
+    placements, rows, left, right = _cover_pairs(basis)
+    hom = linmaps._homomorphism_failures
+
+    def both(pairs):
+        return itertools.chain(
+            hom(dec.psi, pairs, anti=False), hom(dec.theta, pairs, anti=True)
+        )
+
+    runs = {
+        "idempotent pairs": hom(
+            dec.psi, [(i, j) for i in diagonal for j in diagonal], anti=False
+        ),
+        "cover placements": both(placements),
+        "cover rows": both(rows),
+        "psi(g) theta(e_yv)": _annihilation_failures(dec, left),
+        "theta(g) psi(e_uz)": _annihilation_failures(dec, right),
+    }
+    return [name for name, failures in runs.items() if next(failures, None)]
+
+
 def test_generator_certificate_sees_each_clause_alone():
     # Each decomposition breaks one clause of the full scan and keeps the
-    # other four, so a certificate that skips that clause's generators, or
-    # one of its orders, would pass it.
+    # other four, so a certificate that skips that clause's pairs, or one of
+    # its orders, would pass it.  Each pair family of the certificate is
+    # also the only one to fail on some case, so a certificate without that
+    # family would pass the case.
     ring = RATIONALS
     c2, c3 = chain(2), chain(3)
 
@@ -899,6 +971,17 @@ def test_generator_certificate_sees_each_clause_alone():
         "idempotent": decomposition(
             c2, c2, {0: {(0, 0): 2}, 1: {(1, 1): 1}}, {(0, 1): {(0, 1): 1}}, {}
         ),
+        # e_1 -> e_a, e_2 -> e_a + e_b and e_12 -> 0: idempotents whose
+        # product e_a is not zero, with nothing for a cover pair to see
+        "idempotent pairs": decomposition(
+            c2, c2, {0: {(0, 0): 1}, 1: {(0, 0): 1, (1, 1): 1}}, {}, {}
+        ),
+        # psi(e_12) = e_ab + e_b is not e_a psi(e_12) = e_ab; chain-2 has no
+        # cover row
+        "cover placements": decomposition(
+            c2, c2, {0: {(0, 0): 1}, 1: {(1, 1): 1}},
+            {(0, 1): {(0, 1): 1, (1, 1): 1}}, {}
+        ),
         # into chain-3 with e_1 -> e_a + e_c, e_2 -> e_b, psi(e_12) = e_ab and
         # theta(e_12) = e_bc: psi(e_12) theta(e_12) = e_ac, the other order 0
         "psi(b_i) * theta(b_j)": decomposition(
@@ -915,8 +998,19 @@ def test_generator_certificate_sees_each_clause_alone():
         "psi_homomorphism": ["psi_homomorphism"],
         "theta_anti_homomorphism": ["theta_anti_homomorphism"],
         "idempotent": ["psi_homomorphism", "theta_anti_homomorphism"],
+        "idempotent pairs": ["psi_homomorphism", "theta_anti_homomorphism"],
+        "cover placements": ["psi_homomorphism"],
         "psi(b_i) * theta(b_j)": ["strict_annihilation"],
         "theta(b_i) * psi(b_j)": ["strict_annihilation"],
+    }
+    families = {
+        "psi_homomorphism": ["cover rows"],
+        "theta_anti_homomorphism": ["cover placements", "cover rows"],
+        "idempotent": ["idempotent pairs", "cover placements"],
+        "idempotent pairs": ["idempotent pairs"],
+        "cover placements": ["cover placements"],
+        "psi(b_i) * theta(b_j)": ["psi(g) theta(e_yv)"],
+        "theta(b_i) * psi(b_j)": ["theta(g) psi(e_uz)"],
     }
     for case, dec in cases.items():
         expected = scan_near_sum(dec)
@@ -924,8 +1018,14 @@ def test_generator_certificate_sees_each_clause_alone():
         assert [c.name for c in bad] == failing[case], case
         if failing[case] == ["strict_annihilation"]:
             assert {w.note for w in bad[0].witnesses} == {case}
+        assert certificate_families(dec) == families[case], case
         assert not _near_sum_holds(dec), case
         assert verify_near_sum(dec) == expected
+    alone = {names[0] for names in families.values() if len(names) == 1}
+    assert alone == {
+        "idempotent pairs", "cover placements", "cover rows",
+        "psi(g) theta(e_yv)", "theta(g) psi(e_uz)",
+    }
 
 
 def test_twisted_codomain_certificate_agrees_with_full_scan():
@@ -934,6 +1034,114 @@ def test_twisted_codomain_certificate_agrees_with_full_scan():
             dec = decompose(phi)
             assert _near_sum_holds(dec)
             assert dec.report == scan_near_sum(dec)
+
+
+def counted_sparse_products(monkeypatch):
+    """A one-item list that counts StructAlgebra.multiply_sparse calls from
+    now on."""
+    calls = [0]
+    multiply_sparse = StructAlgebra.multiply_sparse
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return multiply_sparse(self, u, v)
+
+    monkeypatch.setattr(StructAlgebra, "multiply_sparse", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "poset, ring, products",
+    [
+        (chain(13), RATIONALS, 505),
+        (disjoint_union(chain(7), chain(7)), INTEGERS, 388),
+    ],
+    ids=["13", "2x7"],
+)
+def test_certificate_makes_one_product_per_listed_pair(poset, ring, products,
+                                                        monkeypatch):
+    # n^2 idempotent pairs; per cover e_uv, for psi and for theta, two
+    # placements and one row per z > v; one annihilation pair per y < v and
+    # one per z > u.  Chain-13: 169 + 2 * (24 + 66) + 12 * 13 = 505.  Two
+    # 7-chains: 196 + 2 * (24 + 30) + 12 * 7 = 388.  The generator rows made
+    # (n + c) * d products per map and 2 c s for annihilation: 6,422 and
+    # 3,920.
+    dec = decompose(random_jordan_iso(poset, ring, seed=3))
+    calls = counted_sparse_products(monkeypatch)
+    assert _near_sum_holds(dec)
+    assert calls[0] == products
+
+
+@pytest.mark.parametrize(
+    "poset", [chain(7), disjoint_union(chain(7), chain(7))], ids=["7", "2x7"]
+)
+def test_decompose_rejects_a_shear_before_building_psi_and_theta(poset,
+                                                                 monkeypatch):
+    # phi(e_x) += 2 phi(e_y) breaks an idempotent pair, so decompose goes to
+    # the pair scan without the sandwiches: at most n^2 products before it
+    # and 2n in it (63 and 224), where building psi and theta first made up
+    # to 245 and 882
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built psi and theta for a shear")
+
+    n = poset.size
+    maps = [random_jordan_iso(poset, ring, seed=1) for ring in TORSIONFREE_RINGS]
+    monkeypatch.setattr("fialg.jordan._near_sum_columns", refuse)
+    calls = counted_sparse_products(monkeypatch)
+    worst = 0
+    for phi in maps:
+        for x, y in itertools.permutations(range(n), 2):
+            bad = sheared(phi, x, y)
+            calls[0] = 0
+            with pytest.raises(NotJordanError):
+                decompose(bad)
+            worst = max(worst, calls[0])
+    assert 0 < worst <= n * n + 2 * n
+
+
+def test_decompose_reports_the_full_scan_when_the_recognizer_passes(monkeypatch):
+    # No map is known to reach this return: a map that fails the certificate
+    # fails the recognizer too.  With a recognizer that passes, decompose
+    # must return the full scan's report on the sandwich psi and theta, built
+    # late when the idempotent pairs failed (the shears) and early when only
+    # a cover pair did (the strict perturbation).
+    passing = run_check("jordan_pairs", [])
+    monkeypatch.setattr("fialg.jordan._jordan_pair_verdict", lambda m: passing)
+    monkeypatch.setattr(
+        "fialg.jordan.check_jordan",
+        lambda m, allow_torsion: VerificationReport((passing,)),
+    )
+    phi = random_jordan_iso(chain(4), INTEGERS, seed=3)
+    cols = [list(c) for c in phi.columns]
+    k = phi.domain.basis.strict_indices()[-1]
+    cols[k][0] += 1
+    torsion = order_jordan_map(chain(3), modular(4), seed=3)
+    maps = [
+        sheared(phi, 0, 1),
+        LinMap(phi.domain, phi.codomain, cols),
+        sheared(torsion, 0, 1),
+    ]
+    for bad in maps:
+        dec = decompose(bad, allow_torsion=True)
+        cod = bad.codomain
+        for m, sparse in zip((dec.psi, dec.theta), _near_sum_columns(bad)):
+            assert m.sparse_columns == tuple(sparse)
+            assert m.columns == tuple(tuple(cod.dense(c)) for c in sparse)
+        assert dec.report == scan_near_sum(dec)
+        assert not dec.report.passed
+
+
+@pytest.mark.parametrize("ring", tuple(SPLIT_IDEMPOTENTS), ids=repr)
+def test_proper_near_sums_split_both_halves(ring):
+    for poset in (chain(3), diamond(), boolean_lattice(2), two_two_chains()):
+        phi = proper_near_sum(poset, ring, seed=4)
+        assert not check_homomorphism(phi).passed
+        assert not check_homomorphism(phi, anti=True).passed
+        dec = decompose(phi)
+        assert dec.report == scan_near_sum(dec)
+        assert dec.report.passed
+        for k in phi.domain.basis.strict_indices():
+            assert dec.psi.sparse_columns[k] and dec.theta.sparse_columns[k]
 
 
 def test_decompose_runs_the_full_scan_only_for_jordan_maps(monkeypatch):
