@@ -61,7 +61,7 @@ from .linmaps import (
     check_jordan,
     jordan_pair_check,
 )
-from .matrices import mat_vec, require_unit_determinant
+from .matrices import _sparse_image, mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
@@ -571,26 +571,29 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     psi (theta when mirror), strict samples f and g, and every window W
     avoiding the interval points z with f'(x,z) != 0 != g'(z,y), where f' and
     g' are the phi-pullbacks of s(f) and s(g) (f'(z,y) and g'(x,z) when
-    mirrored).  The random window of each instance draws from rng."""
+    mirrored).  The random window of each instance draws from rng.  columns
+    are s's {index: nonzero} columns, as _near_sum_columns returns them; the
+    images, pullbacks, window sums and products stay on their nonzeros, so a
+    product is zero exactly when its dict is empty.  Witnesses are dense."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
-    poset = dom.basis.poset
+    basis = dom.basis
+    poset, at, pairs = basis.poset, basis.index_of, basis.pairs
     n, labels = poset.size, poset.elements
+    multiply = cod.multiply_sparse
     zero_vec = [ring.zero] * cod.dimension
-    diag = [phi.columns[dom.basis.index_of[(i, i)]] for i in range(n)]
+    diag = [phi.sparse_columns[at[(i, i)]] for i in range(n)]
     name = "theta" if mirror else "psi"
     pulled = []
     for z in strict_samples:
-        image = mat_vec(ring, columns, dom.element_from_series(z).coords)
-        coords = phi_inverse.apply_coords(image)
-        pulled.append((image, dom.series_from_element(AlgElem(dom, tuple(coords)))))
+        image = _sparse_image(ring, columns, ((at[k], v) for k, v in z.coeffs.items()))
+        pullback = _sparse_image(ring, phi_inverse.sparse_columns, image.items())
+        f = FinSeries(poset, ring, {pairs[k]: v for k, v in pullback.items()})
+        pulled.append((image, f))
     # Every codomain is associative (incidence tables and their change_basis
     # transports), so the five-factor product is exactly (L phi(e_W)) R with
     # L = phi(e_x) s(f) and R = s(g) phi(e_y) built once per sample and element.
     halves = [
-        (
-            [cod.multiply(e, image) for e in diag],
-            [cod.multiply(image, e) for e in diag],
-        )
+        ([multiply(e, image) for e in diag], [multiply(image, e) for e in diag])
         if f.is_strict()
         else None
         for image, f in pulled
@@ -604,9 +607,9 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     def window_image(w):
         """phi(e_W), summed once per distinct window."""
         if w not in window_images:
-            ew = zero_vec
+            ew = {}
             for z in w:
-                ew = [ring.add(a, b) for a, b in zip(ew, diag[z])]
+                ew = _sparse_add(ring, ew, diag[z])
             window_images[w] = ew
         return window_images[w]
 
@@ -644,12 +647,12 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
                 ]
                 for w in windows:
                     ew = window_image(w)
-                    fwd = cod.multiply(cod.multiply(left[i], ew), right[j])
-                    if fwd != zero_vec:
-                        yield (s1, s2, labels[i], labels[j], w), fwd, zero_vec
-                    bwd = cod.multiply(cod.multiply(left[j], ew), right[i])
-                    if bwd != zero_vec:
-                        yield (s1, s2, labels[j], labels[i], w), bwd, zero_vec
+                    fwd = multiply(multiply(left[i], ew), right[j])
+                    if fwd:
+                        yield (s1, s2, labels[i], labels[j], w), cod.dense(fwd), zero_vec
+                    bwd = multiply(multiply(left[j], ew), right[i])
+                    if bwd:
+                        yield (s1, s2, labels[j], labels[i], w), cod.dense(bwd), zero_vec
 
 
 # How many seeded general and strict sample series the identity suite draws.
@@ -713,8 +716,9 @@ def verify_paper_identities(
             out = cod.multiply(out, v)
         return out
 
+    psi_sparse, theta_sparse = _near_sum_columns(phi)
     psi_cols, theta_cols = (
-        [cod.dense(col) for col in cols] for cols in _near_sum_columns(phi)
+        [cod.dense(col) for col in cols] for cols in (psi_sparse, theta_sparse)
     )
     labels = poset.elements
 
@@ -904,13 +908,13 @@ def verify_paper_identities(
     checks.append(
         run_check(
             "psi_window_annihilation",
-            _window_failures(phi, phi_inverse, psi_cols, strict_samples, rng, False),
+            _window_failures(phi, phi_inverse, psi_sparse, strict_samples, rng, False),
         )
     )
     checks.append(
         run_check(
             "theta_window_annihilation",
-            _window_failures(phi, phi_inverse, theta_cols, strict_samples, rng, True),
+            _window_failures(phi, phi_inverse, theta_sparse, strict_samples, rng, True),
         )
     )
 

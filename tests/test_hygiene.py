@@ -54,7 +54,6 @@ def test_all_lists_exactly_the_public_names_of_the_package():
 DENSE_KERNEL_USERS = {
     "algebra.AlgElem.__mul__",
     "jordan._peirce_table",
-    "jordan._window_failures",
     "jordan.extend_via_inverse",
     "jordan.verify_paper_identities",
     "linmaps.LinMap.apply_coords",

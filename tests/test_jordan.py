@@ -830,7 +830,7 @@ def damaged_decomposition(phi, corrupt, rng):
     corrupted with phi's column recomposed as psi + theta, so
     strict_sum_recomposition still holds; a "shared" diagonal column is
     corrupted in phi, psi and theta alike, so diagonal_agreement still
-    holds."""
+    holds.  "psi-moved" and "theta-moved" are moved_within_peirce_space."""
     ring = phi.ring
     dom = phi.domain
     basis = dom.basis
@@ -840,7 +840,9 @@ def damaged_decomposition(phi, corrupt, rng):
     covers = [
         basis.index_of[(poset.index(x), poset.index(y))] for x, y in poset.covers()
     ]
-    if corrupt is not None:
+    if corrupt in ("psi-moved", "theta-moved"):
+        moved_within_peirce_space(cols, basis, ring, corrupt == "theta-moved", rng)
+    elif corrupt is not None:
         target, block = corrupt.split("-")
         pool = {
             "cover": covers,
@@ -864,6 +866,45 @@ def damaged_decomposition(phi, corrupt, rng):
     return Decomposition(maps["phi"], maps["psi"], maps["theta"], None)
 
 
+def moved_within_peirce_space(cols, basis, ring, mirrored, rng):
+    """Move psi(e_vw) into theta(g), for a random cover g = e_uv and w > v,
+    in the dense columns cols of phi, psi and theta.  phi(e_w) is merged
+    into phi(e_u) (P_u + P_w, and 0 for e_w, in all three maps), psi and
+    theta keep only g, and phi is recomposed.  psi(e_vw) lies in P_v A P_w,
+    inside theta(g)'s Peirce space P_v A (P_u + P_w).  When the diagonal
+    images are orthogonal idempotents, every check of the full scan then
+    holds but annihilation in the one order psi(g) theta(g) = psi(e_uw),
+    which is not zero where psi is live.  Mirrored, theta(e_wu) moves into
+    psi(g) for w < u, phi(e_w) is merged into phi(e_v), and only theta(g)
+    psi(g) = theta(e_wv) can fail.  Nothing changes without such a triple."""
+    poset, at = basis.poset, basis.index_of
+    rel, n = poset.relation, poset.size
+    triples = [
+        (u, v, w)
+        for u, v in ((poset.index(a), poset.index(b)) for a, b in poset.covers())
+        for w in range(n)
+        if w not in (u, v) and (rel[w][u] if mirrored else rel[v][w])
+    ]
+    if not triples:
+        return
+    u, v, w = rng.choice(triples)
+    g = at[u, v]
+    source, other = ("theta", "psi") if mirrored else ("psi", "theta")
+    moved = cols[source][at[w, u] if mirrored else at[v, w]]
+    kept = {source: cols[source][g], other: moved}
+    merged, dropped = at[(v, v) if mirrored else (u, u)], at[w, w]
+    zero = [ring.zero] * len(moved)
+    for c in cols.values():
+        c[merged] = [ring.add(a, b) for a, b in zip(c[merged], c[dropped])]
+        c[dropped] = zero
+    for k in basis.strict_indices():
+        for name in ("psi", "theta"):
+            cols[name][k] = kept[name] if k == g else zero
+        cols["phi"][k] = [
+            ring.add(a, b) for a, b in zip(cols["psi"][k], cols["theta"][k])
+        ]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     ORACLE_POSETS,
@@ -871,7 +912,8 @@ def damaged_decomposition(phi, corrupt, rng):
     st.sampled_from(["jordan", "perturbed", "sheared", "random-column"]),
     st.sampled_from(
         [None, "psi-cover", "theta-cover", "psi-strict", "theta-strict",
-         "psi-diagonal", "theta-diagonal", "shared-diagonal"]
+         "psi-diagonal", "theta-diagonal", "shared-diagonal", "psi-moved",
+         "theta-moved"]
     ),
     st.booleans(),
     st.integers(0, 10 ** 6),
@@ -1026,6 +1068,33 @@ def test_generator_certificate_sees_each_clause_alone():
         "idempotent pairs", "cover placements", "cover rows",
         "psi(g) theta(e_yv)", "theta(g) psi(e_uz)",
     }
+
+
+@pytest.mark.parametrize("ring", (RATIONALS, modular(9), modular(15)), ids=repr)
+def test_moved_corruption_fails_one_annihilation_order_alone(ring):
+    # Each corruption breaks only strict_annihilation, in its one order, and
+    # only the certificate family of that order sees it, so a certificate
+    # that drops the family passes it.
+    orders = {
+        "psi-moved": ("psi(b_i) * theta(b_j)", "psi(g) theta(e_yv)"),
+        "theta-moved": ("theta(b_i) * psi(b_j)", "theta(g) psi(e_uz)"),
+    }
+    seen = collections.Counter()
+    for poset in (chain(3), diamond(), boolean_lattice(3)):
+        for seed in range(4):
+            for corrupt, (note, family) in orders.items():
+                phi = jordan_map(poset, ring, seed)
+                dec = damaged_decomposition(phi, corrupt, random.Random(seed))
+                bad = [c for c in scan_near_sum(dec).checks if not c.passed]
+                if not bad:  # the moved half is not live on this map
+                    assert _near_sum_holds(dec)
+                    continue
+                assert [c.name for c in bad] == ["strict_annihilation"]
+                assert {w.note for w in bad[0].witnesses} == {note}
+                assert certificate_families(dec) == [family]
+                assert not _near_sum_holds(dec)
+                seen[corrupt] += 1
+    assert set(seen) == set(orders)
 
 
 def test_twisted_codomain_certificate_agrees_with_full_scan():
@@ -1294,10 +1363,11 @@ def test_identity_suite_torsion_gate():
 
 
 def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror):
-    """The window annihilation families as a direct scan: phi(e_W) summed
-    afresh for every window, the five factors multiplied left to right, and
-    each interval rebuilt per pair.  Same signature, instances and rng draws
-    as fialg.jordan._window_failures, which it checks."""
+    """The window annihilation families as a direct dense scan: phi(e_W)
+    summed afresh for every window, the five factors multiplied left to
+    right with StructAlgebra.multiply, and each interval rebuilt per pair.
+    Same instances and rng draws as fialg.jordan._window_failures, which it
+    checks; columns are dense lists."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
     basis = dom.basis
     poset = basis.poset
@@ -1370,6 +1440,13 @@ def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror)
                         yield (s1, s2, labels[j], labels[i], w), bwd, zero_vec
 
 
+def densified_scan_window_failures(phi, phi_inverse, columns, *rest):
+    """scan_window_failures in _window_failures' place: the {index: nonzero}
+    columns _window_failures takes are made dense for the scan."""
+    dense = [phi.codomain.dense(col) for col in columns]
+    return scan_window_failures(phi, phi_inverse, dense, *rest)
+
+
 IDENTITY_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from([
     chain(5),
     boolean_lattice(3),
@@ -1377,14 +1454,22 @@ IDENTITY_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from([
     disjoint_union(chain(4), diamond()),
     validate_poset([], []),
 ])
-IDENTITY_KINDS = st.sampled_from(["jordan", "perturbed", "sheared", "random-column"])
+IDENTITY_KINDS = st.sampled_from(
+    ["jordan", "perturbed", "sheared", "random-column", "proper-near-sum"]
+)
 
 
 def identity_corpus_map(poset, ring, kind, twist, seed):
-    """A Jordan map, damaged by kind, with its codomain rebased when twist."""
-    phi = jordan_map(poset, ring, seed)
-    if phi.domain.dimension:
-        phi = damaged_map(phi, kind, random.Random(seed))
+    """A Jordan map, damaged by kind, with its codomain rebased when twist.
+    The kind "proper-near-sum" is proper_near_sum's undamaged map over Z/15
+    or Z/45 (by the parity of seed) in place of ring: the only maps whose
+    psi and theta are both live on one component."""
+    if kind == "proper-near-sum":
+        phi = proper_near_sum(poset, tuple(SPLIT_IDEMPOTENTS)[seed % 2], seed)
+    else:
+        phi = jordan_map(poset, ring, seed)
+        if phi.domain.dimension:
+            phi = damaged_map(phi, kind, random.Random(seed))
     if twist:
         phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed + 1000))
     return phi
@@ -1405,9 +1490,9 @@ def test_window_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
         report = verify_paper_identities(phi, seed, allow_torsion=True)
     except NotInvertibleError:
         assume(False)
-    with mock.patch("fialg.jordan._window_failures", scan_window_failures):
+    with mock.patch("fialg.jordan._window_failures", densified_scan_window_failures):
         expected = verify_paper_identities(phi, seed, allow_torsion=True)
-    fmt = ring.format
+    fmt = phi.ring.format
     assert report.to_json(fmt) == expected.to_json(fmt)
 
 
@@ -1571,20 +1656,26 @@ def test_sandwich_families_agree_with_scan_oracle(poset, ring, kind, twist, seed
     expected = VerificationReport(
         tuple(scanned.get(c.name, c) for c in criterion_scanned.checks)
     )
-    fmt = ring.format
+    fmt = phi.ring.format
     assert report.to_json(fmt) == expected.to_json(fmt)
 
 
 def calls_per_family(phi, seed):
-    """StructAlgebra.multiply and LinMap.apply_coords calls of
-    verify_paper_identities, counted by the family whose check was running."""
+    """StructAlgebra.multiply, StructAlgebra.multiply_sparse and
+    LinMap.apply_coords calls of verify_paper_identities, counted by the
+    family whose check was running."""
     family = [None]
-    products, images = collections.Counter(), collections.Counter()
+    products, sparse_products, images = (collections.Counter() for _ in range(3))
     multiply, apply_coords = StructAlgebra.multiply, LinMap.apply_coords
+    multiply_sparse = StructAlgebra.multiply_sparse
 
     def counted_multiply(self, u, v):
         products[family[0]] += 1
         return multiply(self, u, v)
+
+    def counted_multiply_sparse(self, u, v):
+        sparse_products[family[0]] += 1
+        return multiply_sparse(self, u, v)
 
     def counted_apply(self, vec):
         images[family[0]] += 1
@@ -1596,11 +1687,13 @@ def calls_per_family(phi, seed):
 
     with mock.patch.object(
         StructAlgebra, "multiply", counted_multiply
+    ), mock.patch.object(
+        StructAlgebra, "multiply_sparse", counted_multiply_sparse
     ), mock.patch.object(LinMap, "apply_coords", counted_apply), mock.patch(
         "fialg.jordan.run_check", named
     ):
         assert verify_paper_identities(phi, seed=seed).passed
-    return products, images
+    return products, sparse_products, images
 
 
 def test_window_families_build_each_factor_once():
@@ -1608,11 +1701,14 @@ def test_window_families_build_each_factor_once():
     # back strict, so each family runs 3 * 3 * 15 * 4 = 540 windows: two
     # products per direction, 4 per window, plus the halves phi(e_x) s(f) and
     # s(f) phi(e_x) for 3 samples and 5 elements.  The left-to-right scan
-    # takes 8 per window and no halves.
-    counts, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    # takes 8 per window and no halves.  Every product runs on the nonzeros.
+    counts, sparse, _ = calls_per_family(
+        random_jordan_iso(chain(5), RATIONALS, seed=1), 1
+    )
     per_family = 4 * 540 + 2 * 3 * 5
-    assert counts["psi_window_annihilation"] == per_family
-    assert counts["theta_window_annihilation"] == per_family
+    for family in ("psi_window_annihilation", "theta_window_annihilation"):
+        assert sparse[family] == per_family == 2190
+        assert counts[family] == 0
 
 
 SANDWICH_FAMILIES = (
@@ -1632,20 +1728,22 @@ def test_sandwich_families_build_one_table_per_sample_image():
     # strict samples, and two for each of the 5 criterion calls: 24 tables.
     # The per-pair scans took 1,176 products and the whole suite 5,790.  The
     # suite took 5,334 while it sandwiched its psi and theta columns densely,
-    # 4 * (15 - 5) = 40 products that now run on the nonzeros.
-    counts, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    # 4 * (15 - 5) = 40 products that now run on the nonzeros, and 5,294
+    # while its window families multiplied densely, 2 * 2,190 products that
+    # now run on the nonzeros too.
+    counts, _, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert sum(counts[name] for name in SANDWICH_FAMILIES) == 24 * 30
     assert counts["unit_sandwich_strict"] == 5 * 30
     assert counts["unit_sandwich_diagonal"] == counts["coefficient_sandwich"] == 0
     assert counts["psi_sandwich"] == 2 * 3 * 30
     assert counts["theta_sandwich"] == 3 * 30
-    assert sum(counts.values()) == 5294
+    assert sum(counts.values()) == 914
 
 
 def test_diagonal_restriction_maps_each_diagonal_part_once():
     # 5 general samples: one image per diagonal part and one per product of
     # two parts, 5 + 25, where mapping both factors for every pair took 125.
-    _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    _, _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert images["diagonal_restriction_homomorphism"] == 5 + 5 * 5
 
 
@@ -1673,7 +1771,7 @@ def test_equal_by_sandwiches_agrees_with_per_pair_oracle(poset, ring, kind, twis
     # On a damaged map the criterion can call distinct elements equal; the
     # table version must give the per-pair scan's answer either way.
     phi = identity_corpus_map(poset, ring, kind, twist, seed)
-    cod = phi.codomain
+    cod, ring = phi.codomain, phi.ring
     rng = random.Random(seed)
     for t in range(6):
         a = [ring.sample(rng) for _ in range(cod.dimension)]
