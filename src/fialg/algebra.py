@@ -536,8 +536,8 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     cols = [list(c) for c in new_basis_columns]
     if len(cols) != d or any(len(c) != d for c in cols):
         raise FialgError("change of basis must be a square matrix of full size")
-    inverse = [sparse_vector(c) for c in invert_columns(ring, cols)]
     basis = [sparse_vector(c) for c in cols]
+    inverse = invert_columns(ring, basis, d)
 
     def transported(w: dict) -> tuple:
         return tuple(sorted(_sparse_image(ring, inverse, w.items()).items())) if w else ()

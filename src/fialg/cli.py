@@ -74,8 +74,11 @@ def _load_map(args) -> LinMap:
 def _emit(obj, out_path: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"output file {out_path!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

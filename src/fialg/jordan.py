@@ -101,8 +101,8 @@ def from_order_map(m: OrderMap, ring: Ring) -> LinMap:
     for (i, j) in domain.basis.pairs:
         ti, tj = m.images[i], m.images[j]
         pair = (tj, ti) if m.reversing else (ti, tj)
-        cols.append(codomain.unit_vector(codomain.basis.index_of[pair]))
-    return LinMap(domain, codomain, cols)
+        cols.append({codomain.basis.index_of[pair]: ring.one})
+    return LinMap._of_sparse(domain, codomain, cols)
 
 
 def conjugate_by_unit(u: FinSeries) -> LinMap:
@@ -121,7 +121,7 @@ def conjugate_by_unit(u: FinSeries) -> LinMap:
     for x, y in algebra.basis.pairs:
         terms = ((index_of[a, b], mul(c, e)) for a, c in left[x] for b, e in right[y])
         cols.append({k: w for k, w in terms if w})
-    return LinMap._of_canonical(algebra, algebra, [algebra.dense(c) for c in cols], cols)
+    return LinMap._of_sparse(algebra, algebra, cols)
 
 
 def near_sum_build(psi: LinMap, theta: LinMap) -> LinMap:
@@ -137,11 +137,10 @@ def near_sum_build(psi: LinMap, theta: LinMap) -> LinMap:
     """
     if psi.domain != theta.domain or psi.codomain != theta.codomain:
         raise ContextMismatchError("psi and theta must share domain and codomain")
-    add = psi.ring.add
-    cols = list(psi.columns)
+    cols = list(psi.sparse_columns)
     for k in _incidence_domain(psi).basis.strict_indices():
-        cols[k] = [add(a, b) for a, b in zip(psi.columns[k], theta.columns[k])]
-    phi = LinMap(psi.domain, psi.codomain, cols)
+        cols[k] = _sparse_add(psi.ring, cols[k], theta.sparse_columns[k])
+    phi = LinMap._of_sparse(psi.domain, psi.codomain, cols)
 
     report = verify_near_sum(Decomposition(phi, psi, theta, None))
     violated = [c for c in report.checks if not c.passed]
@@ -251,8 +250,8 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
         pair = (images[i], images[j])
         if i != j and anti_comp[comp_of[i]]:
             pair = pair[::-1]
-        cols.append(conj.columns[basis.index_of[pair]])
-    return LinMap._of_canonical(algebra, algebra, tuple(cols))
+        cols.append(conj.sparse_columns[basis.index_of[pair]])
+    return LinMap._of_sparse(algebra, algebra, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +308,10 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         raise TorsionRefusedError(
             f"{ring!r} has 2-torsion; pass allow_torsion=True to proceed"
         )
-    require_unit_determinant(ring, phi.columns)
+    require_unit_determinant(ring, phi.sparse_columns, phi.codomain.dimension)
 
     def sandwiches():
-        cod = phi.codomain
-        maps = (LinMap._of_canonical(dom, cod, [cod.dense(c) for c in cols], cols)
-                for cols in _near_sum_columns(phi))
+        maps = (LinMap._of_sparse(dom, phi.codomain, c) for c in _near_sum_columns(phi))
         return Decomposition(phi, *maps, None)
 
     # A passing report makes phi Jordan on every ring.  Write d = psi(a_D),
@@ -492,22 +489,24 @@ def _near_sum_scan(dec: Decomposition) -> VerificationReport:
 
 
 def _agreement_failures(dec: Decomposition):
-    phi, psi, theta = dec.phi, dec.psi, dec.theta
+    """psi and theta against phi on the diagonal units; dense witnesses."""
+    phi, dense = dec.phi, dec.phi.codomain.dense
     for k in phi.domain.basis.diagonal_indices():
-        if psi.sparse_columns[k] != phi.sparse_columns[k]:
-            yield (k,), psi.columns[k], phi.columns[k], "psi vs phi"
-        if theta.sparse_columns[k] != phi.sparse_columns[k]:
-            yield (k,), theta.columns[k], phi.columns[k], "theta vs phi"
+        col = phi.sparse_columns[k]
+        for name, m in (("psi", dec.psi), ("theta", dec.theta)):
+            if m.sparse_columns[k] != col:
+                yield (k,), dense(m.sparse_columns[k]), dense(col), f"{name} vs phi"
 
 
 def _recomposition_failures(dec: Decomposition):
     """psi + theta against phi on the strict units, summed on the nonzeros;
     the witnesses are dense."""
     phi, psi, theta = dec.phi, dec.psi, dec.theta
+    dense = phi.codomain.dense
     for k in phi.domain.basis.strict_indices():
         s = _sparse_add(phi.ring, psi.sparse_columns[k], theta.sparse_columns[k])
         if s != phi.sparse_columns[k]:
-            yield (k,), phi.codomain.dense(s), phi.columns[k]
+            yield (k,), dense(s), dense(phi.sparse_columns[k])
 
 
 def _annihilation_failures(dec: Decomposition, pairs):
@@ -716,10 +715,7 @@ def verify_paper_identities(
             out = cod.multiply(out, v)
         return out
 
-    psi_sparse, theta_sparse = _near_sum_columns(phi)
-    psi_cols, theta_cols = (
-        [cod.dense(col) for col in cols] for cols in (psi_sparse, theta_sparse)
-    )
+    psi, theta = (LinMap._of_sparse(dom, cod, c) for c in _near_sum_columns(phi))
     labels = poset.elements
 
     # The sandwich families read the Peirce components phi(e_x) v phi(e_y)
@@ -764,7 +760,7 @@ def verify_paper_identities(
             table = general_table(s)
             for (i, j) in poset.comparable_index_pairs():
                 lhs = table[(i, j)]
-                rhs = scaled(f, (i, j), psi_cols)
+                rhs = scaled(f, (i, j), psi.columns)
                 if lhs != rhs:
                     yield (s, labels[i], labels[j]), lhs, rhs
 
@@ -902,21 +898,13 @@ def verify_paper_identities(
                 if mid != zero_vec:
                     yield (s, labels[i]), mid, zero_vec, "diagonal is zero"
 
-    checks.append(run_check("psi_sandwich", sandwich_failures(psi_cols, False)))
-    checks.append(run_check("theta_sandwich", sandwich_failures(theta_cols, True)))
+    checks.append(run_check("psi_sandwich", sandwich_failures(psi.columns, False)))
+    checks.append(run_check("theta_sandwich", sandwich_failures(theta.columns, True)))
 
-    checks.append(
-        run_check(
-            "psi_window_annihilation",
-            _window_failures(phi, phi_inverse, psi_sparse, strict_samples, rng, False),
-        )
-    )
-    checks.append(
-        run_check(
-            "theta_window_annihilation",
-            _window_failures(phi, phi_inverse, theta_sparse, strict_samples, rng, True),
-        )
-    )
+    for name, s, mirror in (("psi", psi, False), ("theta", theta, True)):
+        cols = s.sparse_columns
+        failures = _window_failures(phi, phi_inverse, cols, strict_samples, rng, mirror)
+        checks.append(run_check(f"{name}_window_annihilation", failures))
 
     # the sandwich equality criterion agrees with literal equality
     def equality_criterion():

@@ -1,17 +1,18 @@
 """R-linear maps between structure-constant algebras, and the recognizers
 that ask whether a map is multiplicative, anti-multiplicative, or Jordan.
 
-A map is stored as its matrix over the ordered bases (columns = images of
-domain basis vectors).  All recognizers quantify over basis tuples — enough,
-by bilinearity, to decide the corresponding law for arbitrary elements —
-and report witnesses instead of bare booleans.
+A map is stored once, as its matrix over the ordered bases: the columns
+(images of domain basis vectors) as {index: nonzero} dicts,
+LinMap.sparse_columns.  The dense coordinate lists, LinMap.columns, are a
+view built only when read.  All recognizers quantify over basis tuples —
+enough, by bilinearity, to decide the corresponding law for arbitrary
+elements — and report witnesses instead of bare booleans.
 
-The scans run on the nonzeros: each recognizer multiplies the map's
-columns as {index: nonzero} dicts, LinMap.sparse_columns (built once per
-map), with StructAlgebra.multiply_sparse.  The left side, m(b_i b_j + b_j
-b_i) or m(b_i b_j), is the combination of the columns the domain's cells
-touch, so it costs nothing where a basis product is zero, as most are in an
-incidence algebra.  Sides are compared as dicts, and dense coordinate lists
+The scans run on the nonzeros: each recognizer multiplies the map's sparse
+columns with StructAlgebra.multiply_sparse.  The left side, m(b_i b_j +
+b_j b_i) or m(b_i b_j), is the combination of the columns the domain's
+cells touch, so it costs nothing where a basis product is zero, as most are
+in an incidence algebra.  Sides are compared as dicts, and dense coordinate lists
 are built only for witnesses, so a report is the one a dense scan gives.
 For a domain of dimension d, check_homomorphism takes one image product on
 each of d^2 pairs, the pair law two on each of d(d+1)/2 pairs, and the
@@ -38,47 +39,37 @@ from .matrices import _sparse_image, invert_columns, mat_vec
 from .reports import CheckResult, VerificationReport, run_check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinMap:
-    """A linear map domain -> codomain over their (shared) scalar ring."""
+    """A linear map domain -> codomain over their (shared) scalar ring.
+    LinMap(domain, codomain, columns) takes dense columns: it checks their
+    shape, normalizes each entry once and keeps the nonzeros."""
 
     domain: StructAlgebra
     codomain: StructAlgebra
-    columns: tuple
+    sparse_columns: tuple
 
-    def __post_init__(self):
-        self._store(self.domain.ring.normalize)
-
-    def _store(self, normalize) -> None:
-        """Check the shape and store the columns as tuples, each entry passed
-        through normalize unless that is None."""
-        if self.domain.ring != self.codomain.ring:
-            raise ContextMismatchError("domain and codomain rings differ")
-        if len(self.columns) != self.domain.dimension:
-            raise FialgError("column count does not match domain dimension")
-        cols = []
-        for col in self.columns:
-            if len(col) != self.codomain.dimension:
-                raise FialgError("column height does not match codomain dimension")
-            cols.append(tuple(col if normalize is None else (normalize(v) for v in col)))
-        object.__setattr__(self, "columns", tuple(cols))
+    def __init__(self, domain, codomain, columns):
+        _check_shape(domain, codomain, columns)
+        normalize = domain.ring.normalize
+        cols = tuple(sparse_vector(map(normalize, col)) for col in columns)
+        self.__dict__.update(domain=domain, codomain=codomain, sparse_columns=cols)
 
     @classmethod
-    def _of_canonical(cls, domain, codomain, columns, sparse_columns=None):
-        """The map with these columns of canonical payloads (as ring.parse and
-        the ring operations return them), shape-checked, not normalized
-        again; sparse_columns, if given, is kept as its sparse view."""
+    def _of_sparse(cls, domain, codomain, sparse_columns) -> "LinMap":
+        """The map with these {index: nonzero} columns of canonical payloads,
+        as ring.parse and the kernels make them; not checked or normalized
+        again."""
         m = cls.__new__(cls)
-        m.__dict__.update(domain=domain, codomain=codomain, columns=columns)
-        m._store(None)
-        if sparse_columns is not None:
-            m.__dict__["sparse_columns"] = tuple(sparse_columns)
+        cols = tuple(sparse_columns)
+        m.__dict__.update(domain=domain, codomain=codomain, sparse_columns=cols)
         return m
 
     @functools.cached_property
-    def sparse_columns(self) -> tuple:
-        """The columns as {index: nonzero} dicts, built on first use."""
-        return tuple(sparse_vector(col) for col in self.columns)
+    def columns(self) -> tuple:
+        """The columns as coordinate tuples, built on first read."""
+        dense = self.codomain.dense
+        return tuple(tuple(dense(col)) for col in self.sparse_columns)
 
     @property
     def ring(self):
@@ -88,13 +79,14 @@ class LinMap:
 
     @classmethod
     def identity(cls, algebra: StructAlgebra) -> "LinMap":
-        units = [algebra.unit_vector(k) for k in range(algebra.dimension)]
-        return cls(algebra, algebra, units)
+        units = ({k: algebra.ring.one} for k in range(algebra.dimension))
+        return cls._of_sparse(algebra, algebra, units)
 
     @classmethod
     def zero(cls, domain: StructAlgebra, codomain: StructAlgebra) -> "LinMap":
-        col = [domain.ring.zero] * codomain.dimension
-        return cls(domain, codomain, [list(col) for _ in range(domain.dimension)])
+        if domain.ring != codomain.ring:
+            raise ContextMismatchError("domain and codomain rings differ")
+        return cls._of_sparse(domain, codomain, ({} for _ in range(domain.dimension)))
 
     # -- action ----------------------------------------------------------------
 
@@ -112,16 +104,14 @@ class LinMap:
         """self after inner: (self.compose(inner))(a) = self(inner(a))."""
         if inner.codomain is not self.domain and inner.codomain != self.domain:
             raise ContextMismatchError("inner codomain does not match outer domain")
-        return LinMap(
-            inner.domain,
-            self.codomain,
-            [self.apply_coords(col) for col in inner.columns],
-        )
+        ring, images = self.ring, self.sparse_columns
+        cols = (_sparse_image(ring, images, c.items()) for c in inner.sparse_columns)
+        return LinMap._of_sparse(inner.domain, self.codomain, cols)
 
     def invert(self) -> "LinMap":
         """Exact inverse; NotInvertibleError unless det is a unit."""
-        inv = invert_columns(self.ring, self.columns)
-        return LinMap(self.codomain, self.domain, inv)
+        inv = invert_columns(self.ring, self.sparse_columns, self.codomain.dimension)
+        return LinMap._of_sparse(self.codomain, self.domain, inv)
 
     # -- serialization -----------------------------------------------------------
 
@@ -153,7 +143,19 @@ class LinMap:
             raise FialgError("linear-map columns must be a list of lists")
         parse = domain.ring.parse
         cols = [[parse(v) for v in col] for col in columns]
-        return cls._of_canonical(domain, codomain, cols)
+        _check_shape(domain, codomain, cols)
+        return cls._of_sparse(domain, codomain, map(sparse_vector, cols))
+
+
+def _check_shape(domain: StructAlgebra, codomain: StructAlgebra, columns) -> None:
+    """Raise unless the rings agree and the dense columns number the domain's
+    dimension, each as high as the codomain's."""
+    if domain.ring != codomain.ring:
+        raise ContextMismatchError("domain and codomain rings differ")
+    if len(columns) != domain.dimension:
+        raise FialgError("column count does not match domain dimension")
+    if any(len(col) != codomain.dimension for col in columns):
+        raise FialgError("column height does not match codomain dimension")
 
 
 def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
@@ -164,7 +166,7 @@ def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     which are the inverse's images of m's sparse columns."""
     target, inverse = _change_basis(m.codomain, new_basis_columns)
     cols = [_sparse_image(m.ring, inverse, c.items()) for c in m.sparse_columns]
-    return LinMap._of_canonical(m.domain, target, [target.dense(c) for c in cols], cols)
+    return LinMap._of_sparse(m.domain, target, cols)
 
 
 def _sparse_add(ring, u: dict, v: dict) -> dict:

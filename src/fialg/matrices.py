@@ -1,8 +1,8 @@
 """Exact matrix kernels used by the linear-map layer.
 
-Matrices are lists of columns (column[j][i] is the (i, j) entry), matching
-how linear maps store basis images; _sparse_image is mat_vec on columns and
-vectors held as {index: nonzero} dicts.
+Matrices are lists of columns, the images of basis vectors: dense lists for
+mat_vec, and {index: nonzero} dicts, as LinMap stores them, for the other
+kernels; _sparse_image is mat_vec on those.
 
 Both invertibility kernels run one elimination loop over the rationals on
 sparse rows, {column: nonzero} dicts, since the pipeline's matrices (Jordan
@@ -88,18 +88,17 @@ def _eliminate(rows, reduce_above: bool) -> Fraction:
     return det
 
 
-def require_unit_determinant(ring: Ring, columns) -> int:
-    """Raise NotInvertibleError unless the column matrix is square with a
-    determinant that is a unit of the ring.
+def require_unit_determinant(ring: Ring, columns, height: int) -> int:
+    """Raise NotInvertibleError unless the matrix of these {index: nonzero}
+    columns of the given height is square with a unit determinant.
 
     Returns the determinant of the integer lift: the matrix itself over the
     integers and residue rings, each rational column scaled by the lcm of its
     denominators over the rationals.  The columns are eliminated as rows.
     """
-    n = len(columns)
-    if any(len(col) != n for col in columns):
+    if height != len(columns):
         raise NotInvertibleError("matrix is not square")
-    rows = [{i: Fraction(v) for i, v in enumerate(col) if v} for col in columns]
+    rows = [{i: Fraction(v) for i, v in col.items()} for col in columns]
     # integer entries have denominator 1, so only rational columns scale
     lift = 1
     for row in rows:
@@ -113,8 +112,9 @@ def require_unit_determinant(ring: Ring, columns) -> int:
     return det
 
 
-def invert_columns(ring: Ring, columns):
-    """Exact two-sided inverse of a square column matrix over the ring.
+def invert_columns(ring: Ring, columns, height: int) -> list:
+    """Exact two-sided inverse, in {index: nonzero} columns, of the square
+    matrix with these columns of the given height.
 
     Gauss-Jordan over the rationals on the rows of [A | I], each held as a
     {column: nonzero} dict.  The signed product of the pivots is the
@@ -122,14 +122,13 @@ def invert_columns(ring: Ring, columns):
     NotInvertibleError is raised unless it is a unit of the ring.
     """
     n = len(columns)
-    if any(len(col) != n for col in columns):
+    if height != n:
         raise NotInvertibleError("matrix is not square")
     # rows[i] holds row i of A under keys 0..n-1 and of I under keys n..2n-1
     rows = [{n + i: Fraction(1)} for i in range(n)]
     for j, col in enumerate(columns):
-        for i, v in enumerate(col):
-            if v:
-                rows[i][j] = Fraction(v)
+        for i, v in col.items():
+            rows[i][j] = Fraction(v)
     det = _eliminate(rows, reduce_above=True)
     rational = isinstance(ring, RationalRing)
     # outside the rationals the input is integral, and so is det
@@ -139,12 +138,13 @@ def invert_columns(ring: Ring, columns):
         raise NotInvertibleError(
             f"determinant {ring.format(residue)} is not a unit of {ring!r}"
         )
-    inverse = [[ring.zero] * n for _ in range(n)]
+    inverse = [{} for _ in range(n)]
     for i, row in enumerate(rows):
         for c, v in row.items():
             if not rational:
                 # v * det is an entry of the integral adjugate; divide by det
                 # in the ring
                 v = ring.normalize(v.numerator * (det.numerator // v.denominator) * scale)
-            inverse[c - n][i] = v
+            if v:
+                inverse[c - n][i] = v
     return inverse

@@ -16,7 +16,24 @@ from fialg import (
     random_poset,
     validate_poset,
 )
+from fialg.algebra import sparse_vector
 from fialg.linmaps import rebase_codomain
+from fialg.matrices import invert_columns, require_unit_determinant
+
+
+def invert_dense(ring, cols):
+    """invert_columns on dense columns, read back dense; the kernel's
+    {index: nonzero} columns must hold no zero."""
+    height = len(cols[0]) if cols else 0
+    inverse = invert_columns(ring, [sparse_vector(c) for c in cols], height)
+    assert all(v for col in inverse for v in col.values())
+    return [[col.get(i, ring.zero) for i in range(height)] for col in inverse]
+
+
+def unit_determinant_dense(ring, cols):
+    """require_unit_determinant on dense columns."""
+    height = len(cols[0]) if cols else 0
+    return require_unit_determinant(ring, [sparse_vector(c) for c in cols], height)
 
 
 def singleton():

@@ -239,6 +239,20 @@ def test_out_file_matches_stdout(tmp_path):
     assert out.read_text() == to_stdout.stdout
 
 
+@pytest.mark.parametrize("command", ["gen-jordan", "verify"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_is_exit_2(tmp_path, capsys, command, where):
+    out = tmp_path / "no_such_dir" / "x.json" if where == "missing-directory" else tmp_path
+    context = ["--poset", fx("poset_diamond.json"), "--ring", fx("ring_mod9.json")]
+    extra = ["--seed", "1"] if command == "gen-jordan" else [
+        "--map", fx("map_jordan_diamond_mod9.json")
+    ]
+    assert cli.run([command, *context, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output file {str(out)!r}: ")
+    assert "Traceback" not in err
+
+
 def write_json(path, obj) -> str:
     path.write_text(json.dumps(obj))
     return str(path)

@@ -1,9 +1,28 @@
-"""Import hygiene of the fialg package, read from the source with ast."""
+"""Hygiene of the fialg package: its imports and kernel users, read from the
+source with ast, and the one column store of a LinMap."""
 
 import ast
+import random
 from pathlib import Path
 
+import pytest
+
 import fialg
+from fialg import (
+    INTEGERS,
+    RATIONALS,
+    LinMap,
+    conjugate_by_unit,
+    decompose,
+    modular,
+    random_basis_change,
+    random_jordan_iso,
+    random_unit_series,
+    rebase_codomain,
+    verify_near_sum,
+)
+
+from conftest import diamond
 
 PACKAGE = Path(fialg.__file__).parent
 
@@ -139,3 +158,26 @@ def test_one_homomorphism_scan():
         <= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     }
     assert scans == IMAGE_SCANS
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+@pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
+def test_maps_keep_one_column_store(ring, twist):
+    """A map keeps its {index: nonzero} columns only: generating, loading,
+    decomposing and verifying it build no dense view of phi, psi or theta."""
+    poset = diamond()
+
+    def generated():
+        phi = random_jordan_iso(poset, ring, seed=1)
+        if twist:
+            phi = rebase_codomain(phi, random_basis_change(phi.codomain, seed=2))
+        return phi
+
+    phi = generated()
+    wire = generated().to_json()  # to_json reads the dense view
+    loaded = LinMap.from_json(phi.domain, phi.codomain, wire)
+    conj = conjugate_by_unit(random_unit_series(poset, ring, random.Random(3)))
+    dec = decompose(loaded)
+    assert dec.report.passed and verify_near_sum(dec).passed
+    for m in (phi, loaded, conj, dec.phi, dec.psi, dec.theta):
+        assert "columns" not in vars(m)

@@ -1249,6 +1249,15 @@ def test_decompose_refuses_singular_maps_on_every_ring():
             decompose(LinMap(A, A, cols))
 
 
+def test_decompose_refuses_a_map_onto_an_algebra_of_another_dimension():
+    # {index: nonzero} columns carry no height; the square check reads the
+    # codomain's dimension
+    A = incidence_algebra(P3, RATIONALS)
+    B = incidence_algebra(diamond(), RATIONALS)
+    with pytest.raises(NotInvertibleError, match="^matrix is not square$"):
+        decompose(LinMap.zero(A, B))
+
+
 def test_verify_near_sum_flags_tampering():
     # an order-reversing map has all of its strict part in theta; claiming
     # psi := phi then breaks both the homomorphism law and the strict sums

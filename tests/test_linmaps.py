@@ -37,13 +37,15 @@ from fialg.jordan import _cover_pairs
 from fialg.linmaps import _homomorphism_failures
 from fialg.reports import VerificationReport, run_check
 from fialg.rings import RationalRing
-from fialg.matrices import invert_columns, mat_vec, require_unit_determinant
+from fialg.matrices import invert_columns, mat_vec
 
 from conftest import (
     all_posets_up_to,
     chain,
     diamond,
+    invert_dense,
     two_two_chains,
+    unit_determinant_dense,
     unitriangular_shear,
 )
 
@@ -79,6 +81,18 @@ def test_column_shape_guards():
         LinMap(A, B, [[Fraction(0)] * A.dimension] * A.dimension)
     with pytest.raises(FialgError):
         LinMap(A, A, [[Fraction(0)] * A.dimension] * (A.dimension - 1))
+    with pytest.raises(FialgError, match="column height"):
+        LinMap(A, A, [[Fraction(0)] * (A.dimension - 1)] * A.dimension)
+    with pytest.raises(ContextMismatchError):
+        LinMap.zero(A, B)
+
+
+def test_dense_columns_are_normalized_once_and_kept_as_nonzeros():
+    A = incidence_algebra(chain(2), modular(9))
+    m = LinMap(A, A, [[10, 9, 0], [0, 1, -1], [0, 0, 18]])
+    assert m.sparse_columns == ({0: 1}, {1: 1, 2: 8}, {})
+    assert "columns" not in vars(m)
+    assert m.columns == ((1, 0, 0), (0, 1, 8), (0, 0, 0))
 
 
 def test_apply_compose_invert():
@@ -177,7 +191,7 @@ def test_rebase_codomain_inverts_once_and_matches_the_dense_route(ring, monkeypa
         phi = from_order_map(orders[0], ring)
         A = phi.codomain
         for cols in (random_basis_change(A, seed=3), unitriangular_shear(A, seed=4)):
-            inverse = invert_columns(ring, cols)
+            inverse = invert_dense(ring, cols)
             expected = [mat_vec(ring, inverse, col) for col in phi.columns]
             inversions.clear()
             with monkeypatch.context() as patch:
@@ -596,7 +610,7 @@ def test_invert_columns_round_trip_all_rings():
         while True:
             cols = [[ring.normalize(build()) for _ in range(d)] for _ in range(d)]
             try:
-                inv = invert_columns(ring, cols)
+                inv = invert_dense(ring, cols)
                 break
             except NotInvertibleError:
                 continue
@@ -610,17 +624,17 @@ def test_invert_columns_integer_unimodularity():
     # determinant ±1 inverts over the integers; determinant 2 must refuse
     good = [[1, 1], [0, 1]]
     cols = [[r[j] for r in good] for j in range(2)]
-    inv = invert_columns(INTEGERS, cols)
+    inv = invert_dense(INTEGERS, cols)
     assert all(isinstance(v, int) for col in inv for v in col)
     with pytest.raises(NotInvertibleError):
-        invert_columns(INTEGERS, [[2, 0], [0, 1]])
+        invert_dense(INTEGERS, [[2, 0], [0, 1]])
 
 
 def test_invert_columns_modular_composite_modulus():
     # matrix invertible mod 15 though its determinant is not coprime to
     # every prime: det = 7, a unit mod 15
     cols = [[2, 1], [1, 4]]
-    inv = invert_columns(modular(15), cols)
+    inv = invert_dense(modular(15), cols)
     for j in range(2):
         e = [1 if i == j else 0 for i in range(2)]
         assert mat_vec(modular(15), cols, mat_vec(modular(15), inv, e)) == e
@@ -661,17 +675,17 @@ def test_unit_determinant_check_matches_leibniz(ring_name, n, seed, repeat_colum
     if repeat_column and n > 1:
         cols[0] = list(cols[1])
     if ring.is_unit(leibniz_determinant(ring, cols)):
-        require_unit_determinant(ring, cols)
-        inv = invert_columns(ring, cols)
+        unit_determinant_dense(ring, cols)
+        inv = invert_dense(ring, cols)
         for j in range(n):
             e = [ring.one if i == j else ring.zero for i in range(n)]
             assert mat_vec(ring, cols, mat_vec(ring, inv, e)) == e
             assert mat_vec(ring, inv, mat_vec(ring, cols, e)) == e
     else:
         with pytest.raises(NotInvertibleError, match="is not a unit of"):
-            require_unit_determinant(ring, cols)
+            unit_determinant_dense(ring, cols)
         with pytest.raises(NotInvertibleError, match="is not a unit of"):
-            invert_columns(ring, cols)
+            invert_dense(ring, cols)
 
 
 @pytest.mark.parametrize(
@@ -690,12 +704,12 @@ def test_unit_determinant_known_cases(ring, rows, unit):
     cols = [[ring.normalize(r[j]) for r in rows] for j in range(len(rows))]
     assert ring.is_unit(leibniz_determinant(ring, cols)) == unit
     if unit:
-        require_unit_determinant(ring, cols)
+        unit_determinant_dense(ring, cols)
     else:
         with pytest.raises(NotInvertibleError):
-            require_unit_determinant(ring, cols)
+            unit_determinant_dense(ring, cols)
     with pytest.raises(NotInvertibleError, match="not square"):
-        require_unit_determinant(ring, [cols[0]])
+        unit_determinant_dense(ring, [cols[0]])
 
 
 # -- sparse inversion against the dense oracle ---------------------------------
@@ -810,23 +824,23 @@ def oracle_matrix(source, ring, seed, poset_index):
 def test_invert_columns_matches_dense_oracle(source, ring_name, seed, poset_index):
     ring = ORACLE_RINGS[ring_name]
     cols = oracle_matrix(source, ring, seed, poset_index)
-    assert inversion_outcome(invert_columns, ring, cols) == inversion_outcome(
+    assert inversion_outcome(invert_dense, ring, cols) == inversion_outcome(
         dense_invert_columns, ring, cols
     )
 
 
 def test_invert_columns_known_determinants():
-    swap = [[0, 1], [1, 0]]  # one row swap: determinant -1
-    assert invert_columns(INTEGERS, swap) == swap
+    swap = [{1: 1}, {0: 1}]  # one row swap: determinant -1
+    assert invert_columns(INTEGERS, swap, 2) == swap
     with pytest.raises(
         NotInvertibleError, match="^determinant 6 is not a unit of integers$"
     ):
-        invert_columns(INTEGERS, [[2, 0], [0, 3]])
+        invert_dense(INTEGERS, [[2, 0], [0, 3]])
     singular = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 3), Fraction(1, 6)]]
     with pytest.raises(
         NotInvertibleError, match="^determinant 0 is not a unit of rationals$"
     ):
-        invert_columns(RATIONALS, singular)
+        invert_dense(RATIONALS, singular)
 
 
 def determinant_outcome(determinant, ring, columns):
@@ -851,6 +865,6 @@ def test_sparse_determinant_matches_bareiss(source, ring_name, seed, poset_index
     # the same integer-lift determinant, or the same refusal text
     ring = ORACLE_RINGS[ring_name]
     cols = oracle_matrix(source, ring, seed, poset_index)
-    assert determinant_outcome(require_unit_determinant, ring, cols) == (
+    assert determinant_outcome(unit_determinant_dense, ring, cols) == (
         determinant_outcome(bareiss_unit_determinant, ring, cols)
     )
