@@ -28,13 +28,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import ne
 
 from .algebra import AlgElem, StructAlgebra, _change_basis, sparse_vector
-from .errors import (
-    ContextMismatchError,
-    FialgError,
-    TorsionRefusedError,
-)
+from .errors import ContextMismatchError, FialgError, TorsionRefusedError
 from .matrices import _sparse_image, invert_columns, mat_vec
 from .reports import CheckResult, VerificationReport, run_check
 
@@ -117,10 +114,15 @@ class LinMap:
 
     def to_json(self) -> dict:
         fmt = self.ring.format
+        zero = fmt(self.ring.zero)  # formatted once; fmt runs on the nonzeros only
+        columns = [[zero] * self.codomain.dimension for _ in self.sparse_columns]
+        for out, col in zip(columns, self.sparse_columns):
+            for k, v in col.items():
+                out[k] = fmt(v)
         return {
             "domain_dim": self.domain.dimension,
             "codomain_dim": self.codomain.dimension,
-            "columns": [[fmt(v) for v in col] for col in self.columns],
+            "columns": columns,
         }
 
     @classmethod
@@ -133,18 +135,29 @@ class LinMap:
             if isinstance(dim, bool) or not isinstance(dim, int):
                 raise FialgError(f"{field} must be an integer, got {dim!r}")
             if dim != algebra.dimension:
-                raise ContextMismatchError(
-                    f"{field} {dim} != algebra dimension {algebra.dimension}"
-                )
+                msg = f"{field} {dim} != algebra dimension {algebra.dimension}"
+                raise ContextMismatchError(msg)
         columns = obj["columns"]
-        if not isinstance(columns, list) or not all(
-            isinstance(col, list) for col in columns
-        ):
+        lists = isinstance(columns, list) and all(isinstance(c, list) for c in columns)
+        if not lists:
             raise FialgError("linear-map columns must be a list of lists")
-        parse = domain.ring.parse
-        cols = [[parse(v) for v in col] for col in columns]
-        _check_shape(domain, codomain, cols)
-        return cls._of_sparse(domain, codomain, map(sparse_vector, cols))
+        parse, memo, zeros = domain.ring.parse, {}, itertools.repeat("0")
+
+        def scalar(v):  # each string spelling is parsed once per load
+            if isinstance(v, str):
+                return memo[v] if v in memo else memo.setdefault(v, parse(v))
+            return parse(v)
+
+        cols = []
+        for col in columns:
+            # one C-level pass skips the entries spelled "0", parsed once too
+            kept = list(itertools.compress(range(len(col)), map(ne, col, zeros)))
+            if len(kept) < len(col):
+                scalar("0")
+            values = map(scalar, map(col.__getitem__, kept))
+            cols.append({i: x for i, x in zip(kept, values) if x})
+        _check_shape(domain, codomain, columns)
+        return cls._of_sparse(domain, codomain, cols)
 
 
 def _check_shape(domain: StructAlgebra, codomain: StructAlgebra, columns) -> None:
@@ -209,9 +222,11 @@ def check_homomorphism(
     pairs = itertools.product(range(m.domain.dimension), repeat=2)
     checks = [run_check(name, _homomorphism_failures(m, pairs, anti))]
     if unital:
-        lhs = m.apply_coords(m.domain.identity)
-        rhs = list(m.codomain.identity)
-        checks.append(run_check("unital", [] if lhs == rhs else [((), lhs, rhs)]))
+        cod, one = m.codomain, sparse_vector(m.domain.identity)
+        lhs = _sparse_image(m.ring, m.sparse_columns, one.items())
+        rhs = list(cod.identity)
+        failures = [] if lhs == sparse_vector(rhs) else [((), cod.dense(lhs), rhs)]
+        checks.append(run_check("unital", failures))
     return VerificationReport(tuple(checks))
 
 

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,11 @@ from fialg import (
     modular,
     ring_from_json,
 )
-from fialg.errors import FialgError
+from fialg.algebra import sparse_vector
+from fialg.errors import ContextMismatchError, FialgError
+from fialg.linmaps import _check_shape
 
-from conftest import chain, diamond, two_two_chains
+from conftest import antichain, chain, diamond, two_two_chains
 
 LABELS = ["a", "b", "c", "d"]
 KEYS = ["elements", "relations", "ring", "modular", "domain_dim", "codomain_dim",
@@ -149,6 +152,124 @@ def test_library_loaders_accept_or_raise_fialg_error(poset_obj, ring_obj, contex
     series = load_or_refuse(FinSeries.from_json, p, r, series_obj)
     if series is not None:
         assert FinSeries.from_json(p, r, series.to_json()) == series
+
+
+def dense_from_json(domain, codomain, obj):
+    """LinMap.from_json as it was before it kept only nonzeros: every entry
+    through ring.parse into dense payload lists, the shape checked, then the
+    nonzeros kept."""
+    for field in ("domain_dim", "codomain_dim", "columns"):
+        if not isinstance(obj, dict) or field not in obj:
+            raise FialgError(f"linear-map description lacks {field!r}")
+    for field, algebra in (("domain_dim", domain), ("codomain_dim", codomain)):
+        dim = obj[field]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise FialgError(f"{field} must be an integer, got {dim!r}")
+        if dim != algebra.dimension:
+            raise ContextMismatchError(
+                f"{field} {dim} != algebra dimension {algebra.dimension}"
+            )
+    columns = obj["columns"]
+    if not isinstance(columns, list) or not all(
+        isinstance(col, list) for col in columns
+    ):
+        raise FialgError("linear-map columns must be a list of lists")
+    parse = domain.ring.parse
+    cols = [[parse(v) for v in col] for col in columns]
+    _check_shape(domain, codomain, cols)
+    return LinMap._of_sparse(domain, codomain, map(sparse_vector, cols))
+
+
+def load_outcome(loader, domain, codomain, obj):
+    """The map a loader makes, with the type of each payload it keeps, or
+    the type and message of what it raises."""
+    try:
+        m = loader(domain, codomain, copy.deepcopy(obj))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m, [[(k, type(v)) for k, v in col.items()] for col in m.sparse_columns]
+
+
+@st.composite
+def ragged_maps(draw, dim, scalars):
+    """A valid_maps draw with one column a scalar shorter or longer."""
+    obj = draw(valid_maps(dim, scalars))
+    columns = obj["columns"] or [[]]
+    col = columns[draw(st.integers(0, len(columns) - 1))]
+    if col and draw(st.booleans()):
+        col.pop(draw(st.integers(0, len(col) - 1)))
+    else:
+        col.insert(draw(st.integers(0, len(col))), draw(scalars))
+    return {**obj, "columns": columns}
+
+
+# JSON values that compare equal, and so hash alike, across types.
+LOOKALIKES = [0, 1, False, True, 0.0, 1.0, "0", "1", "-0", "01"]
+
+
+@st.composite
+def lookalike_maps(draw, dim):
+    """A dim x dim map whose every entry is "0", "1" or one of LOOKALIKES."""
+    cell = st.sampled_from(["0", "1"]) | st.sampled_from(LOOKALIKES)
+    columns = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    return {"domain_dim": dim, "codomain_dim": dim, "columns": columns}
+
+
+@settings(max_examples=300, deadline=None)
+@given(context=CONTEXTS, other_ring=st.booleans(), data=st.data())
+def test_map_loader_matches_the_dense_loader(context, other_ring, data):
+    poset, ring = context
+    domain = incidence_algebra(poset, ring)
+    codomain = incidence_algebra(poset, RATIONALS if other_ring else ring)
+    dim = domain.dimension
+    maps = valid_maps(dim, SCALARS) | ragged_maps(dim, SCALARS) | lookalike_maps(dim)
+    obj = data.draw(near_miss(maps))
+    assert load_outcome(LinMap.from_json, domain, codomain, obj) == load_outcome(
+        dense_from_json, domain, codomain, obj
+    )
+
+
+# A mixed column over Q: strings a memo keyed on raw JSON values would
+# confuse with true and 1.0, which the loader must still refuse.  Each case
+# keeps the strings and integers, and the refused entries of REFUSED_KEPT.
+MIXED_COLUMN = ["1", 1, True, 1.0, "01", "-0", "2/4"]
+REFUSED_KEPT = {"true-and-1.0": (bool, float), "true": (bool,), "1.0": (float,),
+                "neither": ()}
+
+
+@pytest.mark.parametrize("shift", range(len(MIXED_COLUMN)))
+@pytest.mark.parametrize("kept", REFUSED_KEPT)
+def test_mixed_spellings_load_as_the_dense_loader_loads_them(shift, kept):
+    column = [v for v in MIXED_COLUMN if type(v) in (str, int) + REFUSED_KEPT[kept]]
+    shift %= len(column)
+    column = column[shift:] + column[:shift]
+    dim = len(column)
+    algebra = incidence_algebra(antichain(dim), RATIONALS)
+    unit = [[str(int(i == j)) for i in range(dim)] for j in range(1, dim)]
+    obj = {"domain_dim": dim, "codomain_dim": dim, "columns": [column] + unit}
+    outcome = load_outcome(LinMap.from_json, algebra, algebra, obj)
+    assert outcome == load_outcome(dense_from_json, algebra, algebra, obj)
+    refused = [v for v in column if type(v) in (bool, float)]
+    if refused:  # the first in column order is the one reported
+        message = f"scalar must be a string or an integer, got {refused[0]!r}"
+        assert outcome == (FialgError, message)
+    else:
+        spellings = dict(zip(column, outcome[0].columns[0]))
+        assert spellings == {"1": 1, 1: 1, "01": 1, "-0": 0, "2/4": Fraction(1, 2)}
+
+
+def test_a_bad_scalar_is_refused_before_a_wrong_column_height():
+    algebra = incidence_algebra(chain(2), RATIONALS)  # dimension 3
+    unit = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    cases = [
+        [unit[0], ["0", "1e3"], unit[2]],  # the bad scalar in the short column
+        [unit[0], ["0", "1", "0", "0"], ["0", "0", "1e3"]],  # in a later column
+    ]
+    for columns in cases:
+        obj = {"domain_dim": 3, "codomain_dim": 3, "columns": columns}
+        outcome = load_outcome(LinMap.from_json, algebra, algebra, obj)
+        assert outcome == (FialgError, "bad rational scalar '1e3'")
+        assert outcome == load_outcome(dense_from_json, algebra, algebra, obj)
 
 
 COMMANDS = {

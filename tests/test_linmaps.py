@@ -1,6 +1,7 @@
 """Linear maps between presentations, law recognizers, exact inversion."""
 
 import collections
+import copy
 import itertools
 import math
 import random
@@ -50,6 +51,7 @@ from conftest import (
 )
 
 P3 = chain(3)
+EMPTY_POSET = validate_poset([], [])
 
 
 def test_identity_map_passes_every_law():
@@ -156,6 +158,91 @@ def test_from_json_normalizes_each_entry_once(ring, monkeypatch):
     assert [[type(v) for v in col] for col in back.columns] == [
         [type(v) for v in col] for col in phi.columns
     ]
+
+
+def counting_parse(monkeypatch, ring):
+    """The scalars ring.parse is called on from now on, in call order."""
+    calls, parse = [], type(ring).parse
+
+    def counted(self, text):
+        calls.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(type(ring), "parse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [modular(9), RATIONALS, INTEGERS], ids=repr)
+def test_from_json_parses_each_distinct_spelling_once(ring, monkeypatch):
+    # per load, ring.parse runs once per distinct string spelling plus once
+    # per non-string entry; a chain-7 map has 28 x 28 = 784 entries
+    phi = random_jordan_iso(chain(7), ring, seed=1)
+    wire = phi.to_json()
+    mixed = copy.deepcopy(wire)
+    mixed["columns"][0] = [int(v) if v in ("0", "1") else v for v in wire["columns"][0]]
+    mixed["columns"][1][:3] = ["01", "-0", "1"]
+    counts = []
+    for obj in (wire, mixed):
+        entries = [v for col in obj["columns"] for v in col]
+        calls = counting_parse(monkeypatch, ring)
+        loaded = LinMap.from_json(phi.domain, phi.codomain, obj)
+        monkeypatch.undo()
+        texts = [v for v in calls if isinstance(v, str)]
+        assert sorted(texts) == sorted({v for v in entries if isinstance(v, str)})
+        assert len(calls) - len(texts) == sum(not isinstance(v, str) for v in entries)
+        assert loaded.sparse_columns[2:] == phi.sparse_columns[2:]
+        counts.append((len(entries), len(calls)))
+    assert counts[0][0] == 784 and counts[0][1] <= (9 if ring == modular(9) else 60)
+    assert counts[1][1] > counts[0][1]  # the mixed map's integers are parsed each
+
+
+def test_from_json_parses_only_the_spellings_it_is_given(monkeypatch):
+    ring = RATIONALS
+    empty = incidence_algebra(EMPTY_POSET, ring)
+    one = incidence_algebra(chain(1), ring)
+    calls = counting_parse(monkeypatch, ring)
+    LinMap.from_json(empty, empty, LinMap.identity(empty).to_json())
+    assert calls == []
+    obj = {"domain_dim": 1, "codomain_dim": 1, "columns": [["2/4"]]}
+    assert LinMap.from_json(one, one, obj).sparse_columns == ({0: Fraction(1, 2)},)
+    assert calls == ["2/4"]
+
+
+def dense_to_json(m):
+    """LinMap.to_json on the dense view: every entry formatted."""
+    fmt = m.ring.format
+    return {
+        "domain_dim": m.domain.dimension,
+        "codomain_dim": m.codomain.dimension,
+        "columns": [[fmt(v) for v in col] for col in m.columns],
+    }
+
+
+def writer_maps(ring):
+    """Maps for the writer oracle: generated ones (a unit conjugation, and
+    random_jordan_iso where 2-torsion-free) with their codomains twisted,
+    the zero and identity maps, and maps to and from the empty poset's
+    algebra."""
+    empty = incidence_algebra(EMPTY_POSET, ring)
+    maps = [LinMap.identity(empty)]
+    for poset in (diamond(), two_two_chains(), EMPTY_POSET):
+        A = incidence_algebra(poset, ring)
+        generated = [conjugate_by_unit(random_unit_series(poset, ring, random.Random(5)))]
+        if ring.is_two_torsionfree():
+            generated.append(random_jordan_iso(poset, ring, seed=5))
+        for m in generated:
+            maps += [m, rebase_codomain(m, random_basis_change(m.codomain, 6))]
+        maps += [LinMap.zero(A, A), LinMap.identity(A)]
+        maps += [LinMap.zero(A, empty), LinMap.zero(empty, A)]
+    return maps
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9), modular(2)], ids=repr)
+def test_to_json_writes_the_dense_columns_from_the_sparse_store(ring):
+    for m in writer_maps(ring):
+        wire = m.to_json()
+        assert "columns" not in vars(m)
+        assert wire == dense_to_json(m)
 
 
 def test_rebase_codomain_preserves_action():
@@ -373,9 +460,6 @@ def dense_check_jordan(m):
     return dense_jordan_pair_check(m).extend(VerificationReport(checks))
 
 
-EMPTY_POSET = validate_poset([], [])
-
-
 def recognizer_map(poset, ring, kind, twist, seed):
     """A map for the recognizer oracles: a Jordan map (random_jordan_iso,
     or an order automorphism over a ring with 2-torsion), an anti-
@@ -425,6 +509,37 @@ def test_recognizers_match_dense_oracles(
     assert check_jordan(m, allow_torsion=True).to_json(fmt) == dense_check_jordan(
         m
     ).to_json(fmt)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_unital_clause_decides_on_the_nonzeros(ring):
+    for poset in (diamond(), two_two_chains()):
+        for order_map in order_isomorphisms(poset, poset):
+            m = from_order_map(order_map, ring)
+            rep = check_homomorphism(m, unital=True)
+            assert rep.passed and rep.check("unital").passed
+            assert "columns" not in vars(m)
+    empty = incidence_algebra(EMPTY_POSET, ring)
+    ident = LinMap.identity(empty)
+    assert check_homomorphism(ident, unital=True).check("unital").passed
+    assert "columns" not in vars(ident)
+
+
+def test_unital_clause_fails_twice_the_identity_with_a_witness():
+    A = incidence_algebra(diamond(), INTEGERS)
+    d = A.dimension
+    doubled = LinMap(A, A, [[2 if i == j else 0 for i in range(d)] for j in range(d)])
+    unital = check_homomorphism(doubled, unital=True).check("unital")
+    assert not unital.passed and unital.failure_count == 1
+    (witness,) = unital.witnesses
+    assert witness.indices == ()
+    assert witness.left == tuple(2 * v for v in A.identity)
+    assert witness.right == A.identity
+    assert "columns" not in vars(doubled)
+    # the empty algebra's 1 is 0, so a map out of it is unital only onto it
+    out = LinMap.zero(incidence_algebra(EMPTY_POSET, INTEGERS), A)
+    (witness,) = check_homomorphism(out, unital=True).check("unital").witnesses
+    assert witness.left == (0,) * d and witness.right == A.identity
 
 
 GENERATOR_RINGS = (RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6))
