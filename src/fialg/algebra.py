@@ -442,6 +442,13 @@ class AlgElem:
     algebra: StructAlgebra
     coords: tuple
 
+    def __post_init__(self):
+        if len(self.coords) != self.algebra.dimension:
+            raise ContextMismatchError(
+                f"{len(self.coords)} coordinates for an algebra of dimension "
+                f"{self.algebra.dimension}"
+            )
+
     def _peer(self, other: "AlgElem") -> "AlgElem":
         if not isinstance(other, AlgElem):
             raise TypeError(f"expected AlgElem, got {type(other).__name__}")

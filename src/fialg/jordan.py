@@ -27,7 +27,11 @@ recognizer's own report is built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Its sandwich
 families read one table of Peirce components phi(e_x) v phi(e_y) per sample
-image v, and report what a per-pair scan does.
+image v, and report what a per-pair scan does.  The polarized triple and
+five-factor families are one word identity, phi(sum of word products of the
+drawn series) = sum of the same products of their images, and the two
+idempotent families walk one grid of subset idempotents e_Y against the
+general samples.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -155,14 +160,8 @@ def near_sum_build(psi: LinMap, theta: LinMap) -> LinMap:
 def random_unit_series(poset: Poset, ring: Ring, rng: random.Random,
                        density: float = 0.4) -> FinSeries:
     """A random convolution unit: unit diagonal entries, sparse strict part."""
-    coeffs = {}
-    for i in range(poset.size):
-        coeffs[(i, i)] = ring.sample_unit(rng)
-    for (i, j) in poset.strict_index_pairs():
-        if rng.random() < density:
-            v = ring.sample(rng)
-            if not ring.is_zero(v):
-                coeffs[(i, j)] = v
+    coeffs = {(i, i): ring.sample_unit(rng) for i in range(poset.size)}
+    coeffs.update(random_series(poset, ring, rng, density, strict_only=True).coeffs)
     return FinSeries(poset, ring, coeffs)
 
 
@@ -555,7 +554,10 @@ def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     add = phi.ring.add
 
     def components(v):
-        table = _peirce_table(phi, v.coords if isinstance(v, AlgElem) else v)
+        v = v.coords if isinstance(v, AlgElem) else v
+        if len(v) != phi.codomain.dimension:
+            raise ContextMismatchError("vector length does not match the codomain")
+        table = _peirce_table(phi, v)
         return [table[(i, i)] for i in range(poset.size)] + [
             [add(p, q) for p, q in zip(table[(i, j)], table[(j, i)])]
             for (i, j) in poset.strict_index_pairs()
@@ -624,19 +626,9 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
             if halves[s2] is None:
                 continue
             right = halves[s2][1]
+            fc, gc = (f2.coeffs, f1.coeffs) if mirror else (f1.coeffs, f2.coeffs)
             for (i, j), interval in intervals:
-                if mirror:
-                    excluded = {
-                        z
-                        for z in interval
-                        if (z, j) in f1.coeffs and (i, z) in f2.coeffs
-                    }
-                else:
-                    excluded = {
-                        z
-                        for z in interval
-                        if (i, z) in f1.coeffs and (z, j) in f2.coeffs
-                    }
+                excluded = {z for z in interval if (i, z) in fc and (z, j) in gc}
                 pool = [z for z in range(n) if z not in excluded]
                 windows = [
                     (),
@@ -644,14 +636,10 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
                     tuple(z for z in pool if z not in interval),
                     tuple(z for z in pool if rng.random() < 0.5),
                 ]
-                for w in windows:
-                    ew = window_image(w)
-                    fwd = multiply(multiply(left[i], ew), right[j])
-                    if fwd:
-                        yield (s1, s2, labels[i], labels[j], w), cod.dense(fwd), zero_vec
-                    bwd = multiply(multiply(left[j], ew), right[i])
-                    if bwd:
-                        yield (s1, s2, labels[j], labels[i], w), cod.dense(bwd), zero_vec
+                for w, (x, y) in itertools.product(windows, ((i, j), (j, i))):
+                    p = multiply(multiply(left[x], window_image(w)), right[y])
+                    if p:
+                        yield (s1, s2, labels[x], labels[y], w), cod.dense(p), zero_vec
 
 
 # How many seeded general and strict sample series the identity suite draws.
@@ -710,10 +698,10 @@ def verify_paper_identities(
         return [mul(r, v) for v in columns[basis.index_of[pair]]]
 
     def mulc(*vectors):
-        out = vectors[0]
-        for v in vectors[1:]:
-            out = cod.multiply(out, v)
-        return out
+        return functools.reduce(cod.multiply, vectors)
+
+    def addc(*vectors):
+        return functools.reduce(lambda u, v: list(map(add, u, v)), vectors)
 
     psi, theta = (LinMap._of_sparse(dom, cod, c) for c in _near_sum_columns(phi))
     labels = poset.elements
@@ -736,7 +724,7 @@ def verify_paper_identities(
             table = general_table(s)
             for (i, j) in poset.strict_index_pairs():
                 lhs = scaled(f, (i, j), phi.columns)
-                rhs = [add(a, b) for a, b in zip(table[(i, j)], table[(j, i)])]
+                rhs = addc(table[(i, j)], table[(j, i)])
                 if lhs != rhs:
                     yield (s, labels[i], labels[j]), lhs, rhs
 
@@ -766,95 +754,66 @@ def verify_paper_identities(
 
     checks.append(run_check("coefficient_sandwich", coefficient_sandwich()))
 
-    # phi(abc + cba) = phi(a)phi(b)phi(c) + phi(c)phi(b)phi(a)
-    def polarized_triple():
-        for t in range(samples + 1):
-            a, b, c = (
-                random_series(poset, ring, rng, density=0.5) for _ in range(3)
-            )
-            lhs = phi.apply_coords(vec(a * b * c + c * b * a))
-            r1 = mulc(phi_of(a), phi_of(b), phi_of(c))
-            r2 = mulc(phi_of(c), phi_of(b), phi_of(a))
-            rhs = [add(u, v) for u, v in zip(r1, r2)]
+    # phi(sum of the words' products of drawn series) = the sum of the same
+    # products of their images; a word lists the positions of the series it
+    # multiplies, in order, and each round draws and maps each series once
+    def word_failures(rounds, density, words):
+        for t in range(rounds):
+            series = [
+                random_series(poset, ring, rng, density=density)
+                for _ in range(max(map(max, words)) + 1)
+            ]
+            products = (functools.reduce(operator.mul, map(series.__getitem__, w))
+                        for w in words)
+            lhs = phi_of(functools.reduce(operator.add, products))
+            images = [phi_of(f) for f in series]
+            rhs = addc(*(mulc(*map(images.__getitem__, w)) for w in words))
             if lhs != rhs:
                 yield (t,), lhs, rhs
 
-    checks.append(run_check("polarized_triple", polarized_triple()))
+    # phi(abc + cba) = phi(a)phi(b)phi(c) + phi(c)phi(b)phi(a)
+    triple = word_failures(samples + 1, 0.5, ((0, 1, 2), (2, 1, 0)))
+    checks.append(run_check("polarized_triple", triple))
 
     # phi(abcde + edabc + cbade + edcba) = the four matching image products
-    def five_factor():
-        for t in range(samples):
-            a, b, c, d, e = (
-                random_series(poset, ring, rng, density=0.4) for _ in range(5)
-            )
-            lhs_series = (
-                a * b * c * d * e
-                + e * d * (a * b * c)
-                + c * b * a * d * e
-                + e * d * c * b * a
-            )
-            lhs = phi.apply_coords(vec(lhs_series))
-            pa, pb, pc, pd, pe = map(phi_of, (a, b, c, d, e))
-            terms = [
-                mulc(pa, pb, pc, pd, pe),
-                mulc(pe, pd, pa, pb, pc),
-                mulc(pc, pb, pa, pd, pe),
-                mulc(pe, pd, pc, pb, pa),
-            ]
-            rhs = [ring.zero] * cod.dimension
-            for term in terms:
-                rhs = [add(u, v) for u, v in zip(rhs, term)]
-            if lhs != rhs:
-                yield (t,), lhs, rhs
+    five = ((0, 1, 2, 3, 4), (4, 3, 0, 1, 2), (2, 1, 0, 3, 4), (4, 3, 2, 1, 0))
+    checks.append(run_check("five_factor", word_failures(samples, 0.4, five)))
 
-    checks.append(run_check("five_factor", five_factor()))
-
-    # phi(a)phi(e) = phi(e)phi(a) = phi(ae) for idempotents e_Y commuting with a
-    def commuting_idempotent():
+    # The idempotent families walk one grid: each subset Y of subset_pool,
+    # with e = e_Y, against each general sample f, cut down to the part a of
+    # f whose entries (x, y) satisfy keep(x in Y, y in Y).
+    def idempotent_grid(keep):
         for yi, ys in enumerate(subset_pool):
             y_set = set(ys)
             e = FinSeries.subset_idempotent(poset, ring, [labels[i] for i in ys])
             pe = phi_of(e)
             for s, f in enumerate(general):
-                # keep only entries with both ends inside Y or both outside:
-                # exactly the part of f commuting with e_Y.
-                kept = {
-                    k: v
-                    for k, v in f.coeffs.items()
-                    if (k[0] in y_set) == (k[1] in y_set)
-                }
+                kept = {k: v for k, v in f.coeffs.items()
+                        if keep(k[0] in y_set, k[1] in y_set)}
                 a = FinSeries(poset, ring, kept)
-                pa = phi_of(a)
-                left = mulc(pa, pe)
-                right = mulc(pe, pa)
-                target = phi_of(a * e)
-                if left != target:
-                    yield (yi, s), left, target, "phi(a)phi(e) vs phi(ae)"
-                if right != target:
-                    yield (yi, s), right, target, "phi(e)phi(a) vs phi(ae)"
+                yield (yi, s), e, pe, a, phi_of(a)
+
+    def both_orders(key, u, v, target, notes):
+        """u v, then v u, against target, each with its note."""
+        for side, note in zip(((u, v), (v, u)), notes):
+            product = mulc(*side)
+            if product != target:
+                yield key, product, target, note
+
+    # phi(a)phi(e) = phi(e)phi(a) = phi(ae) for idempotents e_Y commuting
+    # with a: a keeps the entries with both ends inside Y or both outside
+    def commuting_idempotent():
+        notes = ("phi(a)phi(e) vs phi(ae)", "phi(e)phi(a) vs phi(ae)")
+        for key, e, pe, a, pa in idempotent_grid(operator.eq):
+            yield from both_orders(key, pa, pe, phi_of(a * e), notes)
 
     checks.append(run_check("commuting_idempotent", commuting_idempotent()))
 
     # e a = a e = 0 forces phi(e) phi(a) = phi(a) phi(e) = 0
     def annihilating_idempotent():
-        for yi, ys in enumerate(subset_pool):
-            y_set = set(ys)
-            e = FinSeries.subset_idempotent(poset, ring, [labels[i] for i in ys])
-            pe = phi_of(e)
-            for s, f in enumerate(general):
-                kept = {
-                    k: v
-                    for k, v in f.coeffs.items()
-                    if k[0] not in y_set and k[1] not in y_set
-                }
-                a = FinSeries(poset, ring, kept)
-                pa = phi_of(a)
-                left = mulc(pe, pa)
-                if left != zero_vec:
-                    yield (yi, s), left, zero_vec, "phi(e)phi(a)"
-                right = mulc(pa, pe)
-                if right != zero_vec:
-                    yield (yi, s), right, zero_vec, "phi(a)phi(e)"
+        notes = ("phi(e)phi(a)", "phi(a)phi(e)")
+        for key, _, pe, _, pa in idempotent_grid(lambda x, y: not (x or y)):
+            yield from both_orders(key, pe, pa, zero_vec, notes)
 
     checks.append(run_check("annihilating_idempotent", annihilating_idempotent()))
 
@@ -862,15 +821,9 @@ def verify_paper_identities(
     def diagonal_restriction():
         parts = [f.split_diag()[0] for f in general]
         images = [phi_of(fd) for fd in parts]
-        for s, fd in enumerate(parts):
-            for t, gd in enumerate(parts):
-                target = phi_of(fd * gd)
-                fwd = mulc(images[s], images[t])
-                if fwd != target:
-                    yield (s, t), fwd, target, "homomorphism direction"
-                bwd = mulc(images[t], images[s])
-                if bwd != target:
-                    yield (s, t), bwd, target, "anti direction"
+        notes = ("homomorphism direction", "anti direction")
+        for (s, fd), (t, gd) in itertools.product(enumerate(parts), repeat=2):
+            yield from both_orders((s, t), images[s], images[t], phi_of(fd * gd), notes)
 
     checks.append(
         run_check("diagonal_restriction_homomorphism", diagonal_restriction())

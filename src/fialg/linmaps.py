@@ -88,6 +88,8 @@ class LinMap:
     # -- action ----------------------------------------------------------------
 
     def apply_coords(self, vec):
+        if len(vec) != self.domain.dimension:
+            raise ContextMismatchError("vector length does not match the map's domain")
         if not self.columns:  # no column to read the codomain's dimension from
             return [self.ring.zero] * self.codomain.dimension
         return mat_vec(self.ring, self.columns, vec)
@@ -337,11 +339,7 @@ def _quadratic_failures(m: LinMap):
     images = m.sparse_columns
     multiply = cod.multiply_sparse
     d = dom.dimension
-    for i in range(d):
-        lhs = _sparse_image(ring, images, dom.cells[i][i])
-        rhs = multiply(images[i], images[i])
-        if lhs != rhs:
-            yield (i, i), cod.dense(lhs), cod.dense(rhs)
+    yield from _homomorphism_failures(m, ((i, i) for i in range(d)), anti=False)
     for i in range(d):
         unit = {i: ring.one}
         for j in range(d):

@@ -168,11 +168,10 @@ class ModularRing(Ring):
         return a % self.modulus
 
     def try_invert(self, a):
-        a %= self.modulus
-        g, s, _ = _gcdex(a, self.modulus)
-        if g != 1:
+        try:
+            return pow(a, -1, self.modulus)
+        except ValueError:  # a shares a factor with the modulus
             return None
-        return s % self.modulus
 
     def is_two_torsionfree(self):
         # 2a = 0 mod n has the nonzero solution a = n/2 exactly when n is even.
@@ -249,21 +248,6 @@ def _check_wire_scalar(text, spelling: re.Pattern, what: str) -> None:
         raise FialgError(f"scalar must be a string or an integer, got {text!r}")
     if isinstance(text, str) and not spelling.fullmatch(text):
         raise FialgError(f"bad {what} scalar {text!r}")
-
-
-def _gcdex(a: int, b: int):
-    """Extended gcd: returns (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 INTEGERS = IntegerRing()

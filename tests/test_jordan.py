@@ -2,7 +2,9 @@
 
 import collections
 import functools
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -1754,6 +1756,65 @@ def test_diagonal_restriction_maps_each_diagonal_part_once():
     # two parts, 5 + 25, where mapping both factors for every pair took 125.
     _, _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert images["diagonal_restriction_homomorphism"] == 5 + 5 * 5
+
+
+def test_identity_families_keep_their_product_counts():
+    # Every family's dense and sparse products on chain-5 over Q, seed 1.
+    # The 40 sparse products outside any family build psi and theta: two
+    # per strict unit, and chain-5 has 10 strict units.
+    counts, sparse, _ = calls_per_family(
+        random_jordan_iso(chain(5), RATIONALS, seed=1), 1
+    )
+    assert dict(counts) == {
+        "unit_sandwich_strict": 150,
+        "polarized_triple": 16,
+        "five_factor": 48,
+        "commuting_idempotent": 40,
+        "annihilating_idempotent": 40,
+        "diagonal_restriction_homomorphism": 50,
+        "psi_sandwich": 180,
+        "theta_sandwich": 90,
+        "sandwich_equality_criterion": 300,
+    }
+    assert dict(sparse) == {
+        None: 40,
+        "psi_window_annihilation": 2190,
+        "theta_window_annihilation": 2190,
+    }
+
+
+def test_word_identities_map_each_drawn_series_once():
+    # one image of the summed word products, and one per drawn series:
+    # 4 rounds of 3 series, and 3 rounds of 5
+    _, _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    assert images["polarized_triple"] == 4 * (1 + 3)
+    assert images["five_factor"] == 3 * (1 + 5)
+
+
+IDENTITY_REPORTS_SHA256 = (
+    "39e10eb27fae8e7548c26a3bcf185d7e498ec2029d12fdd8af3451a663a91d63"
+)
+
+
+def test_identity_reports_keep_their_bytes():
+    # 48 reports: Jordan and perturbed maps, plain and twisted, over Q, Z,
+    # Z/9 and Z/4 (2-torsion, by the override) on three small posets; 22 of
+    # them fail.  A refactor of the suite must leave every byte in place.
+    digest, failing = hashlib.sha256(), 0
+    for poset in (chain(3), diamond(), two_two_chains()):
+        for ring in (RATIONALS, INTEGERS, modular(9), modular(4)):
+            for kind, twist in itertools.product(("jordan", "perturbed"), (False, True)):
+                phi = identity_corpus_map(poset, ring, kind, twist, 1)
+                try:
+                    report = verify_paper_identities(phi, 1, allow_torsion=True)
+                except NotInvertibleError:
+                    out = "NotInvertibleError"
+                else:
+                    out = report.to_json(ring.format)
+                    failing += not report.passed
+                digest.update(json.dumps(out, sort_keys=True).encode())
+    assert failing == 22
+    assert digest.hexdigest() == IDENTITY_REPORTS_SHA256
 
 
 def test_equal_by_sandwiches_matches_equality():

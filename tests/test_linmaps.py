@@ -20,6 +20,7 @@ from fialg import (
     check_homomorphism,
     check_jordan,
     conjugate_by_unit,
+    equal_by_sandwiches,
     from_order_map,
     incidence_algebra,
     jordan_pair_check,
@@ -119,6 +120,21 @@ def test_maps_out_of_the_empty_algebra_have_the_codomain_dimension():
     assert out.apply(AlgElem(E, ())) == AlgElem(A, (ring.zero,) * 3)
     assert out.compose(LinMap.zero(A, E)) == LinMap.zero(A, A)
     assert LinMap.zero(A, E).compose(out) == LinMap.zero(E, E)
+
+
+def test_wrong_length_vectors_are_refused():
+    # chain-2's algebra has dimension 3: a 1-vector is in no context of it
+    A = incidence_algebra(chain(2), RATIONALS)
+    phi = LinMap.identity(A)
+    with pytest.raises(ContextMismatchError):
+        AlgElem(A, (1,))
+    with pytest.raises(ContextMismatchError):
+        phi.apply_coords([1])
+    with pytest.raises(ContextMismatchError):
+        equal_by_sandwiches(phi, [1, 0, 0], [1])
+    with pytest.raises(ContextMismatchError):
+        equal_by_sandwiches(phi, [1, 0, 0, 0], [1, 0, 0, 0])
+    assert equal_by_sandwiches(phi, [1, 0, 0], AlgElem(A, (1, 0, 0)))
 
 
 def test_invert_refuses_singular_maps():

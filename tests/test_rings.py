@@ -104,6 +104,12 @@ def test_modular_units_by_gcd():
     assert units == {a for a in range(12) if gcd(a, 12) == 1}
 
 
+@given(st.integers(2, 60), st.integers(-200, 200))
+def test_modular_inverse_matches_brute_force(n, a):
+    brute = [b for b in range(n) if (a * b) % n == 1 % n]
+    assert modular(n).try_invert(a) == (brute[0] if brute else None)
+
+
 @pytest.mark.parametrize("n", [2, 9, 15, 45, 105, 2 * 3 * 5 * 7 * 11 * 13])
 def test_unit_sequence_equals_the_listed_units(n):
     units = _UnitResidues(n)
