@@ -319,7 +319,8 @@ class StructAlgebra:
     constants over an ordered basis.
 
     cells[i][j] lists the nonzero coordinates of b_i * b_j as (k, coeff)
-    pairs.  Construction checks only the table's shape: the two builders,
+    pairs; a row passed as a tuple is kept as it is, so its cells must be
+    tuples.  Construction checks only the table's shape: the two builders,
     incidence_algebra() and change_basis(), produce unital associative
     tables by construction.  multiply() takes and returns dense coordinate
     lists; multiply_sparse() takes and returns {index: nonzero payload}
@@ -328,7 +329,8 @@ class StructAlgebra:
 
     def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
         self.ring = ring
-        self.cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
+        rows = (r if isinstance(r, tuple) else tuple(map(tuple, r)) for r in cells)
+        self.cells = tuple(rows)
         self.identity = tuple(identity)
         self.dimension = len(self.identity)
         self.basis = basis
@@ -475,10 +477,9 @@ class AlgElem:
         )
 
     def __mul__(self, other):
-        other = self._peer(other)
-        return AlgElem(
-            self.algebra, tuple(self.algebra.multiply(self.coords, other.coords))
-        )
+        u, v = sparse_vector(self.coords), sparse_vector(self._peer(other).coords)
+        product = self.algebra.multiply_sparse(u, v)
+        return AlgElem(self.algebra, tuple(self.algebra.dense(product)))
 
     def scale(self, r) -> "AlgElem":
         ring = self.algebra.ring
@@ -504,21 +505,19 @@ def incidence_algebra(poset: Poset, ring: Ring) -> StructAlgebra:
     Cached per (poset, ring): all callers share one algebra object.
     """
     basis = AlgBasis(poset)
-    d = basis.dimension
-    index_of = basis.index_of
+    d, n = basis.dimension, poset.size
+    units_from = [[] for _ in range(n)]  # y -> the units e_yv as (index, v)
+    for k, (y, v) in enumerate(basis.pairs):
+        units_from[y].append((k, v))
+    unit_cell = [{v: ((k, ring.one),) for k, v in units} for units in units_from]
     cells = []
     for (x, y) in basis.pairs:
-        row = []
-        for (u, v) in basis.pairs:
-            if y == u:
-                # e_xy * e_yv = e_xv; x <= v holds by transitivity.
-                row.append(((index_of[(x, v)], ring.one),))
-            else:
-                row.append(())
+        row = [()] * d
+        cell_to = unit_cell[x]
+        for k, v in units_from[y]:
+            row[k] = cell_to[v]  # e_xy * e_yv = e_xv, as x <= y <= v
         cells.append(tuple(row))
-    identity = [
-        ring.one if k < basis.diagonal_count else ring.zero for k in range(d)
-    ]
+    identity = [ring.one] * n + [ring.zero] * (d - n)
     return StructAlgebra(ring, tuple(cells), identity, basis=basis)
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import incidence_algebra
 from .errors import FialgError
@@ -71,8 +72,48 @@ def _load_map(args) -> LinMap:
         raise CliError(f"map file {args.map!r}: {exc}")
 
 
+def _write_json(obj, nl: str, parts: list) -> None:
+    """Append obj to parts as json.dumps(sort_keys=True, indent=2) writes it
+    after indent nl; module level, as a closure calling itself is a cycle."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        for i, key in enumerate(sorted(obj)):
+            parts.append(("," if i else "{") + inner + _encode_str(key) + ": ")
+            _write_json(obj[key], inner, parts)
+        parts.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        try:  # a list of strings goes out in one join
+            raw = "".join(obj)
+            if raw.isascii() and raw.isprintable() and '"' not in raw and "\\" not in raw:
+                body = '"' + ('",' + inner + '"').join(obj) + '"'  # nothing to escape
+            else:
+                body = ("," + inner).join(map(_encode_str, obj))
+            parts.append("[" + inner + body + nl + "]" if obj else "[]")
+        except TypeError:  # an item is not a string
+            for i, item in enumerate(obj):
+                parts.append(("," if i else "[") + inner)
+                _write_json(item, inner, parts)
+            parts.append(nl + "]")
+    else:
+        parts.append(json.dumps(obj))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) + "\\n", byte for byte; a
+    non-string dict key sends the whole document to json.dumps."""
+    parts = []
+    try:
+        _write_json(obj, "\n", parts)
+    except TypeError:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return "".join(parts) + "\n"
+
+
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _json_text(obj)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fialg import (
+    AlgElem,
     FinSeries,
     INTEGERS,
     NotAUnitError,
@@ -31,6 +32,7 @@ from conftest import (
     boolean_lattice,
     chain,
     diamond,
+    disjoint_union,
     two_two_chains,
     unitriangular_shear,
 )
@@ -222,6 +224,48 @@ def test_incidence_algebra_round_trip():
     prod = A.series_from_element(uf * ug)
     assert prod == f * g
     assert A.series_from_element(uf + ug) == f + g
+
+
+def test_element_product_matches_the_dense_kernel():
+    for ring in (RATIONALS, INTEGERS, modular(9)):
+        A = incidence_algebra(D, ring)
+        for algebra in (A, change_basis(A, random_basis_change(A, 5))):
+            rng = random.Random(6)
+            for _ in range(10):
+                u = [ring.sample(rng) for _ in range(algebra.dimension)]
+                v = [ring.sample(rng) for _ in range(algebra.dimension)]
+                product = AlgElem(algebra, tuple(u)) * AlgElem(algebra, tuple(v))
+                assert product.coords == tuple(algebra.multiply(u, v))
+
+
+def dense_incidence_cells(poset, ring):
+    """The incidence table and identity by the double loop over every pair
+    of basis units, as incidence_algebra built them before it filled only
+    the nonempty cells: the oracle of its table."""
+    basis = AlgBasis(poset)
+    index_of = basis.index_of
+    cells = []
+    for (x, y) in basis.pairs:
+        row = []
+        for (u, v) in basis.pairs:
+            if y == u:
+                row.append(((index_of[(x, v)], ring.one),))
+            else:
+                row.append(())
+        cells.append(tuple(row))
+    identity = tuple(
+        ring.one if k < basis.diagonal_count else ring.zero
+        for k in range(basis.dimension)
+    )
+    return tuple(cells), identity
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_incidence_table_matches_the_dense_loop(ring):
+    larger = [chain(13), boolean_lattice(4), disjoint_union(chain(7), chain(7))]
+    for poset in all_posets_up_to(4) + larger:
+        A = incidence_algebra(poset, ring)
+        assert (A.cells, A.identity) == dense_incidence_cells(poset, ring)
 
 
 def test_incidence_algebra_is_cached():

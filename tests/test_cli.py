@@ -1,14 +1,30 @@
 """End-to-end CLI runs over the bundled fixtures: exit codes, report shapes,
 and byte-level determinism."""
 
+import gc
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fialg import cli, jordan
+from fialg import (
+    INTEGERS,
+    RATIONALS,
+    check_homomorphism,
+    check_jordan,
+    cli,
+    decompose,
+    jordan,
+    modular,
+    random_jordan_iso,
+    verify_paper_identities,
+)
+from conftest import chain, diamond, two_two_chains
+from test_jordan import damaged_map
 from test_linmaps import (
     dense_check_homomorphism,
     dense_check_jordan,
@@ -426,3 +442,95 @@ def test_fixture_reports_match_dense_recognizers(
     assert code == dense_code
     assert out.out == dense_out.out
     assert out.err == dense_out.err
+
+
+def dumps_text(obj) -> str:
+    """The report bytes as the pure-Python encoder writes them: the oracle."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def outcome(write, obj):
+    try:
+        return write(obj)
+    except TypeError:  # mixed key types that sort_keys cannot order
+        return TypeError
+
+
+# characters that json.dumps escapes; TEXT adds the ends of the range it
+# writes as they are, " " and "~"
+ESCAPED = '"\\\x00\x1f\n\t\x7f\u00e9\u2028\ud800\U0001f600'
+TEXT = st.text(st.sampled_from(ESCAPED + "a/ ~") | st.characters(), max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers(-(2**100), 2**100) | st.floats() | TEXT
+KEYS = TEXT | st.integers(-3, 3) | st.booleans() | st.none()
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(TEXT | st.integers() | st.booleans() | st.none(), max_size=5)
+        | st.lists(TEXT, min_size=1, max_size=4)
+        | st.dictionaries(TEXT, children, max_size=4)
+        | st.dictionaries(KEYS, children, max_size=3)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(SCALARS, containers, max_leaves=20))
+@example({"empty": [[], {}, (), [[{}]]], "nested": {"in": {}}})
+@example({"indices": (0, 3), "columns": [["1/2", "0"], ["-1", "0"]], "passed": False})
+@example(["q\"b\\s\x00\u00e9\U0001f600", "0", 2**70, -(2**70), True, None, 1.5])
+@example({1: "int keys take the fallback", 2: ["x"]})
+def test_report_writer_matches_json_dumps(obj):
+    assert outcome(cli._json_text, obj) == outcome(dumps_text, obj)
+
+
+def test_a_list_of_strings_escapes_as_json_dumps_does():
+    # a list of strings with nothing to escape is joined without the encoder
+    for char in ESCAPED:
+        for strings in (["0", "a" + char, "1/2"], [char], ["-1", char * 2]):
+            assert cli._json_text(strings) == dumps_text(strings), repr(strings)
+    assert cli._json_text(["0", "-1", "1/2", ""]) == dumps_text(["0", "-1", "1/2", ""])
+
+
+def cli_outputs(poset, ring, seed):
+    """What the CLI writes for a Jordan map and a damaged copy, by command:
+    the poset, the map, the decomposition, and the check-map, verify and
+    identity reports."""
+    phi = random_jordan_iso(poset, ring, seed)
+    bad = damaged_map(phi, "perturbed", random.Random(seed))
+    dec = decompose(phi)
+    yield "validate-poset", poset.to_json()
+    yield "gen-jordan", phi.to_json()
+    yield "decompose", dec.to_json()
+    yield "verify", dec.report.to_json(ring.format)
+    for m in (phi, bad):
+        yield "check-map", check_homomorphism(m).to_json(ring.format)
+        yield "check-map --jordan", check_jordan(m).to_json(ring.format)
+        report = verify_paper_identities(m, seed=seed)
+        yield "verify --identities", report.to_json(ring.format)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_every_output_kind_is_written_as_json_dumps_writes_it(ring):
+    verdicts = {}
+    for poset in (chain(3), diamond(), two_two_chains()):
+        for command, obj in cli_outputs(poset, ring, seed=1):
+            assert cli._json_text(obj) == dumps_text(obj), command
+            if "pass" in obj:
+                verdicts.setdefault(command, set()).add(obj["pass"])
+    assert verdicts["verify --identities"] == {True, False}
+    assert verdicts["check-map --jordan"] == {True, False}
+
+
+def test_the_report_writer_leaves_no_cyclic_garbage():
+    # a closure that calls itself is a reference cycle, which would keep
+    # each call's parts list alive until the cyclic collector runs
+    report = decompose(random_jordan_iso(diamond(), RATIONALS, seed=1)).to_json()
+    gc.collect()
+    gc.disable()
+    try:
+        cli._json_text(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -71,7 +71,6 @@ def test_all_lists_exactly_the_public_names_of_the_package():
 # and mat_vec: what remains of ROADMAP item 3 (sparse-only kernels).  The list
 # only shrinks; a function that drops its dense call leaves it.
 DENSE_KERNEL_USERS = {
-    "algebra.AlgElem.__mul__",
     "jordan._peirce_table",
     "jordan.extend_via_inverse",
     "jordan.verify_paper_identities",
@@ -101,6 +100,33 @@ def test_dense_kernel_users_are_the_allowlist():
             ):
                 users.add(f"{path.stem}.{name}")
     assert users == DENSE_KERNEL_USERS
+
+
+# The one call under src/ that passes indent= to json.dumps: the report
+# writer's whole-document fallback.  Every output goes through cli._json_text,
+# which writes the same bytes with the C string encoder; the pure-Python
+# encoder that indent= selects is many times slower on a map.
+INDENTED_JSON_WRITERS = ["cli._json_text"]
+
+
+def test_one_indented_json_writer():
+    writers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            node: name
+            for name, fn in functions(tree.body)
+            for node in ast.walk(fn)
+        }
+        writers += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and any(kw.arg == "indent" for kw in node.keywords)
+        ]
+    assert writers == INDENTED_JSON_WRITERS
 
 
 # The functions that read a LinMap's dense view, LinMap.columns, which
