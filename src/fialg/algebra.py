@@ -319,8 +319,7 @@ class StructAlgebra:
     constants over an ordered basis.
 
     cells[i][j] lists the nonzero coordinates of b_i * b_j as (k, coeff)
-    pairs; a row passed as a tuple is kept as it is, so its cells must be
-    tuples.  Construction checks only the table's shape: the two builders,
+    pairs.  Construction checks only the table's shape: the two builders,
     incidence_algebra() and change_basis(), produce unital associative
     tables by construction.  multiply() takes and returns dense coordinate
     lists; multiply_sparse() takes and returns {index: nonzero payload}
@@ -328,15 +327,19 @@ class StructAlgebra:
     """
 
     def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
-        self.ring = ring
-        rows = (r if isinstance(r, tuple) else tuple(map(tuple, r)) for r in cells)
-        self.cells = tuple(rows)
+        self._take(ring, tuple(tuple(map(tuple, row)) for row in cells), identity, basis)
+
+    @classmethod
+    def _of_tuples(cls, ring: Ring, cells: tuple, identity, basis: AlgBasis):
+        # incidence_algebra's table, tuples throughout, kept as it is: no Θ(d²) copy
+        (algebra := cls.__new__(cls))._take(ring, cells, identity, basis)
+        return algebra
+
+    def _take(self, ring: Ring, cells: tuple, identity, basis) -> None:
+        self.ring, self.cells, self.basis = ring, cells, basis
         self.identity = tuple(identity)
-        self.dimension = len(self.identity)
-        self.basis = basis
-        if len(self.cells) != self.dimension or any(
-            len(row) != self.dimension for row in self.cells
-        ):
+        d = self.dimension = len(self.identity)
+        if len(cells) != d or any(len(row) != d for row in cells):
             raise FialgError("structure-constant table shape mismatch")
 
     def unit_vector(self, k: int) -> tuple:
@@ -518,7 +521,7 @@ def incidence_algebra(poset: Poset, ring: Ring) -> StructAlgebra:
             row[k] = cell_to[v]  # e_xy * e_yv = e_xv, as x <= y <= v
         cells.append(tuple(row))
     identity = [ring.one] * n + [ring.zero] * (d - n)
-    return StructAlgebra(ring, tuple(cells), identity, basis=basis)
+    return StructAlgebra._of_tuples(ring, tuple(cells), identity, basis)
 
 
 def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:

@@ -86,11 +86,7 @@ def _write_json(obj, nl: str, parts: list) -> None:
     elif isinstance(obj, (list, tuple)):
         inner = nl + "  "
         try:  # a list of strings goes out in one join
-            raw = "".join(obj)
-            if raw.isascii() and raw.isprintable() and '"' not in raw and "\\" not in raw:
-                body = '"' + ('",' + inner + '"').join(obj) + '"'  # nothing to escape
-            else:
-                body = ("," + inner).join(map(_encode_str, obj))
+            body = ("," + inner).join(map(_encode_str, obj))
             parts.append("[" + inner + body + nl + "]" if obj else "[]")
         except TypeError:  # an item is not a string
             for i, item in enumerate(obj):

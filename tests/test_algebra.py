@@ -268,6 +268,19 @@ def test_incidence_table_matches_the_dense_loop(ring):
         assert (A.cells, A.identity) == dense_incidence_cells(poset, ring)
 
 
+def test_struct_algebra_makes_every_row_and_cell_a_tuple():
+    A = incidence_algebra(D, RATIONALS)
+    for given_cells in (
+        [[list(cell) for cell in row] for row in A.cells],
+        tuple(tuple(list(cell) for cell in row) for row in A.cells),
+        tuple(map(list, A.cells)),
+    ):
+        B = StructAlgebra(RATIONALS, given_cells, list(A.identity))
+        assert B.cells == A.cells and B.identity == A.identity
+        assert all(type(cell) is tuple for row in B.cells for cell in row)
+        assert all(type(row) is tuple for row in B.cells)
+
+
 def test_incidence_algebra_is_cached():
     assert incidence_algebra(D, RATIONALS) is incidence_algebra(D, RATIONALS)
 

@@ -485,14 +485,6 @@ def test_report_writer_matches_json_dumps(obj):
     assert outcome(cli._json_text, obj) == outcome(dumps_text, obj)
 
 
-def test_a_list_of_strings_escapes_as_json_dumps_does():
-    # a list of strings with nothing to escape is joined without the encoder
-    for char in ESCAPED:
-        for strings in (["0", "a" + char, "1/2"], [char], ["-1", char * 2]):
-            assert cli._json_text(strings) == dumps_text(strings), repr(strings)
-    assert cli._json_text(["0", "-1", "1/2", ""]) == dumps_text(["0", "-1", "1/2", ""])
-
-
 def cli_outputs(poset, ring, seed):
     """What the CLI writes for a Jordan map and a damaged copy, by command:
     the poset, the map, the decomposition, and the check-map, verify and
