@@ -10,7 +10,7 @@ anti-homomorphism, and on the strict ideal phi is the sum of
 
 which annihilate each other on the ideal.  decompose() builds the pair by
 linear extension over the unit basis; extend_via_inverse() rebuilds the same
-maps pointwise through phi^-1 and serves as the independent oracle.
+maps pointwise through phi^-1, on the nonzeros, as the independent oracle.
 
 verify_near_sum() decides the five defining properties of the output on
 pairs read off the incidence basis: the idempotent pairs (e_x, e_y), and
@@ -27,11 +27,12 @@ recognizer's own report is built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Its sandwich
 families read one table of Peirce components phi(e_x) v phi(e_y) per sample
-image v, and report what a per-pair scan does.  The polarized triple and
-five-factor families are one word identity, phi(sum of word products of the
-drawn series) = sum of the same products of their images, and the two
-idempotent families walk one grid of subset idempotents e_Y against the
-general samples.
+image v, built on the nonzeros, and report what a per-pair scan does; the
+equality criterion decides a = b on the one table of a - b.  The polarized
+triple and five-factor families are one word identity, phi(sum of word
+products of the drawn series) = sum of the same products of their images,
+and the two idempotent families walk one grid of subset idempotents e_Y
+against the general samples.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -66,7 +67,7 @@ from .linmaps import (
     check_jordan,
     jordan_pair_check,
 )
-from .matrices import _sparse_image, mat_vec, require_unit_determinant
+from .matrices import _sparse_image, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
@@ -348,8 +349,7 @@ def extend_via_inverse(
     phi^-1: recover the strict series g with g(x, y) =
     phi^-1(phi(e_x) phi(f_Z) phi(e_y))(x, y) pointwise over strict pairs and
     return phi(f_D) + phi(g).  Independent of the linear-extension route."""
-    dom = _incidence_domain(phi)
-    basis = dom.basis
+    basis = _incidence_domain(phi).basis
     if f.poset != basis.poset or f.ring != phi.ring:
         raise ContextMismatchError("series does not match the map's domain")
     cod = phi.codomain
@@ -357,25 +357,18 @@ def extend_via_inverse(
     if phi_inverse is None:
         phi_inverse = phi.invert()
     f_diag, f_strict = f.split_diag()
-    z_coords = dom.element_from_series(f_strict).coords
-    phi_z = phi.apply_coords(z_coords)
-
+    at, cols = basis.index_of, phi.sparse_columns
+    multiply = cod.multiply_sparse
+    phi_z = _series_image(phi, cols, f_strict)
     g_coeffs = {}
     for (i, j) in basis.poset.strict_index_pairs():
-        ex = phi.columns[basis.index_of[(i, i)]]
-        ey = phi.columns[basis.index_of[(j, j)]]
-        if anti:
-            a = cod.multiply(cod.multiply(ey, phi_z), ex)
-        else:
-            a = cod.multiply(cod.multiply(ex, phi_z), ey)
-        back = phi_inverse.apply_coords(a)
-        v = back[basis.index_of[(i, j)]]
-        if not ring.is_zero(v):
+        x, y = (j, i) if anti else (i, j)
+        a = multiply(multiply(cols[at[(x, x)]], phi_z), cols[at[(y, y)]])
+        back = _sparse_image(ring, phi_inverse.sparse_columns, a.items())
+        if v := back.get(at[(i, j)]):
             g_coeffs[(i, j)] = v
     g = FinSeries(basis.poset, ring, g_coeffs)
-
-    total = dom.element_from_series(f_diag + g).coords
-    return AlgElem(cod, tuple(phi.apply_coords(total)))
+    return AlgElem(cod, tuple(cod.dense(_series_image(phi, cols, f_diag + g))))
 
 
 _NEAR_SUM_CHECKS = (
@@ -528,42 +521,52 @@ def _annihilation_failures(dec: Decomposition, pairs):
 # ---------------------------------------------------------------------------
 
 
-def _peirce_table(phi: LinMap, v) -> dict:
+def _series_image(phi: LinMap, columns, f: FinSeries) -> dict:
+    """f's image under the {index: nonzero} columns of a map out of phi's domain."""
+    at = phi.domain.basis.index_of
+    return _sparse_image(phi.ring, columns, ((at[k], v) for k, v in f.coeffs.items()))
+
+
+def _peirce_table(phi: LinMap, v: dict) -> dict:
     """The Peirce components phi(e_x) v phi(e_y) of a codomain vector v,
-    keyed (x, y), for every pair of poset indices comparable in either order.
-    Each is built as (phi(e_x) v) phi(e_y): one left product per element and
-    one right product per entry; incomparable pairs are never built."""
+    keyed (x, y), for every pair of poset indices comparable in either order,
+    all {index: nonzero} dicts.  Each is built as (phi(e_x) v) phi(e_y) on
+    phi's sparse columns: one left product per element and one right product
+    per entry; incomparable pairs are never built."""
     basis = phi.domain.basis
     poset = basis.poset
-    cod = phi.codomain
-    diag = [phi.columns[basis.index_of[(i, i)]] for i in range(poset.size)]
-    left = [cod.multiply(e, v) for e in diag]
+    multiply = phi.codomain.multiply_sparse
+    diag = [phi.sparse_columns[basis.index_of[(i, i)]] for i in range(poset.size)]
+    left = [multiply(e, v) for e in diag]
     table = {}
     for (i, j) in poset.comparable_index_pairs():
-        table[(i, j)] = cod.multiply(left[i], diag[j])
+        table[(i, j)] = multiply(left[i], diag[j])
         if i != j:
-            table[(j, i)] = cod.multiply(left[j], diag[i])
+            table[(j, i)] = multiply(left[j], diag[i])
     return table
 
 
 def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     """The sandwich equality criterion: two codomain elements are equal as
     soon as phi(e_x) a phi(e_x) = phi(e_x) b phi(e_x) for every x and
-    phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y."""
+    phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y.
+
+    The components are linear, so a and b agree on them exactly when those
+    of d = a - b vanish: one Peirce table of d's nonzeros decides, and an
+    empty d makes no product."""
     poset = _incidence_domain(phi).basis.poset
-    add = phi.ring.add
-
-    def components(v):
-        v = v.coords if isinstance(v, AlgElem) else v
-        if len(v) != phi.codomain.dimension:
-            raise ContextMismatchError("vector length does not match the codomain")
-        table = _peirce_table(phi, v)
-        return [table[(i, i)] for i in range(poset.size)] + [
-            [add(p, q) for p, q in zip(table[(i, j)], table[(j, i)])]
-            for (i, j) in poset.strict_index_pairs()
-        ]
-
-    return components(a) == components(b)
+    ring = phi.ring
+    a, b = (v.coords if isinstance(v, AlgElem) else v for v in (a, b))
+    if len(a) != phi.codomain.dimension or len(b) != phi.codomain.dimension:
+        raise ContextMismatchError("vector length does not match the codomain")
+    d = {k: w for k, (x, y) in enumerate(zip(a, b)) if x != y and (w := ring.sub(x, y))}
+    if not d:
+        return True
+    table = _peirce_table(phi, d)
+    return not any(table[(i, i)] for i in range(poset.size)) and not any(
+        _sparse_add(ring, table[(i, j)], table[(j, i)])
+        for (i, j) in poset.strict_index_pairs()
+    )
 
 
 def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
@@ -586,7 +589,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     name = "theta" if mirror else "psi"
     pulled = []
     for z in strict_samples:
-        image = _sparse_image(ring, columns, ((at[k], v) for k, v in z.coeffs.items()))
+        image = _series_image(phi, columns, z)
         pullback = _sparse_image(ring, phi_inverse.sparse_columns, image.items())
         f = FinSeries(poset, ring, {pairs[k]: v for k, v in pullback.items()})
         pulled.append((image, f))
@@ -686,16 +689,14 @@ def verify_paper_identities(
         tuple(i for i in range(n) if rng.random() < 0.5) for _ in range(3)
     ]
 
-    def vec(f: FinSeries):
-        return dom.element_from_series(f).coords
-
     def phi_of(f: FinSeries):
-        return phi.apply_coords(vec(f))
+        return phi.apply_coords(dom.element_from_series(f).coords)
 
-    def scaled(f: FinSeries, pair, columns):
-        """f(x, y) times the column of e_xy in columns."""
-        r = f.coeffs.get(pair, ring.zero)
-        return [mul(r, v) for v in columns[basis.index_of[pair]]]
+    def scaled(f: FinSeries, pair, m: LinMap) -> dict:
+        """f(x, y) times m(e_xy), on the nonzeros."""
+        r = f.coeffs.get(pair)
+        col = m.sparse_columns[basis.index_of[pair]] if r else {}
+        return {k: w for k, v in col.items() if (w := mul(r, v))}
 
     def mulc(*vectors):
         return functools.reduce(cod.multiply, vectors)
@@ -707,50 +708,50 @@ def verify_paper_identities(
     labels = poset.elements
 
     # The sandwich families read the Peirce components phi(e_x) v phi(e_y)
-    # of each sample image v from one table, built on first use.
-    @functools.cache
-    def general_table(s):
-        return _peirce_table(phi, phi_of(general[s]))
+    # of each sample image v from one table, built on first use.  Images,
+    # tables and sides are {index: nonzero} dicts; witnesses are dense.
+    dense = cod.dense
 
     @functools.cache
-    def strict_table(s):
-        return _peirce_table(phi, phi_of(strict_samples[s]))
+    def phi_table(s, strict=False):
+        f = (strict_samples if strict else general)[s]
+        return _peirce_table(phi, _series_image(phi, phi.sparse_columns, f))
 
     checks = []
 
     # f(x,y) phi(e_xy) = phi(e_x) phi(f) phi(e_y) + phi(e_y) phi(f) phi(e_x)
     def unit_sandwich_strict():
         for s, f in enumerate(general):
-            table = general_table(s)
+            table = phi_table(s)
             for (i, j) in poset.strict_index_pairs():
-                lhs = scaled(f, (i, j), phi.columns)
-                rhs = addc(table[(i, j)], table[(j, i)])
+                lhs = scaled(f, (i, j), phi)
+                rhs = _sparse_add(ring, table[(i, j)], table[(j, i)])
                 if lhs != rhs:
-                    yield (s, labels[i], labels[j]), lhs, rhs
+                    yield (s, labels[i], labels[j]), dense(lhs), dense(rhs)
 
     checks.append(run_check("unit_sandwich_strict", unit_sandwich_strict()))
 
     # f(x,x) phi(e_x) = phi(e_x) phi(f) phi(e_x)
     def unit_sandwich_diagonal():
         for s, f in enumerate(general):
-            table = general_table(s)
+            table = phi_table(s)
             for i in range(n):
-                lhs = scaled(f, (i, i), phi.columns)
+                lhs = scaled(f, (i, i), phi)
                 rhs = table[(i, i)]
                 if lhs != rhs:
-                    yield (s, labels[i]), lhs, rhs
+                    yield (s, labels[i]), dense(lhs), dense(rhs)
 
     checks.append(run_check("unit_sandwich_diagonal", unit_sandwich_diagonal()))
 
     # phi(e_x) phi(f) phi(e_y) = f(x,y) psi(e_xy) over all comparable pairs
     def coefficient_sandwich():
         for s, f in enumerate(general):
-            table = general_table(s)
+            table = phi_table(s)
             for (i, j) in poset.comparable_index_pairs():
                 lhs = table[(i, j)]
-                rhs = scaled(f, (i, j), psi.columns)
+                rhs = scaled(f, (i, j), psi)
                 if lhs != rhs:
-                    yield (s, labels[i], labels[j]), lhs, rhs
+                    yield (s, labels[i], labels[j]), dense(lhs), dense(rhs)
 
     checks.append(run_check("coefficient_sandwich", coefficient_sandwich()))
 
@@ -833,26 +834,24 @@ def verify_paper_identities(
     # strict ideal: with s = psi and (u, v) = (x, y), or s = theta and
     # (u, v) = (y, x), phi(e_u) s(z) phi(e_v) matches the phi sandwich, while
     # phi(e_v) s(z) phi(e_u) and phi(e_x) s(z) phi(e_x) are zero
-    def sandwich_failures(columns, mirror: bool):
+    def sandwich_failures(m: LinMap, mirror: bool):
         away = "forward is zero" if mirror else "reversed is zero"
         for s, z in enumerate(strict_samples):
-            table = _peirce_table(phi, mat_vec(ring, columns, vec(z)))
-            phi_table = strict_table(s)
+            table = _peirce_table(phi, _series_image(phi, m.sparse_columns, z))
+            target = phi_table(s, strict=True)
             for (i, j) in poset.strict_index_pairs():
                 u, v = (j, i) if mirror else (i, j)
-                lhs, rhs = table[(u, v)], phi_table[(u, v)]
+                lhs, rhs, key = table[(u, v)], target[(u, v)], (s, labels[i], labels[j])
                 if lhs != rhs:
-                    yield (s, labels[i], labels[j]), lhs, rhs, "matches phi sandwich"
-                back = table[(v, u)]
-                if back != zero_vec:
-                    yield (s, labels[i], labels[j]), back, zero_vec, away
+                    yield key, dense(lhs), dense(rhs), "matches phi sandwich"
+                if back := table[(v, u)]:
+                    yield key, dense(back), zero_vec, away
             for i in range(n):
-                mid = table[(i, i)]
-                if mid != zero_vec:
-                    yield (s, labels[i]), mid, zero_vec, "diagonal is zero"
+                if mid := table[(i, i)]:
+                    yield (s, labels[i]), dense(mid), zero_vec, "diagonal is zero"
 
-    checks.append(run_check("psi_sandwich", sandwich_failures(psi.columns, False)))
-    checks.append(run_check("theta_sandwich", sandwich_failures(theta.columns, True)))
+    checks.append(run_check("psi_sandwich", sandwich_failures(psi, False)))
+    checks.append(run_check("theta_sandwich", sandwich_failures(theta, True)))
 
     for name, s, mirror in (("psi", psi, False), ("theta", theta, True)):
         cols = s.sparse_columns

@@ -71,8 +71,6 @@ def test_all_lists_exactly_the_public_names_of_the_package():
 # and mat_vec: what remains of ROADMAP item 3 (sparse-only kernels).  The list
 # only shrinks; a function that drops its dense call leaves it.
 DENSE_KERNEL_USERS = {
-    "jordan._peirce_table",
-    "jordan.extend_via_inverse",
     "jordan.verify_paper_identities",
     "linmaps.LinMap.apply_coords",
 }
@@ -133,12 +131,7 @@ def test_one_indented_json_writer():
 # builds and caches a coordinate list of every column: what remains of the
 # dense store.  The list only shrinks; the wire writer (to_json) and the
 # recognizers read the {index: nonzero} columns instead.
-DENSE_VIEW_READERS = {
-    "jordan._peirce_table",
-    "jordan.extend_via_inverse",
-    "jordan.verify_paper_identities",
-    "linmaps.LinMap.apply_coords",
-}
+DENSE_VIEW_READERS = {"linmaps.LinMap.apply_coords"}
 
 
 def test_dense_view_readers_are_the_allowlist():

@@ -52,6 +52,7 @@ from fialg import (
     verify_paper_identities,
 )
 from fialg import linmaps
+from fialg.algebra import sparse_vector
 from fialg.errors import FialgError
 from fialg.jordan import (
     _IDENTITY_SAMPLES,
@@ -59,6 +60,7 @@ from fialg.jordan import (
     _cover_pairs,
     _near_sum_columns,
     _near_sum_holds,
+    _peirce_table,
 )
 from fialg.matrices import mat_vec
 
@@ -1295,6 +1297,68 @@ def test_extension_agrees_with_inverse_oracle():
                     assert list(th_ora.coords) == list(th_lin)
 
 
+def dense_extend_via_inverse(phi, f, anti, phi_inverse):
+    """extend_via_inverse on dense coordinate lists, each sandwich and image
+    multiplied with StructAlgebra.multiply and mat_vec: the oracle of the
+    sparse construction."""
+    dom, cod, ring = phi.domain, phi.codomain, phi.ring
+    basis = dom.basis
+    f_diag, f_strict = f.split_diag()
+    phi_z = mat_vec(ring, phi.columns, dom.element_from_series(f_strict).coords)
+    g_coeffs = {}
+    for (i, j) in basis.poset.strict_index_pairs():
+        ex = phi.columns[basis.index_of[(i, i)]]
+        ey = phi.columns[basis.index_of[(j, j)]]
+        if anti:
+            a = cod.multiply(cod.multiply(ey, phi_z), ex)
+        else:
+            a = cod.multiply(cod.multiply(ex, phi_z), ey)
+        v = mat_vec(ring, phi_inverse.columns, a)[basis.index_of[(i, j)]]
+        if not ring.is_zero(v):
+            g_coeffs[(i, j)] = v
+    g = FinSeries(basis.poset, ring, g_coeffs)
+    total = dom.element_from_series(f_diag + g).coords
+    return AlgElem(cod, tuple(mat_vec(ring, phi.columns, total)))
+
+
+@pytest.mark.parametrize("ring", TORSIONFREE_RINGS, ids=repr)
+@pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
+def test_extension_matches_the_dense_oracle_on_small_posets(ring, twist):
+    # Every labeled poset of at most 4 elements: the generator's map and a
+    # perturbed copy (when invertible), which the construction does not need
+    # to be Jordan, against two sample series, for psi and for theta.
+    rng = random.Random(5)
+    for seed, poset in enumerate(all_posets_up_to(4)):
+        phi = identity_corpus_map(poset, ring, "jordan", twist, seed)
+        perturbed = identity_corpus_map(poset, ring, "perturbed", twist, seed)
+        for m in (phi, perturbed):
+            try:
+                inv = m.invert()
+            except NotInvertibleError:
+                continue
+            for _, anti in itertools.product(range(2), (False, True)):
+                f = random_series(poset, ring, rng, density=0.6)
+                got = extend_via_inverse(m, f, anti=anti, phi_inverse=inv)
+                assert got == dense_extend_via_inverse(m, f, anti, inv)
+
+
+def test_extension_makes_no_dense_product(monkeypatch):
+    phi = rebase_codomain(
+        random_jordan_iso(diamond(), modular(9), seed=2),
+        random_basis_change(incidence_algebra(diamond(), modular(9)), seed=3),
+    )
+    f = random_series(diamond(), modular(9), random.Random(1), density=0.6)
+
+    def refuse(*args):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    monkeypatch.setattr(linmaps, "mat_vec", refuse)
+    for anti in (False, True):
+        extend_via_inverse(phi, f, anti=anti)
+    assert "columns" not in vars(phi)
+
+
 # -- identity suite ------------------------------------------------------------
 
 
@@ -1734,21 +1798,24 @@ SANDWICH_FAMILIES = (
 
 def test_sandwich_families_build_one_table_per_sample_image():
     # On chain-5 (5 elements, 15 comparable pairs) a Peirce table costs 5 left
-    # products and 5 + 2 * 10 entries.  The suite builds one table for each
-    # of the 5 general samples, three (phi, psi and theta) for each of the 3
-    # strict samples, and two for each of the 5 criterion calls: 24 tables.
-    # The per-pair scans took 1,176 products and the whole suite 5,790.  The
-    # suite took 5,334 while it sandwiched its psi and theta columns densely,
-    # 4 * (15 - 5) = 40 products that now run on the nonzeros, and 5,294
-    # while its window families multiplied densely, 2 * 2,190 products that
-    # now run on the nonzeros too.
-    counts, _, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
-    assert sum(counts[name] for name in SANDWICH_FAMILIES) == 24 * 30
-    assert counts["unit_sandwich_strict"] == 5 * 30
-    assert counts["unit_sandwich_diagonal"] == counts["coefficient_sandwich"] == 0
-    assert counts["psi_sandwich"] == 2 * 3 * 30
-    assert counts["theta_sandwich"] == 3 * 30
-    assert sum(counts.values()) == 914
+    # products and 5 + 2 * 10 entries, all on the nonzeros.  The suite builds
+    # one table for each of the 5 general samples, three (phi, psi and theta)
+    # for each of the 3 strict samples, and one of a - b for each of the 2
+    # odd criterion rounds; the 3 even rounds compare equal vectors and make
+    # no product: 16 tables.  While the tables multiplied dense coordinate
+    # lists the families made 24 * 30 = 720 dense products, two tables per
+    # criterion round.  The per-pair scans took 1,176 products.
+    counts, sparse, _ = calls_per_family(
+        random_jordan_iso(chain(5), RATIONALS, seed=1), 1
+    )
+    assert sum(counts[name] for name in SANDWICH_FAMILIES) == 0
+    assert sum(sparse[name] for name in SANDWICH_FAMILIES) == 16 * 30
+    assert sparse["unit_sandwich_strict"] == 5 * 30
+    assert sparse["unit_sandwich_diagonal"] == sparse["coefficient_sandwich"] == 0
+    assert sparse["psi_sandwich"] == 2 * 3 * 30
+    assert sparse["theta_sandwich"] == 3 * 30
+    assert sparse["sandwich_equality_criterion"] == 2 * 30
+    assert sum(counts.values()) == 194
 
 
 def test_diagonal_restriction_maps_each_diagonal_part_once():
@@ -1766,20 +1833,20 @@ def test_identity_families_keep_their_product_counts():
         random_jordan_iso(chain(5), RATIONALS, seed=1), 1
     )
     assert dict(counts) == {
-        "unit_sandwich_strict": 150,
         "polarized_triple": 16,
         "five_factor": 48,
         "commuting_idempotent": 40,
         "annihilating_idempotent": 40,
         "diagonal_restriction_homomorphism": 50,
-        "psi_sandwich": 180,
-        "theta_sandwich": 90,
-        "sandwich_equality_criterion": 300,
     }
     assert dict(sparse) == {
         None: 40,
+        "unit_sandwich_strict": 150,
+        "psi_sandwich": 180,
+        "theta_sandwich": 90,
         "psi_window_annihilation": 2190,
         "theta_window_annihilation": 2190,
+        "sandwich_equality_criterion": 60,
     }
 
 
@@ -1856,3 +1923,86 @@ def test_equal_by_sandwiches_agrees_with_per_pair_oracle(poset, ring, kind, twis
         if t % 2:
             a, b = AlgElem(cod, tuple(a)), AlgElem(cod, tuple(b))
         assert equal_by_sandwiches(phi, a, b) == scan_equal_by_sandwiches(phi, a, b)
+
+
+def dense_peirce_table(phi, v):
+    """The Peirce table on dense coordinate lists, each component multiplied
+    with StructAlgebra.multiply as (phi(e_x) v) phi(e_y): the oracle of the
+    sparse _peirce_table."""
+    basis = phi.domain.basis
+    poset = basis.poset
+    cod = phi.codomain
+    diag = [phi.columns[basis.index_of[(i, i)]] for i in range(poset.size)]
+    left = [cod.multiply(e, v) for e in diag]
+    table = {}
+    for (i, j) in poset.comparable_index_pairs():
+        table[(i, j)] = cod.multiply(left[i], diag[j])
+        if i != j:
+            table[(j, i)] = cod.multiply(left[j], diag[i])
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(TORSIONFREE_RINGS + (modular(4),)),
+    IDENTITY_KINDS,
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_sparse_peirce_table_matches_the_dense_table(poset, ring, kind, twist, seed):
+    # The zero vector, one vector per coordinate with a single nonzero (a
+    # zero divisor over Z/9 and Z/4 when drawn), and random vectors, on
+    # Jordan and damaged maps.
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    cod, ring = phi.codomain, phi.ring
+    rng = random.Random(seed)
+    d = cod.dimension
+    vectors = [[ring.zero] * d]
+    for k in range(d):
+        v = [ring.zero] * d
+        v[k] = ring.sample(rng) or ring.one
+        vectors.append(v)
+    vectors += [[ring.sample(rng) for _ in range(d)] for _ in range(3)]
+    for v in vectors:
+        table = _peirce_table(phi, sparse_vector(v))
+        assert {key: cod.dense(w) for key, w in table.items()} == dense_peirce_table(
+            phi, v
+        )
+        assert all(all(w.values()) for w in table.values())  # zeros are dropped
+
+
+@pytest.mark.parametrize(
+    "poset", [chain(5), diamond(), boolean_lattice(3)], ids=["chain5", "diamond", "B3"]
+)
+@pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
+def test_equal_by_sandwiches_decides_on_the_difference(poset, twist, monkeypatch):
+    # The components are linear, so the criterion builds one Peirce table of
+    # a - b: none when a == b, and for a one-coordinate difference n left
+    # products plus one right product for each of its n + 2 * (strict pairs)
+    # entries, all sparse.
+    phi = identity_corpus_map(poset, modular(9), "jordan", twist, 1)
+    cod, ring = phi.codomain, phi.ring
+    n, strict = poset.size, len(poset.strict_index_pairs())
+    rng = random.Random(2)
+
+    def refuse(*args):
+        raise AssertionError("the criterion made a dense product")
+
+    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    calls = counted_sparse_products(monkeypatch)
+    for k in range(cod.dimension):
+        a = [ring.sample(rng) for _ in range(cod.dimension)]
+        assert equal_by_sandwiches(phi, a, list(a))
+        assert equal_by_sandwiches(phi, AlgElem(cod, tuple(a)), a)
+        assert calls == [0]
+        b = list(a)
+        b[k] = ring.add(b[k], ring.sample(rng) or ring.one)
+        assert not equal_by_sandwiches(phi, a, b)
+        assert calls == [n + n + 2 * strict]
+        calls[0] = 0
+    with pytest.raises(ContextMismatchError):
+        equal_by_sandwiches(phi, a + [ring.one], a + [ring.one])
+    with pytest.raises(ContextMismatchError):
+        equal_by_sandwiches(phi, a, a[:-1])
+    assert calls == [0]
