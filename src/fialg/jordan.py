@@ -27,12 +27,11 @@ recognizer's own report is built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Its sandwich
 families read one table of Peirce components phi(e_x) v phi(e_y) per sample
-image v, built on the nonzeros, and report what a per-pair scan does; the
-equality criterion decides a = b on the one table of a - b.  The polarized
-triple and five-factor families are one word identity, phi(sum of word
-products of the drawn series) = sum of the same products of their images,
-and the two idempotent families walk one grid of subset idempotents e_Y
-against the general samples.
+image v, built on the nonzeros, and report what a per-pair scan does.  The
+polarized triple and five-factor families are one word identity, phi(sum of
+word products of the drawn series) = sum of the same products of their
+images, and the two idempotent families walk one grid of subset idempotents
+e_Y against the general samples.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -52,6 +51,7 @@ from .algebra import (
     StructAlgebra,
     incidence_algebra,
     random_series,
+    sparse_vector,
 )
 from .errors import (
     ContextMismatchError,
@@ -550,23 +550,21 @@ def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     """The sandwich equality criterion: two codomain elements are equal as
     soon as phi(e_x) a phi(e_x) = phi(e_x) b phi(e_x) for every x and
     phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y.
-
-    The components are linear, so a and b agree on them exactly when those
-    of d = a - b vanish: one Peirce table of d's nonzeros decides, and an
-    empty d makes no product."""
+    Each side's components come from one Peirce table of its nonzeros."""
     poset = _incidence_domain(phi).basis.poset
     ring = phi.ring
     a, b = (v.coords if isinstance(v, AlgElem) else v for v in (a, b))
     if len(a) != phi.codomain.dimension or len(b) != phi.codomain.dimension:
         raise ContextMismatchError("vector length does not match the codomain")
-    d = {k: w for k, (x, y) in enumerate(zip(a, b)) if x != y and (w := ring.sub(x, y))}
-    if not d:
-        return True
-    table = _peirce_table(phi, d)
-    return not any(table[(i, i)] for i in range(poset.size)) and not any(
-        _sparse_add(ring, table[(i, j)], table[(j, i)])
-        for (i, j) in poset.strict_index_pairs()
-    )
+
+    def components(v):
+        table = _peirce_table(phi, sparse_vector(v))
+        return [table[(i, i)] for i in range(poset.size)] + [
+            _sparse_add(ring, table[(i, j)], table[(j, i)])
+            for (i, j) in poset.strict_index_pairs()
+        ]
+
+    return components(a) == components(b)
 
 
 def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,

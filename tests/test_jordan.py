@@ -1800,21 +1800,20 @@ def test_sandwich_families_build_one_table_per_sample_image():
     # On chain-5 (5 elements, 15 comparable pairs) a Peirce table costs 5 left
     # products and 5 + 2 * 10 entries, all on the nonzeros.  The suite builds
     # one table for each of the 5 general samples, three (phi, psi and theta)
-    # for each of the 3 strict samples, and one of a - b for each of the 2
-    # odd criterion rounds; the 3 even rounds compare equal vectors and make
-    # no product: 16 tables.  While the tables multiplied dense coordinate
-    # lists the families made 24 * 30 = 720 dense products, two tables per
-    # criterion round.  The per-pair scans took 1,176 products.
+    # for each of the 3 strict samples, and two (a and b) for each of the 5
+    # criterion rounds: 24 tables, 720 products, which multiplied dense
+    # coordinate lists until the tables moved to the nonzeros.  The per-pair
+    # scans took 1,176 products.
     counts, sparse, _ = calls_per_family(
         random_jordan_iso(chain(5), RATIONALS, seed=1), 1
     )
     assert sum(counts[name] for name in SANDWICH_FAMILIES) == 0
-    assert sum(sparse[name] for name in SANDWICH_FAMILIES) == 16 * 30
+    assert sum(sparse[name] for name in SANDWICH_FAMILIES) == 24 * 30
     assert sparse["unit_sandwich_strict"] == 5 * 30
     assert sparse["unit_sandwich_diagonal"] == sparse["coefficient_sandwich"] == 0
     assert sparse["psi_sandwich"] == 2 * 3 * 30
     assert sparse["theta_sandwich"] == 3 * 30
-    assert sparse["sandwich_equality_criterion"] == 2 * 30
+    assert sparse["sandwich_equality_criterion"] == 2 * 5 * 30
     assert sum(counts.values()) == 194
 
 
@@ -1846,7 +1845,7 @@ def test_identity_families_keep_their_product_counts():
         "theta_sandwich": 90,
         "psi_window_annihilation": 2190,
         "theta_window_annihilation": 2190,
-        "sandwich_equality_criterion": 60,
+        "sandwich_equality_criterion": 300,
     }
 
 
@@ -1976,11 +1975,11 @@ def test_sparse_peirce_table_matches_the_dense_table(poset, ring, kind, twist, s
     "poset", [chain(5), diamond(), boolean_lattice(3)], ids=["chain5", "diamond", "B3"]
 )
 @pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
-def test_equal_by_sandwiches_decides_on_the_difference(poset, twist, monkeypatch):
-    # The components are linear, so the criterion builds one Peirce table of
-    # a - b: none when a == b, and for a one-coordinate difference n left
-    # products plus one right product for each of its n + 2 * (strict pairs)
-    # entries, all sparse.
+def test_equal_by_sandwiches_builds_one_sparse_table_per_side(poset, twist, monkeypatch):
+    # Each side's components come from one Peirce table of its nonzeros: n
+    # left products and one right product for each of the n + 2 * (strict
+    # pairs) entries, per side, all sparse; a vector of the wrong length
+    # raises before any product, also when both sides are the same list.
     phi = identity_corpus_map(poset, modular(9), "jordan", twist, 1)
     cod, ring = phi.codomain, phi.ring
     n, strict = poset.size, len(poset.strict_index_pairs())
@@ -1991,15 +1990,14 @@ def test_equal_by_sandwiches_decides_on_the_difference(poset, twist, monkeypatch
 
     monkeypatch.setattr(StructAlgebra, "multiply", refuse)
     calls = counted_sparse_products(monkeypatch)
+    table = n + n + 2 * strict
     for k in range(cod.dimension):
         a = [ring.sample(rng) for _ in range(cod.dimension)]
-        assert equal_by_sandwiches(phi, a, list(a))
-        assert equal_by_sandwiches(phi, AlgElem(cod, tuple(a)), a)
-        assert calls == [0]
+        assert equal_by_sandwiches(phi, AlgElem(cod, tuple(a)), list(a))
         b = list(a)
         b[k] = ring.add(b[k], ring.sample(rng) or ring.one)
         assert not equal_by_sandwiches(phi, a, b)
-        assert calls == [n + n + 2 * strict]
+        assert calls == [2 * 2 * table]
         calls[0] = 0
     with pytest.raises(ContextMismatchError):
         equal_by_sandwiches(phi, a + [ring.one], a + [ring.one])
