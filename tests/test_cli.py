@@ -404,6 +404,34 @@ def test_internal_error_is_exit_3_with_traceback(monkeypatch, capsys):
     assert "Traceback" in captured.err and "RuntimeError: injected fault" in captured.err
 
 
+# Odd moduli whose units cannot be drawn by factoring n: 2**63 + 1 has more
+# units than an index holds, and the two primes take trial division past any
+# timeout.
+LARGE_ODD_MODULI = [2**63 + 1, 2**63 - 25, 10**30 + 57]
+PIPELINE = [
+    ["decompose"],
+    ["verify"],
+    ["verify", "--identities"],
+    ["check-map", "--jordan"],
+]
+
+
+@pytest.mark.parametrize("modulus", LARGE_ODD_MODULI)
+def test_pipeline_over_a_large_odd_modulus_exits_0(tmp_path, capsys, modulus):
+    context = [
+        "--poset", fx("poset_diamond.json"),
+        "--ring", write_json(tmp_path / "ring.json", {"ring": {"modular": modulus}}),
+    ]
+    phi = str(tmp_path / "map.json")
+    for command in [["gen-jordan", "--seed", "1", "--out", phi]] + [
+        [*c, "--map", phi] for c in PIPELINE
+    ]:
+        code = cli.run([*command, *context])
+        err = capsys.readouterr().err
+        assert code == 0, (command, err)
+        assert "Traceback" not in err
+
+
 FIXTURE_MAPS = [
     ("poset_3chain.json", "ring_rationals.json", "map_identity_3chain_rationals.json"),
     ("poset_3chain.json", "ring_rationals.json", "map_perturbed_3chain_rationals.json"),

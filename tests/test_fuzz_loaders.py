@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fialg import (
     INTEGERS,
@@ -325,3 +325,30 @@ def test_cli_run_on_arbitrary_json_files_never_exits_3(command, objs):
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
+# Any modulus >= 2 is a valid ring file: units of an odd one are drawn
+# without factoring it, and an even one is refused for its 2-torsion.
+LARGE_RINGS = st.integers(2, 2**200).map(lambda n: {"ring": {"modular": n}})
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_obj=LARGE_RINGS)
+@example(ring_obj={"ring": {"modular": 2**63 + 1}})  # more units than an index holds
+@example(ring_obj={"ring": {"modular": 10**30 + 57}})  # a prime past trial division
+@example(ring_obj={"ring": {"modular": 2**200 - 1}})
+@example(ring_obj={"ring": {"modular": 2**200}})
+def test_gen_jordan_over_any_modulus_exits_0_or_refuses_torsion(ring_obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        poset, ring = Path(tmp) / "poset.json", Path(tmp) / "ring.json"
+        poset.write_text(json.dumps(chain(2).to_json()), encoding="utf-8")
+        ring.write_text(json.dumps(ring_obj), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["gen-jordan", "--poset", str(poset), "--ring", str(ring),
+                            "--seed", "1"])
+    if ring_obj["ring"]["modular"] % 2:
+        assert code == 0, err.getvalue()
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: TorsionRefusedError:")

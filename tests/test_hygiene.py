@@ -1,8 +1,11 @@
 """Hygiene of the fialg package: its imports and kernel users, read from the
-source with ast, and the one column store of a LinMap."""
+source with ast, the one column store of a LinMap, and the pytest settings."""
 
 import ast
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,3 +224,33 @@ def test_maps_keep_one_column_store(ring, twist):
     dec.to_json()  # writes psi and theta
     for m in (phi, loaded, conj, dec.phi, dec.psi, dec.theta):
         assert "columns" not in vars(m)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_leaves_the_session_running(tmp_path):
+    """Under the repo's warning filters a failing @given test prints its
+    falsifying example, and the tests after it still run."""
+    shutil.copy(Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert "INTERNALERROR" not in r.stdout + r.stderr
+    assert "Falsifying example" in r.stdout
+    assert "1 failed, 1 passed" in r.stdout

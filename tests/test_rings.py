@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fialg import (
     INTEGERS,
@@ -22,7 +22,6 @@ from fialg import (
     validate_poset,
 )
 from fialg.errors import FialgError
-from fialg.rings import _UnitResidues
 
 RINGS = [INTEGERS, RATIONALS, modular(2), modular(9), modular(12), modular(97)]
 
@@ -110,17 +109,31 @@ def test_modular_inverse_matches_brute_force(n, a):
     assert modular(n).try_invert(a) == (brute[0] if brute else None)
 
 
-@pytest.mark.parametrize("n", [2, 9, 15, 45, 105, 2 * 3 * 5 * 7 * 11 * 13])
-def test_unit_sequence_equals_the_listed_units(n):
-    units = _UnitResidues(n)
+@given(st.integers(2, 2**16), st.integers(0, 2**32))
+@example(2, 0)
+@example(9, 0)
+@example(15, 1)
+@example(45, 2)
+@example(105, 3)
+@example(2 * 3 * 5 * 7 * 11 * 13, 4)
+@example(2**16, 5)
+def test_sample_unit_draws_from_the_listed_units(n, seed):
+    # up to the bound a seed draws what rng.choice draws from the units in
+    # increasing order, so the pinned Z/9 outputs keep their units
+    ring, rng = modular(n), random.Random(seed)
+    oracle = random.Random(seed)
     listed = tuple(r for r in range(1, n) if math.gcd(r, n) == 1)
-    assert len(units) == len(listed)
-    assert tuple(units[k] for k in range(len(units))) == listed
-    with pytest.raises(IndexError):
-        units[len(listed)]
-    # rng.choice reads only len and [k], so it draws what the tuple gave
-    for seed in range(5):
-        assert random.Random(seed).choice(units) == random.Random(seed).choice(listed)
+    assert [ring.sample_unit(rng) for _ in range(4)] == [
+        oracle.choice(listed) for _ in range(4)
+    ]
+
+
+@pytest.mark.parametrize("n", [3 * 5 * 7 * 11 * 13 * 17, 2**63 + 1])
+def test_sample_unit_above_the_bound_draws_only_units(n):
+    ring, rng = modular(n), random.Random(1)
+    draws = [ring.sample_unit(rng) for _ in range(1000)]
+    assert all(0 < u < n and math.gcd(u, n) == 1 for u in draws)
+    assert len(set(draws)) > 900
 
 
 def test_gen_jordan_over_a_large_prime_modulus_starts_at_once():
