@@ -27,11 +27,13 @@ recognizer's own report is built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Its sandwich
 families read one table of Peirce components phi(e_x) v phi(e_y) per sample
-image v, built on the nonzeros, and report what a per-pair scan does.  The
-polarized triple and five-factor families are one word identity, phi(sum of
-word products of the drawn series) = sum of the same products of their
-images, and the two idempotent families walk one grid of subset idempotents
-e_Y against the general samples.
+image v, built on the nonzeros, and report what a per-pair scan does; the
+equality criterion reads one table of a - b.  The window families build each
+left factor phi(e_x) s(f) phi(e_W) once per first sample f.  The polarized
+triple and five-factor families are one word identity, phi(sum of word
+products of the drawn series) = sum of the same products of their images,
+and the two idempotent families walk one grid of subset idempotents e_Y
+against the general samples.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -550,21 +552,24 @@ def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     """The sandwich equality criterion: two codomain elements are equal as
     soon as phi(e_x) a phi(e_x) = phi(e_x) b phi(e_x) for every x and
     phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y.
-    Each side's components come from one Peirce table of its nonzeros."""
-    poset = _incidence_domain(phi).basis.poset
-    ring = phi.ring
+    Decided on one Peirce table of a - b's nonzeros; equal sides need none."""
+    poset, cod, ring = _incidence_domain(phi).basis.poset, phi.codomain, phi.ring
+    if any(isinstance(v, AlgElem) and v.algebra is not cod and v.algebra != cod
+           for v in (a, b)):
+        raise ContextMismatchError("element does not live in the map's codomain")
     a, b = (v.coords if isinstance(v, AlgElem) else v for v in (a, b))
-    if len(a) != phi.codomain.dimension or len(b) != phi.codomain.dimension:
+    if len(a) != cod.dimension or len(b) != cod.dimension:
         raise ContextMismatchError("vector length does not match the codomain")
-
-    def components(v):
-        table = _peirce_table(phi, sparse_vector(v))
-        return [table[(i, i)] for i in range(poset.size)] + [
-            _sparse_add(ring, table[(i, j)], table[(j, i)])
-            for (i, j) in poset.strict_index_pairs()
-        ]
-
-    return components(a) == components(b)
+    # Each component phi(e_x) v phi(e_y), and so each strict-pair sum, is
+    # linear in v, since the product is bilinear: a's components equal b's
+    # exactly when a - b's are all zero.  No Jordan property of phi is used.
+    if not (difference := sparse_vector(map(ring.sub, a, b))):
+        return True
+    table = _peirce_table(phi, difference)
+    return not any(table[(i, i)] for i in range(poset.size)) and not any(
+        _sparse_add(ring, table[(i, j)], table[(j, i)])
+        for (i, j) in poset.strict_index_pairs()
+    )
 
 
 def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
@@ -576,7 +581,9 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     mirrored).  The random window of each instance draws from rng.  columns
     are s's {index: nonzero} columns, as _near_sum_columns returns them; the
     images, pullbacks, window sums and products stay on their nonzeros, so a
-    product is zero exactly when its dict is empty.  Witnesses are dense."""
+    product is zero exactly when its dict is empty.  Each left factor
+    phi(e_x) s(f) phi(e_W) is built once per f and (x, W), and each instance
+    adds one product.  Witnesses are dense."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
     basis = dom.basis
     poset, at, pairs = basis.poset, basis.index_of, basis.pairs
@@ -622,7 +629,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
                 f"phi-inverse of {name}(f) has a diagonal part"
             )
             continue
-        left = halves[s1][0]
+        left, factors = halves[s1][0], {}  # L phi(e_W) by (x, W), for this s1
         for s2, (_, f2) in enumerate(pulled):
             if halves[s2] is None:
                 continue
@@ -638,7 +645,9 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
                     tuple(z for z in pool if rng.random() < 0.5),
                 ]
                 for w, (x, y) in itertools.product(windows, ((i, j), (j, i))):
-                    p = multiply(multiply(left[x], window_image(w)), right[y])
+                    if (x, w) not in factors:
+                        factors[x, w] = multiply(left[x], window_image(w))
+                    p = multiply(factors[x, w], right[y])
                     if p:
                         yield (s1, s2, labels[x], labels[y], w), cod.dense(p), zero_vec
 

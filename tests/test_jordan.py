@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -61,8 +62,11 @@ from fialg.jordan import (
     _near_sum_columns,
     _near_sum_holds,
     _peirce_table,
+    _series_image,
+    _window_failures,
 )
-from fialg.matrices import mat_vec
+from fialg.linmaps import _sparse_add
+from fialg.matrices import _sparse_image, mat_vec
 
 from conftest import (
     all_posets_up_to,
@@ -1522,6 +1526,78 @@ def densified_scan_window_failures(phi, phi_inverse, columns, *rest):
     return scan_window_failures(phi, phi_inverse, dense, *rest)
 
 
+def unmemoized_window_failures(phi, phi_inverse, columns, strict_samples, rng,
+                               mirror, left_factors=None):
+    """_window_failures as it was before its left factors were kept: on the
+    nonzeros, with the halves and window sums built once, but both products
+    phi(e_x) s(f) phi(e_W) and (...) s(g) phi(e_y) made afresh for every
+    instance.  Same instances, rng draws and witnesses; the oracle of the
+    memoized fast path.  left_factors, when given, is a set that gathers the
+    (s1, x, W) of every left factor multiplied."""
+    dom, cod, ring = phi.domain, phi.codomain, phi.ring
+    basis = dom.basis
+    poset, at, pairs = basis.poset, basis.index_of, basis.pairs
+    n, labels = poset.size, poset.elements
+    multiply = cod.multiply_sparse
+    zero_vec = [ring.zero] * cod.dimension
+    diag = [phi.sparse_columns[at[(i, i)]] for i in range(n)]
+    name = "theta" if mirror else "psi"
+    pulled = []
+    for z in strict_samples:
+        image = _series_image(phi, columns, z)
+        pullback = _sparse_image(ring, phi_inverse.sparse_columns, image.items())
+        f = FinSeries(poset, ring, {pairs[k]: v for k, v in pullback.items()})
+        pulled.append((image, f))
+    halves = [
+        ([multiply(e, image) for e in diag], [multiply(image, e) for e in diag])
+        if f.is_strict()
+        else None
+        for image, f in pulled
+    ]
+    intervals = [
+        ((i, j), [z for z in range(n) if poset.relation[i][z] and poset.relation[z][j]])
+        for (i, j) in poset.comparable_index_pairs()
+    ]
+    window_images = {}
+
+    def window_image(w):
+        if w not in window_images:
+            ew = {}
+            for z in w:
+                ew = _sparse_add(ring, ew, diag[z])
+            window_images[w] = ew
+        return window_images[w]
+
+    for s1, (_, f1) in enumerate(pulled):
+        if halves[s1] is None:
+            diagonal = dom.element_from_series(f1.split_diag()[0]).coords
+            yield (s1,), diagonal, [ring.zero] * dom.dimension, (
+                f"phi-inverse of {name}(f) has a diagonal part"
+            )
+            continue
+        left = halves[s1][0]
+        for s2, (_, f2) in enumerate(pulled):
+            if halves[s2] is None:
+                continue
+            right = halves[s2][1]
+            fc, gc = (f2.coeffs, f1.coeffs) if mirror else (f1.coeffs, f2.coeffs)
+            for (i, j), interval in intervals:
+                excluded = {z for z in interval if (i, z) in fc and (z, j) in gc}
+                pool = [z for z in range(n) if z not in excluded]
+                windows = [
+                    (),
+                    tuple(pool),
+                    tuple(z for z in pool if z not in interval),
+                    tuple(z for z in pool if rng.random() < 0.5),
+                ]
+                for w, (x, y) in itertools.product(windows, ((i, j), (j, i))):
+                    if left_factors is not None:
+                        left_factors.add((s1, x, w))
+                    p = multiply(multiply(left[x], window_image(w)), right[y])
+                    if p:
+                        yield (s1, s2, labels[x], labels[y], w), cod.dense(p), zero_vec
+
+
 IDENTITY_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from([
     chain(5),
     boolean_lattice(3),
@@ -1569,6 +1645,62 @@ def test_window_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
         expected = verify_paper_identities(phi, seed, allow_torsion=True)
     fmt = phi.ring.format
     assert report.to_json(fmt) == expected.to_json(fmt)
+
+
+ORACLE_RINGS = (RATIONALS, INTEGERS, modular(9), modular(15))
+ORACLE_KINDS = ("jordan", "perturbed", "sheared", "random-column")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(ORACLE_RINGS),
+    st.sampled_from(ORACLE_KINDS),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+@example(chain(5), RATIONALS, "sheared", False, 3)
+@example(disjoint_union(chain(4), diamond()), modular(15), "jordan", True, 2)
+def test_window_memo_matches_the_unmemoized_windows(poset, ring, kind, twist, seed):
+    # The same failures in the same order, and the same rng state after,
+    # for psi and theta alike.
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    try:
+        phi_inverse = phi.invert()
+    except NotInvertibleError:
+        assume(False)
+    rng = random.Random(seed)
+    strict_samples = [
+        random_series(poset, phi.ring, rng, density=0.7, strict_only=True)
+        for _ in range(_IDENTITY_SAMPLES)
+    ]
+    for mirror, columns in enumerate(_near_sum_columns(phi)):
+        fast, slow = random.Random(seed + 1), random.Random(seed + 1)
+        args = (phi, phi_inverse, columns, strict_samples)
+        memoized = list(_window_failures(*args, fast, bool(mirror)))
+        assert memoized == list(unmemoized_window_failures(*args, slow, bool(mirror)))
+        assert fast.getstate() == slow.getstate()
+
+
+def test_window_memo_keeps_the_traced_peak_near_the_unmemoized_suite():
+    # The left factors are dropped with each first sample, so the suite's
+    # traced peak stays within 1.2x of the suite without them (3xchain-5
+    # over Z, seed 1).
+    phi = random_jordan_iso(disjoint_union(chain(5), chain(5), chain(5)), INTEGERS, 1)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            assert verify_paper_identities(phi, seed=1).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verify_paper_identities(phi, seed=1)  # fill the caches both runs share
+    memoized = traced_peak()
+    with mock.patch("fialg.jordan._window_failures", unmemoized_window_failures):
+        unmemoized = traced_peak()
+    assert memoized <= 1.2 * unmemoized
 
 
 def scan_equal_by_sandwiches(phi, a, b):
@@ -1773,17 +1905,31 @@ def calls_per_family(phi, seed):
 
 def test_window_families_build_each_factor_once():
     # chain-5 has 15 comparable pairs and each of the 3 strict samples pulls
-    # back strict, so each family runs 3 * 3 * 15 * 4 = 540 windows: two
-    # products per direction, 4 per window, plus the halves phi(e_x) s(f) and
-    # s(f) phi(e_x) for 3 samples and 5 elements.  The left-to-right scan
-    # takes 8 per window and no halves.  Every product runs on the nonzeros.
-    counts, sparse, _ = calls_per_family(
-        random_jordan_iso(chain(5), RATIONALS, seed=1), 1
-    )
-    per_family = 4 * 540 + 2 * 3 * 5
-    for family in ("psi_window_annihilation", "theta_window_annihilation"):
-        assert sparse[family] == per_family == 2190
+    # back strict, so each family runs 3 * 3 * 15 * 4 = 540 windows in two
+    # directions.  Each direction makes one product, (L phi(e_W)) R, against
+    # the kept left factor; each left factor L phi(e_W) is built once per
+    # first sample s1 and (x, W): the distinct (s1, x, W) that the unmemoized
+    # oracle multiplies afresh, 256 for psi and 237 for theta.  Add the halves
+    # phi(e_x) s(f) and s(f) phi(e_x) for 3 samples and 5 elements:
+    # 30 + 1080 + 256 = 1366 and 30 + 1080 + 237 = 1347, where the unmemoized
+    # windows took 30 + 4 * 540 = 2190 and the left-to-right scan 8 per window.
+    # Every product runs on the nonzeros.
+    phi = random_jordan_iso(chain(5), RATIONALS, seed=1)
+    counts, sparse, _ = calls_per_family(phi, 1)
+    left_factors = {False: set(), True: set()}
+
+    def recount(*args):
+        return unmemoized_window_failures(*args, left_factors=left_factors[args[-1]])
+
+    with mock.patch("fialg.jordan._window_failures", recount):
+        assert verify_paper_identities(phi, seed=1).passed
+    assert {m: len(keys) for m, keys in left_factors.items()} == {False: 256, True: 237}
+    for family, mirror in (("psi_window_annihilation", False),
+                           ("theta_window_annihilation", True)):
+        assert sparse[family] == 2 * 3 * 5 + 2 * 540 + len(left_factors[mirror])
         assert counts[family] == 0
+    assert sparse["psi_window_annihilation"] == 1366
+    assert sparse["theta_window_annihilation"] == 1347
 
 
 SANDWICH_FAMILIES = (
@@ -1800,20 +1946,20 @@ def test_sandwich_families_build_one_table_per_sample_image():
     # On chain-5 (5 elements, 15 comparable pairs) a Peirce table costs 5 left
     # products and 5 + 2 * 10 entries, all on the nonzeros.  The suite builds
     # one table for each of the 5 general samples, three (phi, psi and theta)
-    # for each of the 3 strict samples, and two (a and b) for each of the 5
-    # criterion rounds: 24 tables, 720 products, which multiplied dense
-    # coordinate lists until the tables moved to the nonzeros.  The per-pair
-    # scans took 1,176 products.
+    # for each of the 3 strict samples, and one, of a - b, for each of the 2
+    # criterion rounds of 5 whose b differs from a (the odd rounds; the equal
+    # rounds build none): 16 tables, 480 products.  Two tables a round, one
+    # per side, made 24 tables and 720 products; the per-pair scans took 1,176.
     counts, sparse, _ = calls_per_family(
         random_jordan_iso(chain(5), RATIONALS, seed=1), 1
     )
     assert sum(counts[name] for name in SANDWICH_FAMILIES) == 0
-    assert sum(sparse[name] for name in SANDWICH_FAMILIES) == 24 * 30
+    assert sum(sparse[name] for name in SANDWICH_FAMILIES) == 16 * 30
     assert sparse["unit_sandwich_strict"] == 5 * 30
     assert sparse["unit_sandwich_diagonal"] == sparse["coefficient_sandwich"] == 0
     assert sparse["psi_sandwich"] == 2 * 3 * 30
     assert sparse["theta_sandwich"] == 3 * 30
-    assert sparse["sandwich_equality_criterion"] == 2 * 5 * 30
+    assert sparse["sandwich_equality_criterion"] == 2 * 30
     assert sum(counts.values()) == 194
 
 
@@ -1827,7 +1973,8 @@ def test_diagonal_restriction_maps_each_diagonal_part_once():
 def test_identity_families_keep_their_product_counts():
     # Every family's dense and sparse products on chain-5 over Q, seed 1.
     # The 40 sparse products outside any family build psi and theta: two
-    # per strict unit, and chain-5 has 10 strict units.
+    # per strict unit, and chain-5 has 10 strict units.  The window and
+    # criterion counts are derived in the two tests above.
     counts, sparse, _ = calls_per_family(
         random_jordan_iso(chain(5), RATIONALS, seed=1), 1
     )
@@ -1843,9 +1990,9 @@ def test_identity_families_keep_their_product_counts():
         "unit_sandwich_strict": 150,
         "psi_sandwich": 180,
         "theta_sandwich": 90,
-        "psi_window_annihilation": 2190,
-        "theta_window_annihilation": 2190,
-        "sandwich_equality_criterion": 300,
+        "psi_window_annihilation": 1366,
+        "theta_window_annihilation": 1347,
+        "sandwich_equality_criterion": 60,
     }
 
 
@@ -1975,11 +2122,15 @@ def test_sparse_peirce_table_matches_the_dense_table(poset, ring, kind, twist, s
     "poset", [chain(5), diamond(), boolean_lattice(3)], ids=["chain5", "diamond", "B3"]
 )
 @pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
-def test_equal_by_sandwiches_builds_one_sparse_table_per_side(poset, twist, monkeypatch):
-    # Each side's components come from one Peirce table of its nonzeros: n
-    # left products and one right product for each of the n + 2 * (strict
-    # pairs) entries, per side, all sparse; a vector of the wrong length
-    # raises before any product, also when both sides are the same list.
+def test_equal_by_sandwiches_builds_one_sparse_table_of_the_difference(
+    poset, twist, monkeypatch
+):
+    # Equal sides build no table.  Distinct sides build one Peirce table of
+    # their difference a - b, on its nonzeros: n left products and one right
+    # product for each of the n + 2 * (strict pairs) entries, all sparse,
+    # where one table per side took twice that for every pair.  A vector of
+    # the wrong length raises before any product, also when both sides are
+    # the same list.
     phi = identity_corpus_map(poset, modular(9), "jordan", twist, 1)
     cod, ring = phi.codomain, phi.ring
     n, strict = poset.size, len(poset.strict_index_pairs())
@@ -1994,13 +2145,85 @@ def test_equal_by_sandwiches_builds_one_sparse_table_per_side(poset, twist, monk
     for k in range(cod.dimension):
         a = [ring.sample(rng) for _ in range(cod.dimension)]
         assert equal_by_sandwiches(phi, AlgElem(cod, tuple(a)), list(a))
+        assert calls == [0]
         b = list(a)
         b[k] = ring.add(b[k], ring.sample(rng) or ring.one)
         assert not equal_by_sandwiches(phi, a, b)
-        assert calls == [2 * 2 * table]
+        assert calls == [table]
         calls[0] = 0
     with pytest.raises(ContextMismatchError):
         equal_by_sandwiches(phi, a + [ring.one], a + [ring.one])
     with pytest.raises(ContextMismatchError):
         equal_by_sandwiches(phi, a, a[:-1])
     assert calls == [0]
+
+
+def test_equal_by_sandwiches_refuses_an_element_of_another_algebra():
+    # chain-3 over Q and two 2-chains over Z/9 both have dimension 6, so only
+    # the algebra tells a foreign element apart; a list is taken as
+    # coordinates of phi's codomain.
+    phi = random_jordan_iso(chain(3), RATIONALS, seed=1)
+    cod = phi.codomain
+    foreign = incidence_algebra(two_two_chains(), modular(9))
+    assert foreign.dimension == cod.dimension == 6
+    own = AlgElem(cod, (Fraction(1),) * 6)
+    alien = AlgElem(foreign, (1,) * 6)
+    for a, b in ((own, alien), (alien, own), (alien, alien), ([1] * 6, alien)):
+        with pytest.raises(ContextMismatchError):
+            equal_by_sandwiches(phi, a, b)
+    copy = AlgElem(incidence_algebra(chain(3), RATIONALS), own.coords)
+    assert equal_by_sandwiches(phi, own, copy)
+    assert equal_by_sandwiches(phi, own, [1] * 6)
+
+
+def two_table_equal_by_sandwiches(phi, a, b):
+    """equal_by_sandwiches as it was before it took the difference: one
+    sparse Peirce table per side, the components compared.  The oracle of
+    the a - b criterion, which it must answer alike on any map."""
+    poset = phi.domain.basis.poset
+    ring = phi.ring
+    a, b = (v.coords if isinstance(v, AlgElem) else v for v in (a, b))
+
+    def components(v):
+        table = _peirce_table(phi, sparse_vector(v))
+        return [table[(i, i)] for i in range(poset.size)] + [
+            _sparse_add(ring, table[(i, j)], table[(j, i)])
+            for (i, j) in poset.strict_index_pairs()
+        ]
+
+    return components(a) == components(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(ORACLE_RINGS),
+    st.sampled_from(ORACLE_KINDS),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_difference_criterion_matches_the_two_table_criterion(
+    poset, ring, kind, twist, seed
+):
+    # Equal pairs, pairs one coordinate apart (by a unit and by a zero
+    # divisor over Z/9 and Z/15), every unit vector against zero, and random
+    # pairs: on damaged maps some distinct pairs pass, and both criteria must
+    # say so together.
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    cod, ring = phi.codomain, phi.ring
+    d, rng = cod.dimension, random.Random(seed)
+    zero = [ring.zero] * d
+    pairs = [(zero, zero)] + [(zero, cod.unit_vector(k)) for k in range(d)]
+    for t in range(8):
+        a = [ring.sample(rng) for _ in range(d)]
+        b = list(a)
+        if t == 4:
+            b = [ring.sample(rng) for _ in range(d)]
+        elif t % 4 and d:
+            k = rng.randrange(d)
+            shift = ring.sample_unit(rng) if t % 4 == 1 else ring.sample(rng)
+            b[k] = ring.add(b[k], shift)
+        pairs.append((a, b) if t % 2 else (AlgElem(cod, tuple(a)), b))
+    for a, b in pairs:
+        expected = two_table_equal_by_sandwiches(phi, a, b)
+        assert equal_by_sandwiches(phi, a, b) == expected
