@@ -25,7 +25,7 @@ from .errors import (
     NotAUnitError,
     NotComparableError,
 )
-from .matrices import _sparse_image, invert_columns
+from .matrices import invert_columns, mat_vec
 from .posets import Poset
 from .rings import Ring
 
@@ -489,10 +489,6 @@ class AlgElem:
         r = ring.normalize(r)
         return AlgElem(self.algebra, tuple(ring.mul(r, a) for a in self.coords))
 
-    def is_zero(self) -> bool:
-        ring = self.algebra.ring
-        return all(ring.is_zero(a) for a in self.coords)
-
 
 def sparse_vector(coords) -> dict:
     """The {index: nonzero payload} form of a coordinate vector, as
@@ -549,12 +545,12 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     inverse = invert_columns(ring, basis, d)
 
     def transported(w: dict) -> tuple:
-        return tuple(sorted(_sparse_image(ring, inverse, w.items()).items())) if w else ()
+        return tuple(sorted(mat_vec(ring, inverse, w.items()).items())) if w else ()
 
     multiply = algebra.multiply_sparse
     cells = [[transported(multiply(u, v)) for v in basis] for u in basis]
     one = sparse_vector(algebra.identity)
-    identity = algebra.dense(_sparse_image(ring, inverse, one.items()))
+    identity = algebra.dense(mat_vec(ring, inverse, one.items()))
     return StructAlgebra(ring, cells, identity, basis=None), inverse
 
 

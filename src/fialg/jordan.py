@@ -25,15 +25,17 @@ fails, to collect witnesses; decompose() runs the Jordan recognizer before
 it, so that only a Jordan map pays for the failing report, and the
 recognizer's own report is built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
-and annihilation identities that make the construction work.  Its sandwich
-families read one table of Peirce components phi(e_x) v phi(e_y) per sample
-image v, built on the nonzeros, and report what a per-pair scan does; the
-equality criterion reads one table of a - b.  The window families build each
-left factor phi(e_x) s(f) phi(e_W) once per first sample f.  The polarized
-triple and five-factor families are one word identity, phi(sum of word
-products of the drawn series) = sum of the same products of their images,
-and the two idempotent families walk one grid of subset idempotents e_Y
-against the general samples.
+and annihilation identities that make the construction work.  Each sample
+image is mat_vec of the series on phi's {index: nonzero} columns; the word,
+idempotent and diagonal families multiply the images, densely, with
+StructAlgebra.multiply.  The sandwich families read one table of Peirce
+components phi(e_x) v phi(e_y) per sample image v, built on the nonzeros,
+and report what a per-pair scan does; the equality criterion reads one table
+of a - b.  The window families build each left factor phi(e_x) s(f) phi(e_W)
+once per first sample f.  The polarized triple and five-factor families are
+one word identity, phi(sum of word products of the drawn series) = sum of
+the same products of their images, and the two idempotent families walk one
+grid of subset idempotents e_Y against the general samples.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -69,7 +71,7 @@ from .linmaps import (
     check_jordan,
     jordan_pair_check,
 )
-from .matrices import _sparse_image, require_unit_determinant
+from .matrices import mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
@@ -366,7 +368,7 @@ def extend_via_inverse(
     for (i, j) in basis.poset.strict_index_pairs():
         x, y = (j, i) if anti else (i, j)
         a = multiply(multiply(cols[at[(x, x)]], phi_z), cols[at[(y, y)]])
-        back = _sparse_image(ring, phi_inverse.sparse_columns, a.items())
+        back = mat_vec(ring, phi_inverse.sparse_columns, a.items())
         if v := back.get(at[(i, j)]):
             g_coeffs[(i, j)] = v
     g = FinSeries(basis.poset, ring, g_coeffs)
@@ -526,7 +528,7 @@ def _annihilation_failures(dec: Decomposition, pairs):
 def _series_image(phi: LinMap, columns, f: FinSeries) -> dict:
     """f's image under the {index: nonzero} columns of a map out of phi's domain."""
     at = phi.domain.basis.index_of
-    return _sparse_image(phi.ring, columns, ((at[k], v) for k, v in f.coeffs.items()))
+    return mat_vec(phi.ring, columns, ((at[k], v) for k, v in f.coeffs.items()))
 
 
 def _peirce_table(phi: LinMap, v: dict) -> dict:
@@ -595,7 +597,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     pulled = []
     for z in strict_samples:
         image = _series_image(phi, columns, z)
-        pullback = _sparse_image(ring, phi_inverse.sparse_columns, image.items())
+        pullback = mat_vec(ring, phi_inverse.sparse_columns, image.items())
         f = FinSeries(poset, ring, {pairs[k]: v for k, v in pullback.items()})
         pulled.append((image, f))
     # Every codomain is associative (incidence tables and their change_basis
@@ -697,7 +699,7 @@ def verify_paper_identities(
     ]
 
     def phi_of(f: FinSeries):
-        return phi.apply_coords(dom.element_from_series(f).coords)
+        return cod.dense(_series_image(phi, phi.sparse_columns, f))
 
     def scaled(f: FinSeries, pair, m: LinMap) -> dict:
         """f(x, y) times m(e_xy), on the nonzeros."""

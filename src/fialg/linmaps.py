@@ -3,10 +3,11 @@ that ask whether a map is multiplicative, anti-multiplicative, or Jordan.
 
 A map is stored once, as its matrix over the ordered bases: the columns
 (images of domain basis vectors) as {index: nonzero} dicts,
-LinMap.sparse_columns.  The dense coordinate lists, LinMap.columns, are a
-view built only when read.  All recognizers quantify over basis tuples —
-enough, by bilinearity, to decide the corresponding law for arbitrary
-elements — and report witnesses instead of bare booleans.
+LinMap.sparse_columns, which matrices.mat_vec applies to a vector.  The
+dense coordinate lists, LinMap.columns, are a view built only when read, and
+nothing in the library reads it.  All recognizers quantify over basis
+tuples — enough, by bilinearity, to decide the corresponding law for
+arbitrary elements — and report witnesses instead of bare booleans.
 
 The scans run on the nonzeros: each recognizer multiplies the map's sparse
 columns with StructAlgebra.multiply_sparse.  The left side, m(b_i b_j +
@@ -32,7 +33,7 @@ from operator import ne
 
 from .algebra import AlgElem, StructAlgebra, _change_basis, sparse_vector
 from .errors import ContextMismatchError, FialgError, TorsionRefusedError
-from .matrices import _sparse_image, invert_columns, mat_vec
+from .matrices import invert_columns, mat_vec
 from .reports import CheckResult, VerificationReport, run_check
 
 
@@ -88,11 +89,12 @@ class LinMap:
     # -- action ----------------------------------------------------------------
 
     def apply_coords(self, vec):
+        """The image of a coordinate list; ring.normalize refuses a float or
+        bool entry, zero-valued ones included."""
         if len(vec) != self.domain.dimension:
             raise ContextMismatchError("vector length does not match the map's domain")
-        if not self.columns:  # no column to read the codomain's dimension from
-            return [self.ring.zero] * self.codomain.dimension
-        return mat_vec(self.ring, self.columns, vec)
+        pairs = sparse_vector(map(self.ring.normalize, vec)).items()
+        return self.codomain.dense(mat_vec(self.ring, self.sparse_columns, pairs))
 
     def apply(self, a: AlgElem) -> AlgElem:
         if a.algebra is not self.domain and a.algebra != self.domain:
@@ -104,7 +106,7 @@ class LinMap:
         if inner.codomain is not self.domain and inner.codomain != self.domain:
             raise ContextMismatchError("inner codomain does not match outer domain")
         ring, images = self.ring, self.sparse_columns
-        cols = (_sparse_image(ring, images, c.items()) for c in inner.sparse_columns)
+        cols = (mat_vec(ring, images, c.items()) for c in inner.sparse_columns)
         return LinMap._of_sparse(inner.domain, self.codomain, cols)
 
     def invert(self) -> "LinMap":
@@ -180,7 +182,7 @@ def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     change is inverted once, for change_basis's cells and for the columns,
     which are the inverse's images of m's sparse columns."""
     target, inverse = _change_basis(m.codomain, new_basis_columns)
-    cols = [_sparse_image(m.ring, inverse, c.items()) for c in m.sparse_columns]
+    cols = [mat_vec(m.ring, inverse, c.items()) for c in m.sparse_columns]
     return LinMap._of_sparse(m.domain, target, cols)
 
 
@@ -204,7 +206,7 @@ def _homomorphism_failures(m: LinMap, pairs, anti: bool):
     cells = m.domain.cells
     for i, j in pairs:
         cell = cells[i][j]
-        lhs = _sparse_image(ring, images, cell) if cell else {}
+        lhs = mat_vec(ring, images, cell) if cell else {}
         rhs = multiply(images[j], images[i]) if anti else multiply(images[i], images[j])
         if lhs != rhs:
             yield (i, j), cod.dense(lhs), cod.dense(rhs)
@@ -225,7 +227,7 @@ def check_homomorphism(
     checks = [run_check(name, _homomorphism_failures(m, pairs, anti))]
     if unital:
         cod, one = m.codomain, sparse_vector(m.domain.identity)
-        lhs = _sparse_image(m.ring, m.sparse_columns, one.items())
+        lhs = mat_vec(m.ring, m.sparse_columns, one.items())
         rhs = list(cod.identity)
         failures = [] if lhs == sparse_vector(rhs) else [((), cod.dense(lhs), rhs)]
         checks.append(run_check("unital", failures))
@@ -242,7 +244,7 @@ def _jordan_pair_failures(m: LinMap, pairs):
     cells = m.domain.cells
     for i, j in pairs:
         sym = _sparse_add(ring, dict(cells[i][j]), dict(cells[j][i]))
-        lhs = _sparse_image(ring, images, sym.items())
+        lhs = mat_vec(ring, images, sym.items())
         rhs = _sparse_add(
             ring,
             multiply(images[i], images[j]),
@@ -307,7 +309,7 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
             left = [dict(dom.cells[i][j]) for i in range(d)]
             for i in range(d):
                 for k in range(i, d):
-                    lhs = _sparse_image(
+                    lhs = mat_vec(
                         ring,
                         images,
                         _sparse_add(
@@ -344,7 +346,7 @@ def _quadratic_failures(m: LinMap):
         unit = {i: ring.one}
         for j in range(d):
             inner = dom.multiply_sparse(dict(dom.cells[i][j]), unit)
-            lhs = _sparse_image(ring, images, inner.items())
+            lhs = mat_vec(ring, images, inner.items())
             rhs = multiply(multiply(images[i], images[j]), images[i])
             if lhs != rhs:
                 yield (i, j, i), cod.dense(lhs), cod.dense(rhs)

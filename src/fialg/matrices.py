@@ -1,8 +1,9 @@
 """Exact matrix kernels used by the linear-map layer.
 
-Matrices are lists of columns, the images of basis vectors: dense lists for
-mat_vec, and {index: nonzero} dicts, as LinMap stores them, for the other
-kernels; _sparse_image is mat_vec on those.
+Matrices are lists of columns, the images of basis vectors, each held as an
+{index: nonzero} dict, as LinMap stores them.  mat_vec, the one
+matrix-vector kernel, sums the columns a sparse vector touches (Gustavson's
+sparse accumulation), so a zero coordinate costs nothing.
 
 Both invertibility kernels run one elimination loop over the rationals on
 sparse rows, {column: nonzero} dicts, since the pipeline's matrices (Jordan
@@ -22,23 +23,7 @@ from .errors import NotInvertibleError
 from .rings import RationalRing, Ring
 
 
-def mat_vec(ring: Ring, columns, vec):
-    """Matrix times coordinate vector: sum_j vec[j] * columns[j]."""
-    n = len(columns[0]) if columns else 0
-    out = [ring.zero] * n
-    add, mul = ring.add, ring.mul
-    for j, a in enumerate(vec):
-        if not a:
-            continue
-        col = columns[j]
-        for i in range(n):
-            c = col[i]
-            if c:
-                out[i] = add(out[i], mul(a, c))
-    return out
-
-
-def _sparse_image(ring, columns, pairs) -> dict:
+def mat_vec(ring: Ring, columns, pairs) -> dict:
     """The image of the vector with these (index, nonzero payload) pairs
     under the map with the given columns, all held as {index: nonzero
     payload}: a combination of the columns the vector touches."""

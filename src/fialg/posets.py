@@ -49,9 +49,6 @@ class Poset:
     def le(self, x: str, y: str) -> bool:
         return self.relation[self.index(x)][self.index(y)]
 
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.le(x, y)
-
     def interval(self, x: str, y: str) -> list[str]:
         """[x, y] = every z with x <= z <= y, in element order; empty when x !<= y."""
         i, j = self.index(x), self.index(y)

@@ -21,6 +21,23 @@ from fialg.linmaps import rebase_codomain
 from fialg.matrices import invert_columns, require_unit_determinant
 
 
+def dense_mat_vec(ring, columns, vec):
+    """Matrix times coordinate vector on dense columns, sum_j vec[j] *
+    columns[j], entry by entry: the oracle of the sparse mat_vec."""
+    n = len(columns[0]) if columns else 0
+    out = [ring.zero] * n
+    add, mul = ring.add, ring.mul
+    for j, a in enumerate(vec):
+        if not a:
+            continue
+        col = columns[j]
+        for i in range(n):
+            c = col[i]
+            if c:
+                out[i] = add(out[i], mul(a, c))
+    return out
+
+
 def invert_dense(ring, cols):
     """invert_columns on dense columns, read back dense; the kernel's
     {index: nonzero} columns must hold no zero."""

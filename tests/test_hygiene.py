@@ -70,13 +70,12 @@ def test_all_lists_exactly_the_public_names_of_the_package():
     assert set(fialg.__all__) == public
 
 
-# The functions that still use the dense kernels, StructAlgebra.multiply
-# and mat_vec: what remains of ROADMAP item 3 (sparse-only kernels).  The list
-# only shrinks; a function that drops its dense call leaves it.
-DENSE_KERNEL_USERS = {
-    "jordan.verify_paper_identities",
-    "linmaps.LinMap.apply_coords",
-}
+# The functions that still use the dense product kernel,
+# StructAlgebra.multiply: what remains of ROADMAP item 3 (sparse-only
+# kernels).  mat_vec runs on {index: nonzero} columns and is no dense
+# kernel.  The list only shrinks; a function that drops its dense call
+# leaves it.
+DENSE_KERNEL_USERS = {"jordan.verify_paper_identities"}
 
 
 def functions(body, prefix=""):
@@ -95,8 +94,7 @@ def test_dense_kernel_users_are_the_allowlist():
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, fn in functions(tree.body):
             if any(
-                (isinstance(node, ast.Attribute) and node.attr == "multiply")
-                or (isinstance(node, ast.Name) and node.id == "mat_vec")
+                isinstance(node, ast.Attribute) and node.attr == "multiply"
                 for node in ast.walk(fn)
             ):
                 users.add(f"{path.stem}.{name}")
@@ -131,10 +129,10 @@ def test_one_indented_json_writer():
 
 
 # The functions that read a LinMap's dense view, LinMap.columns, which
-# builds and caches a coordinate list of every column: what remains of the
-# dense store.  The list only shrinks; the wire writer (to_json) and the
-# recognizers read the {index: nonzero} columns instead.
-DENSE_VIEW_READERS = {"linmaps.LinMap.apply_coords"}
+# builds and caches a coordinate list of every column.  None does: the wire
+# writer (to_json), the recognizers and apply_coords read the {index:
+# nonzero} columns, and the view stays for callers outside the library.
+DENSE_VIEW_READERS = set()
 
 
 def test_dense_view_readers_are_the_allowlist():

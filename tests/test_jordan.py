@@ -66,13 +66,14 @@ from fialg.jordan import (
     _window_failures,
 )
 from fialg.linmaps import _sparse_add
-from fialg.matrices import _sparse_image, mat_vec
+from fialg.matrices import mat_vec
 
 from conftest import (
     all_posets_up_to,
     antichain,
     boolean_lattice,
     chain,
+    dense_mat_vec,
     diamond,
     disjoint_union,
     jordan_corpus,
@@ -1303,12 +1304,13 @@ def test_extension_agrees_with_inverse_oracle():
 
 def dense_extend_via_inverse(phi, f, anti, phi_inverse):
     """extend_via_inverse on dense coordinate lists, each sandwich and image
-    multiplied with StructAlgebra.multiply and mat_vec: the oracle of the
-    sparse construction."""
+    multiplied with StructAlgebra.multiply and dense_mat_vec: the oracle of
+    the sparse construction."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
     basis = dom.basis
     f_diag, f_strict = f.split_diag()
-    phi_z = mat_vec(ring, phi.columns, dom.element_from_series(f_strict).coords)
+    z_coords = dom.element_from_series(f_strict).coords
+    phi_z = dense_mat_vec(ring, phi.columns, z_coords)
     g_coeffs = {}
     for (i, j) in basis.poset.strict_index_pairs():
         ex = phi.columns[basis.index_of[(i, i)]]
@@ -1317,12 +1319,12 @@ def dense_extend_via_inverse(phi, f, anti, phi_inverse):
             a = cod.multiply(cod.multiply(ey, phi_z), ex)
         else:
             a = cod.multiply(cod.multiply(ex, phi_z), ey)
-        v = mat_vec(ring, phi_inverse.columns, a)[basis.index_of[(i, j)]]
+        v = dense_mat_vec(ring, phi_inverse.columns, a)[basis.index_of[(i, j)]]
         if not ring.is_zero(v):
             g_coeffs[(i, j)] = v
     g = FinSeries(basis.poset, ring, g_coeffs)
     total = dom.element_from_series(f_diag + g).coords
-    return AlgElem(cod, tuple(mat_vec(ring, phi.columns, total)))
+    return AlgElem(cod, tuple(dense_mat_vec(ring, phi.columns, total)))
 
 
 @pytest.mark.parametrize("ring", TORSIONFREE_RINGS, ids=repr)
@@ -1357,7 +1359,6 @@ def test_extension_makes_no_dense_product(monkeypatch):
         raise AssertionError("dense kernel called")
 
     monkeypatch.setattr(StructAlgebra, "multiply", refuse)
-    monkeypatch.setattr(linmaps, "mat_vec", refuse)
     for anti in (False, True):
         extend_via_inverse(phi, f, anti=anti)
     assert "columns" not in vars(phi)
@@ -1469,8 +1470,8 @@ def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror)
     name = "theta" if mirror else "psi"
     pulled = []
     for z in strict_samples:
-        image = mat_vec(ring, columns, vec(z))
-        coords = phi_inverse.apply_coords(image)
+        image = dense_mat_vec(ring, columns, vec(z))
+        coords = dense_mat_vec(ring, phi_inverse.columns, image)
         series = dom.series_from_element(AlgElem(dom, tuple(coords)))
         pulled.append((image, series))
     for (s1, (img1, f1)) in enumerate(pulled):
@@ -1545,7 +1546,7 @@ def unmemoized_window_failures(phi, phi_inverse, columns, strict_samples, rng,
     pulled = []
     for z in strict_samples:
         image = _series_image(phi, columns, z)
-        pullback = _sparse_image(ring, phi_inverse.sparse_columns, image.items())
+        pullback = mat_vec(ring, phi_inverse.sparse_columns, image.items())
         f = FinSeries(poset, ring, {pairs[k]: v for k, v in pullback.items()})
         pulled.append((image, f))
     halves = [
@@ -1763,7 +1764,7 @@ def scan_sandwich_checks(phi, seed):
         return dom.element_from_series(f).coords
 
     def phi_of(f):
-        return phi.apply_coords(vec(f))
+        return dense_mat_vec(ring, phi.columns, vec(f))
 
     def scaled(r, column):
         return [mul(r, v) for v in column]
@@ -1815,7 +1816,7 @@ def scan_sandwich_checks(phi, seed):
     def sandwich_failures(columns, mirror):
         away = "forward is zero" if mirror else "reversed is zero"
         for s, z in enumerate(strict_samples):
-            image = mat_vec(ring, columns, vec(z))
+            image = dense_mat_vec(ring, columns, vec(z))
             fz = phi_of(z)
             for (i, j) in poset.strict_index_pairs():
                 u, v = (j, i) if mirror else (i, j)
@@ -1868,13 +1869,12 @@ def test_sandwich_families_agree_with_scan_oracle(poset, ring, kind, twist, seed
 
 
 def calls_per_family(phi, seed):
-    """StructAlgebra.multiply, StructAlgebra.multiply_sparse and
-    LinMap.apply_coords calls of verify_paper_identities, counted by the
-    family whose check was running."""
+    """StructAlgebra.multiply, StructAlgebra.multiply_sparse and mat_vec
+    calls of verify_paper_identities, counted by the family whose check was
+    running."""
     family = [None]
     products, sparse_products, images = (collections.Counter() for _ in range(3))
-    multiply, apply_coords = StructAlgebra.multiply, LinMap.apply_coords
-    multiply_sparse = StructAlgebra.multiply_sparse
+    multiply, multiply_sparse = StructAlgebra.multiply, StructAlgebra.multiply_sparse
 
     def counted_multiply(self, u, v):
         products[family[0]] += 1
@@ -1884,9 +1884,9 @@ def calls_per_family(phi, seed):
         sparse_products[family[0]] += 1
         return multiply_sparse(self, u, v)
 
-    def counted_apply(self, vec):
+    def counted_mat_vec(ring, columns, pairs):
         images[family[0]] += 1
-        return apply_coords(self, vec)
+        return mat_vec(ring, columns, pairs)
 
     def named(name, instances):
         family[0] = name
@@ -1896,7 +1896,7 @@ def calls_per_family(phi, seed):
         StructAlgebra, "multiply", counted_multiply
     ), mock.patch.object(
         StructAlgebra, "multiply_sparse", counted_multiply_sparse
-    ), mock.patch.object(LinMap, "apply_coords", counted_apply), mock.patch(
+    ), mock.patch("fialg.jordan.mat_vec", counted_mat_vec), mock.patch(
         "fialg.jordan.run_check", named
     ):
         assert verify_paper_identities(phi, seed=seed).passed

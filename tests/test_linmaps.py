@@ -33,7 +33,7 @@ from fialg import (
     TorsionRefusedError,
     validate_poset,
 )
-from fialg.algebra import StructAlgebra
+from fialg.algebra import StructAlgebra, sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
 from fialg.jordan import _cover_pairs
 from fialg.linmaps import _homomorphism_failures
@@ -43,7 +43,9 @@ from fialg.matrices import invert_columns, mat_vec
 
 from conftest import (
     all_posets_up_to,
+    antichain,
     chain,
+    dense_mat_vec,
     diamond,
     invert_dense,
     two_two_chains,
@@ -135,6 +137,57 @@ def test_wrong_length_vectors_are_refused():
     with pytest.raises(ContextMismatchError):
         equal_by_sandwiches(phi, [1, 0, 0, 0], [1, 0, 0, 0])
     assert equal_by_sandwiches(phi, [1, 0, 0], AlgElem(A, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+@pytest.mark.parametrize("entry", [0.5, 1.5, 0.0, True], ids=repr)
+def test_apply_refuses_floats_and_bools(ring, entry):
+    # neither is exact ring data, the zero-valued 0.0 and False included
+    phi = random_jordan_iso(chain(2), ring, seed=1)
+    with pytest.raises(FialgError):
+        phi.apply_coords([entry, 0, 0])
+    with pytest.raises(FialgError):
+        phi.apply(AlgElem(phi.domain, (entry, ring.zero, ring.zero)))
+
+
+MAT_VEC_RINGS = {
+    "rationals": RATIONALS,
+    "integers": INTEGERS,
+    "mod9": modular(9),
+    "mod15": modular(15),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(MAT_VEC_RINGS)),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 10 ** 6),
+)
+def test_mat_vec_and_apply_coords_match_the_dense_oracle(ring_name, d_in, d_out, seed):
+    # antichain(k)'s algebra has dimension k, so a domain or codomain may be
+    # zero-dimensional; some columns are drawn empty
+    ring = MAT_VEC_RINGS[ring_name]
+    rng = random.Random(seed)
+    column_density, vector_density = rng.random(), rng.random()
+
+    def entry(density):
+        return ring.sample(rng) if rng.random() < density else ring.zero
+
+    cols = [
+        [entry(column_density) for _ in range(d_out)] if rng.random() < 0.8
+        else [ring.zero] * d_out
+        for _ in range(d_in)
+    ]
+    vec = [entry(vector_density) for _ in range(d_in)]
+    expected = dense_mat_vec(ring, cols, vec) if cols else [ring.zero] * d_out
+    sparse_cols = [sparse_vector(c) for c in cols]
+    image = mat_vec(ring, sparse_cols, sparse_vector(vec).items())
+    assert image == sparse_vector(expected)
+    dom = incidence_algebra(antichain(d_in), ring)
+    cod = incidence_algebra(antichain(d_out), ring)
+    assert LinMap(dom, cod, cols).apply_coords(vec) == expected
 
 
 def test_invert_refuses_singular_maps():
@@ -271,7 +324,7 @@ def test_rebase_codomain_preserves_action():
         v = [ring.sample(rng) for _ in range(phi.domain.dimension)]
         old = phi.apply_coords(v)
         new = tw.apply_coords(v)
-        assert mat_vec(ring, U, new) == old
+        assert dense_mat_vec(ring, U, new) == old
     # products still transported correctly: tw stays Jordan
     assert check_jordan(tw).passed
 
@@ -295,16 +348,16 @@ def test_rebase_codomain_inverts_once_and_matches_the_dense_route(ring, monkeypa
         A = phi.codomain
         for cols in (random_basis_change(A, seed=3), unitriangular_shear(A, seed=4)):
             inverse = invert_dense(ring, cols)
-            expected = [mat_vec(ring, inverse, col) for col in phi.columns]
+            expected = [dense_mat_vec(ring, inverse, col) for col in phi.columns]
             inversions.clear()
             with monkeypatch.context() as patch:
                 for module in ("fialg.algebra", "fialg.linmaps"):
                     patch.setattr(f"{module}.invert_columns", counted)
                 patch.setattr(StructAlgebra, "multiply", refuse)
-                patch.setattr("fialg.linmaps.mat_vec", refuse)
                 tw = rebase_codomain(phi, cols)
             assert len(inversions) == 1
             assert tw.codomain == change_basis(A, cols)
+            assert "columns" not in vars(tw)
             assert tw.columns == tuple(tuple(col) for col in expected)
             assert tw.sparse_columns == tuple(
                 {k: v for k, v in enumerate(col) if v} for col in expected
@@ -397,16 +450,24 @@ def test_check_jordan_triples_agree_with_pair_table_oracle(
 # -- sparse recognizers against the dense scans --------------------------------
 
 
+def dense_apply(m, vec):
+    """m applied to a coordinate list through the dense oracle; a map with
+    no columns sends it to the codomain's zero."""
+    if not m.columns:
+        return [m.ring.zero] * m.codomain.dimension
+    return dense_mat_vec(m.ring, m.columns, vec)
+
+
 def dense_check_homomorphism(m, anti=False, unital=False):
     """check_homomorphism on dense coordinate lists: every left side through
-    mat_vec and every image product through StructAlgebra.multiply."""
+    dense_mat_vec and every image product through StructAlgebra.multiply."""
     dom, cod = m.domain, m.codomain
     images = m.columns
 
     def failures():
         for i in range(dom.dimension):
             for j in range(dom.dimension):
-                lhs = m.apply_coords(dom.basis_product(i, j))
+                lhs = dense_apply(m, dom.basis_product(i, j))
                 rhs = (
                     cod.multiply(images[j], images[i])
                     if anti
@@ -417,7 +478,7 @@ def dense_check_homomorphism(m, anti=False, unital=False):
 
     checks = [run_check("anti_homomorphism" if anti else "homomorphism", failures())]
     if unital:
-        lhs = m.apply_coords(dom.identity)
+        lhs = dense_apply(m, dom.identity)
         rhs = list(cod.identity)
         checks.append(run_check("unital", [] if lhs == rhs else [((), lhs, rhs)]))
     return VerificationReport(tuple(checks))
@@ -435,7 +496,7 @@ def dense_jordan_pair_check(m):
                     add(a, b)
                     for a, b in zip(dom.basis_product(i, j), dom.basis_product(j, i))
                 ]
-                lhs = m.apply_coords(sym)
+                lhs = dense_apply(m, sym)
                 p = cod.multiply(images[i], images[j])
                 q = cod.multiply(images[j], images[i])
                 rhs = [add(a, b) for a, b in zip(p, q)]
@@ -452,15 +513,14 @@ def dense_quadratic_laws(m):
 
     def failures():
         for i in range(dom.dimension):
-            lhs = m.apply_coords(dom.basis_product(i, i))
+            lhs = dense_apply(m, dom.basis_product(i, i))
             rhs = cod.multiply(images[i], images[i])
             if lhs != rhs:
                 yield (i, i), lhs, rhs
         for i in range(dom.dimension):
             for j in range(dom.dimension):
-                lhs = m.apply_coords(
-                    dom.multiply(dom.basis_product(i, j), dom.unit_vector(i))
-                )
+                product = dom.multiply(dom.basis_product(i, j), dom.unit_vector(i))
+                lhs = dense_apply(m, product)
                 rhs = cod.multiply(cod.multiply(images[i], images[j]), images[i])
                 if lhs != rhs:
                     yield (i, j, i), lhs, rhs
@@ -748,7 +808,7 @@ def test_invert_columns_round_trip_all_rings():
         # inv composed with cols is the identity, column by column
         for j in range(d):
             e = [ring.one if i == j else ring.zero for i in range(d)]
-            assert mat_vec(ring, cols, mat_vec(ring, inv, e)) == e
+            assert dense_mat_vec(ring, cols, dense_mat_vec(ring, inv, e)) == e
 
 
 def test_invert_columns_integer_unimodularity():
@@ -764,11 +824,11 @@ def test_invert_columns_integer_unimodularity():
 def test_invert_columns_modular_composite_modulus():
     # matrix invertible mod 15 though its determinant is not coprime to
     # every prime: det = 7, a unit mod 15
-    cols = [[2, 1], [1, 4]]
-    inv = invert_dense(modular(15), cols)
+    ring, cols = modular(15), [[2, 1], [1, 4]]
+    inv = invert_dense(ring, cols)
     for j in range(2):
         e = [1 if i == j else 0 for i in range(2)]
-        assert mat_vec(modular(15), cols, mat_vec(modular(15), inv, e)) == e
+        assert dense_mat_vec(ring, cols, dense_mat_vec(ring, inv, e)) == e
 
 
 def leibniz_determinant(ring, columns):
@@ -810,8 +870,8 @@ def test_unit_determinant_check_matches_leibniz(ring_name, n, seed, repeat_colum
         inv = invert_dense(ring, cols)
         for j in range(n):
             e = [ring.one if i == j else ring.zero for i in range(n)]
-            assert mat_vec(ring, cols, mat_vec(ring, inv, e)) == e
-            assert mat_vec(ring, inv, mat_vec(ring, cols, e)) == e
+            assert dense_mat_vec(ring, cols, dense_mat_vec(ring, inv, e)) == e
+            assert dense_mat_vec(ring, inv, dense_mat_vec(ring, cols, e)) == e
     else:
         with pytest.raises(NotInvertibleError, match="is not a unit of"):
             unit_determinant_dense(ring, cols)
