@@ -5,7 +5,14 @@ pairs, multiplied by convolution over intervals.  StructAlgebra is the same
 algebra (or any other finite-dimensional one) presented by an ordered basis
 and structure constants, which is the form the linear-map layer works in.
 incidence_algebra() builds the structure-constant presentation of FinSeries
-together with exact coordinate maps both ways.
+with its unit basis attached, so element_from_series() maps a series to its
+coordinates exactly.
+
+Each type has one checking door, as LinMap does.  FinSeries(...) checks every
+key and StructAlgebra(...) every cell index; both send every payload through
+ring.normalize and drop zeros, and AlgElem(...) normalizes its coordinates.
+The builders inside the package, which already hold canonical payloads, use
+FinSeries._of and StructAlgebra._of_tuples and are not checked again.
 
 For a finite poset every series has finite support, so the full function
 algebra and its finitely-supported subalgebra coincide; there is only one
@@ -30,62 +37,73 @@ from .posets import Poset
 from .rings import Ring
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, init=False)
 class FinSeries:
     """A sparse function on the comparable pairs of a poset.
 
     coeffs maps index pairs (i, j) with elements[i] <= elements[j] to nonzero
     ring payloads.  Zeros are dropped eagerly by every constructor and
     operation, so == is both representation and mathematical equality.
+    FinSeries(poset, ring, coeffs) is the checking door: each key must be
+    such an index pair, and each payload passes ring.normalize.
     """
 
     poset: Poset
     ring: Ring
     coeffs: dict
 
+    def __init__(self, poset: Poset, ring: Ring, coeffs: Mapping):
+        n, normalize, kept = poset.size, ring.normalize, {}
+        for key, raw in coeffs.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(type(i) is int and 0 <= i < n for i in key)):
+                raise FialgError(f"not an index pair of a {n}-element poset: {key!r}")
+            _require_comparable(poset, *key)
+            if v := normalize(raw):
+                kept[key] = v
+        self.__dict__.update(poset=poset, ring=ring, coeffs=kept)
+
+    @classmethod
+    def _of(cls, poset: Poset, ring: Ring, coeffs: dict) -> "FinSeries":
+        """The series with these coefficients, comparable index pairs to
+        nonzero canonical payloads, as the package's builders make them; not
+        checked or normalized again."""
+        f = cls.__new__(cls)
+        f.__dict__.update(poset=poset, ring=ring, coeffs=coeffs)
+        return f
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, poset: Poset, ring: Ring) -> "FinSeries":
-        return cls(poset, ring, {})
+        return cls._of(poset, ring, {})
 
     @classmethod
     def delta(cls, poset: Poset, ring: Ring) -> "FinSeries":
         """The convolution identity: 1 on the diagonal."""
-        return cls(poset, ring, {(i, i): ring.one for i in range(poset.size)})
+        return cls._of(poset, ring, {(i, i): ring.one for i in range(poset.size)})
 
     @classmethod
     def unit(cls, poset: Poset, ring: Ring, x: str, y: str) -> "FinSeries":
         """The matrix unit e_xy; requires x <= y."""
-        i, j = poset.index(x), poset.index(y)
-        if not poset.relation[i][j]:
-            raise NotComparableError(f"{x!r} <= {y!r} does not hold")
-        return cls(poset, ring, {(i, j): ring.one})
+        return cls(poset, ring, {(poset.index(x), poset.index(y)): ring.one})
 
     @classmethod
     def subset_idempotent(cls, poset: Poset, ring: Ring, labels: Iterable[str]) -> "FinSeries":
         """e_Y: the diagonal idempotent supported on a subset of elements."""
         idx = sorted({poset.index(x) for x in labels})
-        return cls(poset, ring, {(i, i): ring.one for i in idx})
+        return cls._of(poset, ring, {(i, i): ring.one for i in idx})
 
     @classmethod
     def zeta(cls, poset: Poset, ring: Ring) -> "FinSeries":
         """1 on every comparable pair."""
-        return cls(poset, ring, {p: ring.one for p in poset.comparable_index_pairs()})
+        return cls._of(poset, ring, {p: ring.one for p in poset.comparable_index_pairs()})
 
     @classmethod
     def from_entries(cls, poset: Poset, ring: Ring, entries: Mapping) -> "FinSeries":
-        """Build from {(x_label, y_label): value}; validates labels and
-        comparability, normalizes payloads, drops zeros."""
-        coeffs = {}
-        for (x, y), raw in entries.items():
-            i, j = poset.index(x), poset.index(y)
-            if not poset.relation[i][j]:
-                raise NotComparableError(f"{x!r} <= {y!r} does not hold")
-            v = ring.normalize(raw)
-            if not ring.is_zero(v):
-                coeffs[(i, j)] = v
-        return cls(poset, ring, coeffs)
+        """Build from {(x_label, y_label): value}, through the checking door."""
+        index = poset.index
+        return cls(poset, ring, {(index(x), index(y)): v for (x, y), v in entries.items()})
 
     # -- queries --------------------------------------------------------------
 
@@ -93,17 +111,13 @@ class FinSeries:
         """The coefficient at (x, y); zero off the support, but the pair must
         still be comparable to be a meaningful address."""
         i, j = self.poset.index(x), self.poset.index(y)
-        if not self.poset.relation[i][j]:
-            raise NotComparableError(f"{x!r} <= {y!r} does not hold")
+        _require_comparable(self.poset, i, j)
         return self.coeffs.get((i, j), self.ring.zero)
 
     def entries(self):
         """Support as (x_label, y_label, value), sorted by index pair."""
         for (i, j) in sorted(self.coeffs):
             yield self.poset.elements[i], self.poset.elements[j], self.coeffs[(i, j)]
-
-    def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.coeffs)
 
     def is_strict(self) -> bool:
         return all(i != j for (i, j) in self.coeffs)
@@ -120,33 +134,20 @@ class FinSeries:
         return other
 
     def __add__(self, other):
-        other = self._peer(other)
-        ring = self.ring
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = ring.add(out.get(k, ring.zero), v)
-            if ring.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return FinSeries(self.poset, ring, out)
+        coeffs = _sparse_add(self.ring, self.coeffs, self._peer(other).coeffs)
+        return FinSeries._of(self.poset, self.ring, coeffs)
 
     def __neg__(self):
         neg = self.ring.neg
-        return FinSeries(self.poset, self.ring, {k: neg(v) for k, v in self.coeffs.items()})
+        return FinSeries._of(self.poset, self.ring, {k: neg(v) for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._peer(other))
 
     def scale(self, r) -> "FinSeries":
-        ring = self.ring
-        r = ring.normalize(r)
-        out = {}
-        for k, v in self.coeffs.items():
-            w = ring.mul(r, v)
-            if not ring.is_zero(w):
-                out[k] = w
-        return FinSeries(self.poset, ring, out)
+        r, mul = self.ring.normalize(r), self.ring.mul
+        out = {k: w for k, v in self.coeffs.items() if (w := mul(r, v))}
+        return FinSeries._of(self.poset, self.ring, out)
 
     def __mul__(self, other):
         """Convolution: (fg)(x, y) = sum over x <= z <= y of f(x,z) g(z,y)."""
@@ -165,9 +166,7 @@ class FinSeries:
                     acc[key] = add(acc[key], w)
                 else:
                     acc[key] = w
-        return FinSeries(
-            self.poset, ring, {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        )
+        return FinSeries._of(self.poset, ring, {k: v for k, v in acc.items() if v})
 
     # -- the structure maps the decomposition engine leans on ------------------
 
@@ -178,8 +177,8 @@ class FinSeries:
         diag = {k: v for k, v in self.coeffs.items() if k[0] == k[1]}
         strict = {k: v for k, v in self.coeffs.items() if k[0] != k[1]}
         return (
-            FinSeries(self.poset, self.ring, diag),
-            FinSeries(self.poset, self.ring, strict),
+            FinSeries._of(self.poset, self.ring, diag),
+            FinSeries._of(self.poset, self.ring, strict),
         )
 
     def truncate(self, x: str, mode: str) -> "FinSeries":
@@ -192,7 +191,7 @@ class FinSeries:
             kept = {k: v for k, v in self.coeffs.items() if k[1] == i and k[0] != i}
         else:
             raise FialgError(f'truncate mode must be "above" or "below", got {mode!r}')
-        return FinSeries(self.poset, self.ring, kept)
+        return FinSeries._of(self.poset, self.ring, kept)
 
     def sandwich(self, x: str, y: str) -> "FinSeries":
         """e_x * f * e_y in closed form: f(x,y) e_xy when x <= y, else 0."""
@@ -202,7 +201,7 @@ class FinSeries:
         c = self.coeffs.get((i, j))
         if c is None:
             return FinSeries.zero(self.poset, self.ring)
-        return FinSeries(self.poset, self.ring, {(i, j): c})
+        return FinSeries._of(self.poset, self.ring, {(i, j): c})
 
     def inverse(self) -> "FinSeries":
         """Convolution inverse; exists iff every diagonal entry is a unit.
@@ -241,12 +240,8 @@ class FinSeries:
             memo[key] = val
             return val
 
-        out = {}
-        for (i, j) in poset.comparable_index_pairs():
-            val = v(i, j)
-            if not ring.is_zero(val):
-                out[(i, j)] = val
-        return FinSeries(poset, ring, out)
+        pairs = poset.comparable_index_pairs()
+        return FinSeries._of(poset, ring, {p: val for p in pairs if (val := v(*p))})
 
     # -- serialization ---------------------------------------------------------
 
@@ -297,10 +292,6 @@ class AlgBasis:
     def dimension(self) -> int:
         return len(self.pairs)
 
-    def label_pair(self, k: int) -> tuple[str, str]:
-        i, j = self.pairs[k]
-        return self.poset.elements[i], self.poset.elements[j]
-
     def diagonal_indices(self) -> tuple[int, ...]:
         return tuple(range(self.diagonal_count))
 
@@ -319,19 +310,35 @@ class StructAlgebra:
     constants over an ordered basis.
 
     cells[i][j] lists the nonzero coordinates of b_i * b_j as (k, coeff)
-    pairs.  Construction checks only the table's shape: the two builders,
-    incidence_algebra() and change_basis(), produce unital associative
-    tables by construction.  multiply() takes and returns dense coordinate
+    pairs.  StructAlgebra(...) checks the table's shape and each index k,
+    normalizes each coefficient and identity coordinate and drops zero
+    coefficients.  It checks no law: the two builders, incidence_algebra()
+    and change_basis(), produce unital associative tables by construction
+    and go through _of_tuples.  multiply() takes and returns dense coordinate
     lists; multiply_sparse() takes and returns {index: nonzero payload}
     dicts and touches only the nonzero coordinates and cells.
     """
 
     def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
-        self._take(ring, tuple(tuple(map(tuple, row)) for row in cells), identity, basis)
+        normalize = ring.normalize
+        identity = tuple(map(normalize, identity))
+        d = len(identity)
+
+        def cell(entries) -> tuple:
+            out = []
+            for k, c in entries:
+                if type(k) is not int or not 0 <= k < d:
+                    raise FialgError(f"structure-constant index {k!r} is not below {d}")
+                if c := normalize(c):
+                    out.append((k, c))
+            return tuple(out)
+
+        self._take(ring, tuple(tuple(map(cell, row)) for row in cells), identity, basis)
 
     @classmethod
-    def _of_tuples(cls, ring: Ring, cells: tuple, identity, basis: AlgBasis):
-        # incidence_algebra's table, tuples throughout, kept as it is: no Θ(d²) copy
+    def _of_tuples(cls, ring: Ring, cells: tuple, identity, basis: AlgBasis | None):
+        # a builder's table of canonical payloads, tuples throughout, kept as
+        # it is: no Θ(d²) copy and no check
         (algebra := cls.__new__(cls))._take(ring, cells, identity, basis)
         return algebra
 
@@ -341,11 +348,6 @@ class StructAlgebra:
         d = self.dimension = len(self.identity)
         if len(cells) != d or any(len(row) != d for row in cells):
             raise FialgError("structure-constant table shape mismatch")
-
-    def unit_vector(self, k: int) -> tuple:
-        return tuple(
-            self.ring.one if i == k else self.ring.zero for i in range(self.dimension)
-        )
 
     def multiply(self, u, v) -> list:
         """Product of two coordinate vectors."""
@@ -394,13 +396,7 @@ class StructAlgebra:
         zero = self.ring.zero
         return [vec.get(k, zero) for k in range(self.dimension)]
 
-    def basis_product(self, i: int, j: int) -> list:
-        out = [self.ring.zero] * self.dimension
-        for k, c in self.cells[i][j]:
-            out[k] = c
-        return out
-
-    # -- coordinate maps for incidence models ----------------------------------
+    # -- the coordinates of a series, in an incidence model ---------------------
 
     def element_from_series(self, f: FinSeries) -> "AlgElem":
         if self.basis is None:
@@ -411,18 +407,6 @@ class StructAlgebra:
         for key, v in f.coeffs.items():
             coords[self.basis.index_of[key]] = v
         return AlgElem(self, tuple(coords))
-
-    def series_from_element(self, a: "AlgElem") -> FinSeries:
-        if self.basis is None:
-            raise ContextMismatchError("algebra carries no incidence basis")
-        if a.algebra is not self and a.algebra != self:
-            raise ContextMismatchError("element does not live in this algebra")
-        ring = self.ring
-        coeffs = {}
-        for k, v in enumerate(a.coords):
-            if not ring.is_zero(v):
-                coeffs[self.basis.pairs[k]] = v
-        return FinSeries(self.basis.poset, ring, coeffs)
 
     def __eq__(self, other):
         if self is other:
@@ -442,7 +426,8 @@ class StructAlgebra:
 
 @dataclass(frozen=True)
 class AlgElem:
-    """An element of a StructAlgebra, as an immutable coordinate vector."""
+    """An element of a StructAlgebra, as an immutable coordinate vector;
+    each coordinate passes ring.normalize."""
 
     algebra: StructAlgebra
     coords: tuple
@@ -453,6 +438,8 @@ class AlgElem:
                 f"{len(self.coords)} coordinates for an algebra of dimension "
                 f"{self.algebra.dimension}"
             )
+        coords = tuple(map(self.algebra.ring.normalize, self.coords))
+        object.__setattr__(self, "coords", coords)
 
     def _peer(self, other: "AlgElem") -> "AlgElem":
         if not isinstance(other, AlgElem):
@@ -494,6 +481,22 @@ def sparse_vector(coords) -> dict:
     """The {index: nonzero payload} form of a coordinate vector, as
     StructAlgebra.multiply_sparse takes it."""
     return {k: a for k, a in enumerate(coords) if a}
+
+
+def _sparse_add(ring, u: dict, v: dict) -> dict:
+    """u + v for vectors held as {index: nonzero payload}, with the zeros of
+    the sum dropped."""
+    add = ring.add
+    out = dict(u)
+    for k, b in v.items():
+        out[k] = add(out[k], b) if k in out else b
+    return {k: w for k, w in out.items() if w}
+
+
+def _require_comparable(poset: Poset, i: int, j: int) -> None:
+    if not poset.relation[i][j]:
+        x, y = poset.elements[i], poset.elements[j]
+        raise NotComparableError(f"{x!r} <= {y!r} does not hold")
 
 
 @lru_cache(maxsize=None)
@@ -548,10 +551,10 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
         return tuple(sorted(mat_vec(ring, inverse, w.items()).items())) if w else ()
 
     multiply = algebra.multiply_sparse
-    cells = [[transported(multiply(u, v)) for v in basis] for u in basis]
+    cells = tuple(tuple(transported(multiply(u, v)) for v in basis) for u in basis)
     one = sparse_vector(algebra.identity)
     identity = algebra.dense(mat_vec(ring, inverse, one.items()))
-    return StructAlgebra(ring, cells, identity, basis=None), inverse
+    return StructAlgebra._of_tuples(ring, cells, identity, None), inverse
 
 
 def random_series(
@@ -567,8 +570,6 @@ def random_series(
     for (i, j) in poset.comparable_index_pairs():
         if strict_only and i == j:
             continue
-        if rng.random() < density:
-            v = ring.sample(rng)
-            if not ring.is_zero(v):
-                coeffs[(i, j)] = v
-    return FinSeries(poset, ring, coeffs)
+        if rng.random() < density and (v := ring.sample(rng)):
+            coeffs[(i, j)] = v
+    return FinSeries._of(poset, ring, coeffs)

@@ -46,30 +46,21 @@ def _read_json(path: str, what: str):
         raise CliError(f"{what} file {path!r}: unreadable JSON ({exc})")
 
 
-def _load_poset(path: str) -> Poset:
-    obj = _read_json(path, "poset")
+def _load(path: str, what: str, build):
+    """build(the JSON in the {what} file at path); a FialgError it raises
+    becomes the file's diagnostic."""
+    obj = _read_json(path, what)
     try:
-        return Poset.from_json(obj)
+        return build(obj)
     except FialgError as exc:
-        raise CliError(f"poset file {path!r}: {exc}")
-
-
-def _load_ring(path: str):
-    obj = _read_json(path, "ring")
-    try:
-        return ring_from_json(obj)
-    except FialgError as exc:
-        raise CliError(f"ring file {path!r}: {exc}")
+        raise CliError(f"{what} file {path!r}: {exc}")
 
 
 def _load_map(args) -> LinMap:
     """The --map file, over the incidence algebra of --poset and --ring."""
-    algebra = incidence_algebra(_load_poset(args.poset), _load_ring(args.ring))
-    obj = _read_json(args.map, "map")
-    try:
-        return LinMap.from_json(algebra, algebra, obj)
-    except FialgError as exc:
-        raise CliError(f"map file {args.map!r}: {exc}")
+    poset = _load(args.poset, "poset", Poset.from_json)
+    algebra = incidence_algebra(poset, _load(args.ring, "ring", ring_from_json))
+    return _load(args.map, "map", lambda obj: LinMap.from_json(algebra, algebra, obj))
 
 
 def _write_json(obj, nl: str, parts: list) -> None:
@@ -137,7 +128,7 @@ def _report_exit(report, ring, out_path) -> int:
 
 
 def _cmd_validate_poset(args) -> int:
-    poset = _load_poset(args.file)
+    poset = _load(args.file, "poset", Poset.from_json)
     _emit(poset.to_json(), args.out)
     _note(
         f"poset ok: {poset.size} element(s), "
@@ -158,8 +149,8 @@ def _cmd_gen_poset(args) -> int:
 
 
 def _cmd_gen_jordan(args) -> int:
-    poset = _load_poset(args.poset)
-    ring = _load_ring(args.ring)
+    poset = _load(args.poset, "poset", Poset.from_json)
+    ring = _load(args.ring, "ring", ring_from_json)
     phi = random_jordan_iso(poset, ring, args.seed)
     _emit(phi.to_json(), args.out)
     _note(

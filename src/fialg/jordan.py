@@ -53,6 +53,7 @@ from .algebra import (
     AlgElem,
     FinSeries,
     StructAlgebra,
+    _sparse_add,
     incidence_algebra,
     random_series,
     sparse_vector,
@@ -67,7 +68,6 @@ from .linmaps import (
     LinMap,
     _homomorphism_failures,
     _jordan_pair_verdict,
-    _sparse_add,
     check_jordan,
     jordan_pair_check,
 )
@@ -167,7 +167,7 @@ def random_unit_series(poset: Poset, ring: Ring, rng: random.Random,
     """A random convolution unit: unit diagonal entries, sparse strict part."""
     coeffs = {(i, i): ring.sample_unit(rng) for i in range(poset.size)}
     coeffs.update(random_series(poset, ring, rng, density, strict_only=True).coeffs)
-    return FinSeries(poset, ring, coeffs)
+    return FinSeries._of(poset, ring, coeffs)
 
 
 def random_basis_change(algebra: StructAlgebra, seed: int):
@@ -351,8 +351,9 @@ def extend_via_inverse(
 ) -> AlgElem:
     """Oracle construction of psi(f) (or theta(f) with anti=True) through
     phi^-1: recover the strict series g with g(x, y) =
-    phi^-1(phi(e_x) phi(f_Z) phi(e_y))(x, y) pointwise over strict pairs and
-    return phi(f_D) + phi(g).  Independent of the linear-extension route."""
+    phi^-1(phi(e_x) phi(f_Z) phi(e_y))(x, y) pointwise over strict pairs,
+    read off the Peirce table of phi(f_Z), and return phi(f_D) + phi(g).
+    Independent of the linear-extension route."""
     basis = _incidence_domain(phi).basis
     if f.poset != basis.poset or f.ring != phi.ring:
         raise ContextMismatchError("series does not match the map's domain")
@@ -362,16 +363,14 @@ def extend_via_inverse(
         phi_inverse = phi.invert()
     f_diag, f_strict = f.split_diag()
     at, cols = basis.index_of, phi.sparse_columns
-    multiply = cod.multiply_sparse
-    phi_z = _series_image(phi, cols, f_strict)
+    table = _peirce_table(phi, _series_image(phi, cols, f_strict))
     g_coeffs = {}
     for (i, j) in basis.poset.strict_index_pairs():
-        x, y = (j, i) if anti else (i, j)
-        a = multiply(multiply(cols[at[(x, x)]], phi_z), cols[at[(y, y)]])
+        a = table[(j, i) if anti else (i, j)]
         back = mat_vec(ring, phi_inverse.sparse_columns, a.items())
         if v := back.get(at[(i, j)]):
             g_coeffs[(i, j)] = v
-    g = FinSeries(basis.poset, ring, g_coeffs)
+    g = FinSeries._of(basis.poset, ring, g_coeffs)
     return AlgElem(cod, tuple(cod.dense(_series_image(phi, cols, f_diag + g))))
 
 
@@ -598,7 +597,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     for z in strict_samples:
         image = _series_image(phi, columns, z)
         pullback = mat_vec(ring, phi_inverse.sparse_columns, image.items())
-        f = FinSeries(poset, ring, {pairs[k]: v for k, v in pullback.items()})
+        f = FinSeries._of(poset, ring, {pairs[k]: v for k, v in pullback.items()})
         pulled.append((image, f))
     # Every codomain is associative (incidence tables and their change_basis
     # transports), so the five-factor product is exactly (L phi(e_W)) R with
@@ -800,7 +799,7 @@ def verify_paper_identities(
             for s, f in enumerate(general):
                 kept = {k: v for k, v in f.coeffs.items()
                         if keep(k[0] in y_set, k[1] in y_set)}
-                a = FinSeries(poset, ring, kept)
+                a = FinSeries._of(poset, ring, kept)
                 yield (yi, s), e, pe, a, phi_of(a)
 
     def both_orders(key, u, v, target, notes):

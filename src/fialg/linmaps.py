@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from operator import ne
 
-from .algebra import AlgElem, StructAlgebra, _change_basis, sparse_vector
+from .algebra import AlgElem, StructAlgebra, _change_basis, _sparse_add, sparse_vector
 from .errors import ContextMismatchError, FialgError, TorsionRefusedError
 from .matrices import invert_columns, mat_vec
 from .reports import CheckResult, VerificationReport, run_check
@@ -184,16 +184,6 @@ def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     target, inverse = _change_basis(m.codomain, new_basis_columns)
     cols = [mat_vec(m.ring, inverse, c.items()) for c in m.sparse_columns]
     return LinMap._of_sparse(m.domain, target, cols)
-
-
-def _sparse_add(ring, u: dict, v: dict) -> dict:
-    """u + v for vectors held as {index: nonzero payload}, with the zeros of
-    the sum dropped."""
-    add = ring.add
-    out = dict(u)
-    for k, b in v.items():
-        out[k] = add(out[k], b) if k in out else b
-    return {k: w for k, w in out.items() if w}
 
 
 def _homomorphism_failures(m: LinMap, pairs, anti: bool):

@@ -22,9 +22,6 @@ class Ring:
 
     # concrete subclasses bind: zero, one, add, sub, neg, mul
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def normalize(self, a):
         raise NotImplementedError
 

@@ -9,6 +9,7 @@ import pytest
 from fialg import (
     INTEGERS,
     RATIONALS,
+    FinSeries,
     Poset,
     modular,
     random_basis_change,
@@ -36,6 +37,25 @@ def dense_mat_vec(ring, columns, vec):
             if c:
                 out[i] = add(out[i], mul(a, c))
     return out
+
+
+def unit_vector(algebra, k):
+    """Basis vector b_k of a StructAlgebra as a coordinate tuple."""
+    return tuple(algebra.dense({k: algebra.ring.one}))
+
+
+def basis_product(algebra, i, j):
+    """b_i b_j as a coordinate list, read off cell (i, j)."""
+    return algebra.dense(dict(algebra.cells[i][j]))
+
+
+def series_of(algebra, coords):
+    """The series whose coordinates in an incidence algebra's unit basis are
+    coords, through the checking FinSeries door, which drops the zeros."""
+    pairs = algebra.basis.pairs
+    return FinSeries(
+        algebra.basis.poset, algebra.ring, {pairs[k]: v for k, v in enumerate(coords)}
+    )
 
 
 def invert_dense(ring, cols):

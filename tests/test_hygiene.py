@@ -1,5 +1,6 @@
-"""Hygiene of the fialg package: its imports and kernel users, read from the
-source with ast, the one column store of a LinMap, and the pytest settings."""
+"""Hygiene of the fialg package: its imports, kernel users and series
+builders, read from the source with ast, the one column store of a LinMap,
+the payload doors of its public classes, and the pytest settings."""
 
 import ast
 import random
@@ -14,9 +15,14 @@ import fialg
 from fialg import (
     INTEGERS,
     RATIONALS,
+    AlgElem,
+    FialgError,
+    FinSeries,
     LinMap,
+    StructAlgebra,
     conjugate_by_unit,
     decompose,
+    incidence_algebra,
     modular,
     random_basis_change,
     random_jordan_iso,
@@ -25,7 +31,7 @@ from fialg import (
     verify_near_sum,
 )
 
-from conftest import diamond
+from conftest import chain, diamond
 
 PACKAGE = Path(fialg.__file__).parent
 
@@ -99,6 +105,91 @@ def test_dense_kernel_users_are_the_allowlist():
             ):
                 users.add(f"{path.stem}.{name}")
     assert users == DENSE_KERNEL_USERS
+
+
+# The functions under src/ that build a series through the checking door,
+# FinSeries(...) (cls(...) inside FinSeries): the two that take their keys
+# from labels.  Every other builder holds comparable index pairs and
+# canonical payloads and goes through FinSeries._of, so that no hot loop
+# pays for the check.
+CHECKED_SERIES_BUILDERS = {"algebra.FinSeries.from_entries", "algebra.FinSeries.unit"}
+
+
+def test_checked_series_builders_are_the_allowlist():
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, fn in functions(tree.body):
+            door = {"FinSeries", "cls"} if name.startswith("FinSeries.") else {"FinSeries"}
+            if any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in door
+                for node in ast.walk(fn)
+            ):
+                builders.add(f"{path.stem}.{name}")
+    assert builders == CHECKED_SERIES_BUILDERS
+
+
+# Each public constructor that takes ring payloads, as a function of the
+# ring and one payload v that it builds an object on chain-2 from.
+PAYLOAD_DOORS = {
+    "AlgElem": lambda ring, v: AlgElem(
+        incidence_algebra(chain(2), ring), (v, ring.zero, ring.zero)
+    ),
+    "FinSeries": lambda ring, v: FinSeries(chain(2), ring, {(0, 1): v}),
+    "FinSeries.from_entries": lambda ring, v: FinSeries.from_entries(
+        chain(2), ring, {("1", "2"): v}
+    ),
+    "LinMap": lambda ring, v: LinMap(
+        *[incidence_algebra(chain(2), ring)] * 2,
+        [[v, ring.zero, ring.zero], [ring.zero] * 3, [ring.zero] * 3],
+    ),
+    "StructAlgebra.cells": lambda ring, v: StructAlgebra(ring, [[[(0, v)]]], (ring.one,)),
+    "StructAlgebra.identity": lambda ring, v: StructAlgebra(
+        ring, [[[(0, ring.one)]]], (v,)
+    ),
+}
+
+# The public classes, exceptions aside, that take no ring payload: rings,
+# posets and their maps, the basis, and the report records, which carry the
+# sides a check evaluated and have no ring to normalize by.
+PAYLOAD_FREE = {
+    "AlgBasis",
+    "CheckResult",
+    "Decomposition",
+    "IntegerRing",
+    "ModularRing",
+    "OrderMap",
+    "Poset",
+    "RationalRing",
+    "Ring",
+    "VerificationReport",
+    "Witness",
+}
+
+
+def test_every_public_class_is_a_payload_door_or_payload_free():
+    classes = {
+        name
+        for name in fialg.__all__
+        if isinstance(getattr(fialg, name), type)
+        and not issubclass(getattr(fialg, name), Exception)
+    }
+    doors = {door.split(".")[0] for door in PAYLOAD_DOORS}
+    assert doors.isdisjoint(PAYLOAD_FREE)
+    assert classes == doors | PAYLOAD_FREE
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+@pytest.mark.parametrize("door", sorted(PAYLOAD_DOORS))
+def test_every_payload_door_normalizes_and_refuses_floats_and_bools(door, ring):
+    build = PAYLOAD_DOORS[door]
+    # A noncanonical int goes in as its canonical payload: 10 is 1 in Z/9.
+    assert build(ring, 10) == build(ring, ring.normalize(10))
+    for bad in (0.5, 1.5, 0.0, 1.0, True, False):
+        with pytest.raises(FialgError):
+            build(ring, bad)
 
 
 # The one call under src/ that passes indent= to json.dumps: the report

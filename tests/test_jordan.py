@@ -53,7 +53,7 @@ from fialg import (
     verify_paper_identities,
 )
 from fialg import linmaps
-from fialg.algebra import sparse_vector
+from fialg.algebra import _sparse_add, sparse_vector
 from fialg.errors import FialgError
 from fialg.jordan import (
     _IDENTITY_SAMPLES,
@@ -65,7 +65,6 @@ from fialg.jordan import (
     _series_image,
     _window_failures,
 )
-from fialg.linmaps import _sparse_add
 from fialg.matrices import mat_vec
 
 from conftest import (
@@ -77,8 +76,10 @@ from conftest import (
     diamond,
     disjoint_union,
     jordan_corpus,
+    series_of,
     singleton,
     two_two_chains,
+    unit_vector,
 )
 from test_posets import brute_order_isomorphisms
 
@@ -170,16 +171,16 @@ def mixed_pair(ring):
     psi_cols, theta_cols = [], []
     for (i, j) in basis.pairs:
         if i == j:
-            col = algebra.unit_vector(basis.index_of[(swap[i], swap[i])])
+            col = unit_vector(algebra, basis.index_of[(swap[i], swap[i])])
             psi_cols.append(col)
             theta_cols.append(col)
         elif i <= 1:  # first chain: the straight block lives in psi
-            psi_cols.append(algebra.unit_vector(basis.index_of[(i, j)]))
+            psi_cols.append(unit_vector(algebra, basis.index_of[(i, j)]))
             theta_cols.append(strict_zero(algebra))
         else:  # second chain: the reversed block lives in theta
             psi_cols.append(strict_zero(algebra))
             theta_cols.append(
-                algebra.unit_vector(basis.index_of[(swap[j], swap[i])])
+                unit_vector(algebra, basis.index_of[(swap[j], swap[i])])
             )
     return LinMap(algebra, algebra, psi_cols), LinMap(algebra, algebra, theta_cols)
 
@@ -199,9 +200,7 @@ def test_conjugation_fixed_example_on_2_chain():
         k = A.basis.index_of[
             (P2.index(label_pair[0]), P2.index(label_pair[1]))
         ]
-        return A.series_from_element(
-            AlgElem(A, tuple(conj.columns[k]))
-        )
+        return series_of(A, AlgElem(A, tuple(conj.columns[k])).coords)
 
     e1_image = as_series(("1", "1"))
     assert e1_image == FinSeries.from_entries(
@@ -253,7 +252,7 @@ def test_conjugation_matches_convolution_oracle(ring, monkeypatch):
             assert conj == expected
             # zero products (3 * 3 over Z/9) are dropped from the sparse view
             assert conj.sparse_columns == tuple(
-                {k: v for k, v in enumerate(col) if not ring.is_zero(v)}
+                {k: v for k, v in enumerate(col) if v != ring.zero}
                 for col in expected.columns
             )
 
@@ -1320,7 +1319,7 @@ def dense_extend_via_inverse(phi, f, anti, phi_inverse):
         else:
             a = cod.multiply(cod.multiply(ex, phi_z), ey)
         v = dense_mat_vec(ring, phi_inverse.columns, a)[basis.index_of[(i, j)]]
-        if not ring.is_zero(v):
+        if v != ring.zero:
             g_coeffs[(i, j)] = v
     g = FinSeries(basis.poset, ring, g_coeffs)
     total = dom.element_from_series(f_diag + g).coords
@@ -1472,7 +1471,7 @@ def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror)
     for z in strict_samples:
         image = dense_mat_vec(ring, columns, vec(z))
         coords = dense_mat_vec(ring, phi_inverse.columns, image)
-        series = dom.series_from_element(AlgElem(dom, tuple(coords)))
+        series = series_of(dom, AlgElem(dom, tuple(coords)).coords)
         pulled.append((image, series))
     for (s1, (img1, f1)) in enumerate(pulled):
         if not f1.is_strict():
@@ -2213,7 +2212,7 @@ def test_difference_criterion_matches_the_two_table_criterion(
     cod, ring = phi.codomain, phi.ring
     d, rng = cod.dimension, random.Random(seed)
     zero = [ring.zero] * d
-    pairs = [(zero, zero)] + [(zero, cod.unit_vector(k)) for k in range(d)]
+    pairs = [(zero, zero)] + [(zero, unit_vector(cod, k)) for k in range(d)]
     for t in range(8):
         a = [ring.sample(rng) for _ in range(d)]
         b = list(a)
