@@ -16,14 +16,17 @@ verify_near_sum() decides the five defining properties of the output on
 pairs read off the incidence basis: the idempotent pairs (e_x, e_y), and
 each cover unit g = e_uv with e_u, e_v, the units e_vz that continue it and,
 for annihilation, the units e_yv and e_uz that meet it.  That is
-n^2 + O(c n) image products for n elements and c covers (505 on chain-13,
-where a scan of every basis pair takes 2 d^2); its homomorphism clauses are
-check_homomorphism's own scan.  decompose() multiplies the maps' columns as
-{index: nonzero} dicts (LinMap.sparse_columns) with multiply_sparse, from
-the sandwiches to the verdict.  The full scan runs only when the certificate
-fails, to collect witnesses; decompose() runs the Jordan recognizer before
-it, so that only a Jordan map pays for the failing report, and the
-recognizer's own report is built only when NotJordanError.report is read.
+n + O(c n) image products for n elements and c covers over Q and Z, where
+the n squares and phi(1) = 1 stand in for the n^2 idempotent pairs
+(Cochran's theorem, in _idempotents_hold), and n^2 + O(c n) over Z/n: 349
+on chain-13 over Q and 505 over Z/9, where a scan of every basis pair takes
+2 d^2.  Its homomorphism clauses are check_homomorphism's own scan.
+decompose() multiplies the maps' columns as {index: nonzero} dicts
+(LinMap.sparse_columns) with multiply_sparse, from the sandwiches to the
+verdict.  The full scan runs only when the certificate fails, to collect
+witnesses; decompose() runs the Jordan recognizer before it, so that only a
+Jordan map pays for the failing report, and the recognizer's own report is
+built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Each sample
 image is mat_vec of the series on phi's {index: nonzero} columns; the word,
@@ -71,7 +74,7 @@ from .linmaps import (
     check_jordan,
     jordan_pair_check,
 )
-from .matrices import mat_vec, require_unit_determinant
+from .matrices import certifies_unit_determinant, mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
@@ -295,6 +298,9 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
 
     Requires phi out of an incidence-algebra presentation with a unit
     determinant, over a 2-torsion-free ring (override with allow_torsion).
+    certifies_unit_determinant decides the determinant in the ring's own
+    arithmetic, and require_unit_determinant only when it declines, so a
+    refusal is require_unit_determinant's.
     Returns psi, theta and the verify_near_sum report, whose five
     checks are the Jordan verdict.  The certificate's idempotent pairs read
     only phi's diagonal columns, which psi and theta share, so they run
@@ -312,7 +318,9 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         raise TorsionRefusedError(
             f"{ring!r} has 2-torsion; pass allow_torsion=True to proceed"
         )
-    require_unit_determinant(ring, phi.sparse_columns, phi.codomain.dimension)
+    columns, height = phi.sparse_columns, phi.codomain.dimension
+    if not certifies_unit_determinant(ring, columns, height):
+        require_unit_determinant(ring, columns, height)
 
     def sandwiches():
         maps = (LinMap._of_sparse(dom, phi.codomain, c) for c in _near_sum_columns(phi))
@@ -413,8 +421,28 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 
 
 def _idempotents_hold(m: LinMap) -> bool:
-    """The idempotent pairs: does m(e_x) m(e_y) = delta_xy m(e_x) hold?"""
-    pairs = itertools.product(m.domain.basis.diagonal_indices(), repeat=2)
+    """The idempotent pairs: does m(e_x) m(e_y) = delta_xy m(e_x) hold?  In
+    characteristic 0, the n squares and m(1) = 1 decide it; the scan of all
+    n^2 pairs runs when m(1) is not 1, and over Z/n."""
+    diagonal = m.domain.basis.diagonal_indices()
+    if m.ring.characteristic == 0:
+        # Cochran's theorem.  With P_x = m(e_x), P_x^2 = P_x and sum P_x = 1,
+        # left multiplication L_x by P_x is an idempotent operator on the
+        # codomain tensored with Q, and sum L_x = L_1 = I.  In characteristic
+        # 0 the trace of an idempotent is its rank, so the ranks of the L_x
+        # add up to the dimension, and the images, which span, form a direct
+        # sum.  So L_x L_y = 0 for x != y, and P_x P_y = L_x L_y (1) = 0.
+        # Only associativity and a two-sided identity are used, which
+        # incidence_algebra and change_basis build.  Over Z/3 the antichain
+        # images (1,1,0,0), (1,0,1,0), (1,0,0,1), (1,0,0,0) are idempotents
+        # summing to 1 with (1,1,0,0)(1,0,1,0) != 0.
+        squares = ((x, x) for x in diagonal)
+        if next(_homomorphism_failures(m, squares, anti=False), None) is not None:
+            return False
+        one = sparse_vector(m.domain.identity).items()
+        if mat_vec(m.ring, m.sparse_columns, one) == sparse_vector(m.codomain.identity):
+            return True
+    pairs = itertools.product(diagonal, repeat=2)
     return next(_homomorphism_failures(m, pairs, anti=False), None) is None
 
 
@@ -553,7 +581,9 @@ def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     """The sandwich equality criterion: two codomain elements are equal as
     soon as phi(e_x) a phi(e_x) = phi(e_x) b phi(e_x) for every x and
     phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y.
-    Decided on one Peirce table of a - b's nonzeros; equal sides need none."""
+    Decided on one Peirce table of a - b's nonzeros; equal sides need none.
+    A coordinate list goes through ring.normalize, which refuses a float or
+    bool entry, zero-valued ones included."""
     poset, cod, ring = _incidence_domain(phi).basis.poset, phi.codomain, phi.ring
     if any(isinstance(v, AlgElem) and v.algebra is not cod and v.algebra != cod
            for v in (a, b)):
@@ -561,6 +591,7 @@ def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     a, b = (v.coords if isinstance(v, AlgElem) else v for v in (a, b))
     if len(a) != cod.dimension or len(b) != cod.dimension:
         raise ContextMismatchError("vector length does not match the codomain")
+    a, b = map(ring.normalize, a), map(ring.normalize, b)
     # Each component phi(e_x) v phi(e_y), and so each strict-pair sum, is
     # linear in v, since the product is bilinear: a's components equal b's
     # exactly when a - b's are all zero.  No Jordan property of phi is used.

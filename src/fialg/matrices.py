@@ -12,12 +12,15 @@ pivot, which keeps the rows sparse on twisted codomains.  The signed product
 of the pivots is the determinant that decides invertibility.
 require_unit_determinant eliminates forward only; invert_columns reduces
 above the pivots too (Gauss-Jordan) and reads the inverse off the rows.
+certifies_unit_determinant runs the same forward loop in the ring's own
+arithmetic, integers or residues, and only certifies: it accepts when each
+column finds a unit pivot and declines otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotInvertibleError
 from .rings import RationalRing, Ring
@@ -73,13 +76,88 @@ def _eliminate(rows, reduce_above: bool) -> Fraction:
     return det
 
 
+# A rational matrix whose integer lift is nonsingular mod this prime is
+# nonsingular, so its determinant is a unit; a large prime makes a needless
+# decline, a nonzero determinant divisible by it, rare.
+_CERTIFYING_PRIME = 2**61 - 1
+
+
+def certifies_unit_determinant(ring: Ring, columns, height: int) -> bool:
+    """True only when the matrix of these {index: nonzero} columns of the
+    given height is square with a unit determinant, decided in the ring's
+    own arithmetic, without Fractions; False declines, and
+    require_unit_determinant decides.
+
+    The columns are eliminated forward as rows, on integers mod q: the
+    residues mod n over Z/n, the integers themselves over Z (q = 0), and over
+    the rationals the integer lift (each column scaled by the lcm of its
+    denominators) mod _CERTIFYING_PRIME.  Column k's pivot is the shortest
+    row at or below k whose entry there is a unit mod q, gcd(v, q) = 1: any
+    nonzero mod the prime, 1 or -1 over Z.  A column without one runs
+    Euclid's algorithm on its entries by row operations first, down to a
+    unit or to one row left.  Row swaps and additions only change the
+    determinant's sign, so a unit pivot in every column makes it a unit.  A
+    non-square matrix, or a column whose entries' gcd is not a unit,
+    declines; over Z and Z/n that determinant is not a unit either.
+    """
+    n = len(columns)
+    if height != n:
+        return False
+    if isinstance(ring, RationalRing):
+        q = _CERTIFYING_PRIME
+        rows = []
+        for col in columns:
+            scale = lcm(*(v.denominator for v in col.values()))
+            lift = (v.numerator * (scale // v.denominator) % q for v in col.values())
+            rows.append({i: v for i, v in zip(col, lift) if v})
+    else:
+        q = ring.characteristic
+        rows = [dict(col) for col in columns]
+    for k in range(n):
+        while True:
+            found = [r for r in range(k, n) if k in rows[r]]
+            units = [r for r in found if gcd(rows[r][k], q) == 1]
+            if units:
+                p = min(units, key=lambda r: len(rows[r]))
+                break
+            if len(found) < 2:
+                return False
+            # the smallest entry leaves each other row its remainder
+            p = min(found, key=lambda r: abs(rows[r][k]))
+            for r in found:
+                if r != p:
+                    _add_multiple(rows[r], rows[p], -(rows[r][k] // rows[p][k]), q)
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row.pop(k)
+        inverse = pow(pivot, -1, q) if q else pivot
+        for r in range(k + 1, n):
+            if (factor := rows[r].pop(k, None)) is not None:
+                _add_multiple(rows[r], pivot_row, -factor * inverse, q)
+    return True
+
+
+def _add_multiple(row: dict, source: dict, t: int, q: int) -> None:
+    """row += t * source in place, mod q unless q is 0, dropping zeros."""
+    for c, w in source.items():
+        v = row.get(c, 0) + t * w
+        if q:
+            v %= q
+        if v:
+            row[c] = v
+        else:
+            row.pop(c, None)
+
+
 def require_unit_determinant(ring: Ring, columns, height: int) -> int:
     """Raise NotInvertibleError unless the matrix of these {index: nonzero}
     columns of the given height is square with a unit determinant.
 
     Returns the determinant of the integer lift: the matrix itself over the
     integers and residue rings, each rational column scaled by the lcm of its
-    denominators over the rationals.  The columns are eliminated as rows.
+    denominators over the rationals.  The columns are eliminated as rows, in
+    Fractions; certifies_unit_determinant, which callers ask first, decides
+    most unit determinants without them but returns no determinant.
     """
     if height != len(columns):
         raise NotInvertibleError("matrix is not square")

@@ -20,7 +20,8 @@ class Ring:
 
     kind = "?"
 
-    # concrete subclasses bind: zero, one, add, sub, neg, mul
+    # concrete subclasses bind: zero, one, add, sub, neg, mul, and the
+    # characteristic, the least n > 0 with n * one = 0, or 0 when none is
 
     def normalize(self, a):
         raise NotImplementedError
@@ -74,6 +75,7 @@ class Ring:
 
 class IntegerRing(Ring):
     kind = "integers"
+    characteristic = 0
     zero = 0
     one = 1
     add = staticmethod(operator.add)
@@ -108,6 +110,7 @@ class IntegerRing(Ring):
 
 class RationalRing(Ring):
     kind = "rationals"
+    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
     add = staticmethod(operator.add)
@@ -149,7 +152,7 @@ class ModularRing(Ring):
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
             raise FialgError(f"modulus must be an integer >= 2, got {modulus!r}")
-        self.modulus = modulus
+        self.modulus = self.characteristic = modulus
         n = modulus
         self.zero = 0
         self.one = 1 % n

@@ -22,6 +22,7 @@ from fialg import (
     StructAlgebra,
     conjugate_by_unit,
     decompose,
+    equal_by_sandwiches,
     incidence_algebra,
     modular,
     random_basis_change,
@@ -190,6 +191,30 @@ def test_every_payload_door_normalizes_and_refuses_floats_and_bools(door, ring):
     for bad in (0.5, 1.5, 0.0, 1.0, True, False):
         with pytest.raises(FialgError):
             build(ring, bad)
+
+
+# The public entry points that take coordinate lists, as a function of the
+# ring and one coordinate v that they read on chain-2.
+COORDINATE_DOORS = {
+    "LinMap.apply_coords": lambda ring, v: LinMap.identity(
+        incidence_algebra(chain(2), ring)
+    ).apply_coords([v, ring.zero, ring.zero]),
+    "equal_by_sandwiches": lambda ring, v: equal_by_sandwiches(
+        LinMap.identity(incidence_algebra(chain(2), ring)),
+        [v, ring.zero, ring.zero],
+        [ring.normalize(10), ring.zero, ring.zero],
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+@pytest.mark.parametrize("door", sorted(COORDINATE_DOORS))
+def test_every_coordinate_door_normalizes_and_refuses_floats_and_bools(door, ring):
+    read = COORDINATE_DOORS[door]
+    assert read(ring, 10) == read(ring, ring.normalize(10))
+    for bad in (0.5, 1.5, 0.0, 1.0, True, False):
+        with pytest.raises(FialgError):
+            read(ring, bad)
 
 
 # The one call under src/ that passes indent= to json.dumps: the report

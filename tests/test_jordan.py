@@ -59,6 +59,7 @@ from fialg.jordan import (
     _IDENTITY_SAMPLES,
     _annihilation_failures,
     _cover_pairs,
+    _idempotents_hold,
     _near_sum_columns,
     _near_sum_holds,
     _peirce_table,
@@ -727,6 +728,24 @@ def test_certificate_makes_no_dense_product(monkeypatch):
     assert verify_near_sum(dec).passed
 
 
+def test_decompose_certifies_generated_determinants_without_fractions(monkeypatch):
+    # the generator's maps, plain and twisted, over Q, Z and Z/9: every unit
+    # determinant is certified in the ring's own arithmetic
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose eliminated in Fractions")
+
+    maps = [
+        phi
+        for ring in TORSIONFREE_RINGS
+        for poset in (chain(11), boolean_lattice(3), disjoint_union(chain(3), diamond()))
+        for twist in (False, True)
+        for phi in jordan_corpus(poset, ring, seeds=range(2), twist=twist)
+    ]
+    monkeypatch.setattr("fialg.matrices._eliminate", refuse)
+    for phi in maps:
+        assert decompose(phi).report.passed
+
+
 ORACLE_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from(
     [chain(7), disjoint_union(chain(5), chain(5)), boolean_lattice(3)]
 )
@@ -1130,19 +1149,21 @@ def counted_sparse_products(monkeypatch):
 @pytest.mark.parametrize(
     "poset, ring, products",
     [
-        (chain(13), RATIONALS, 505),
-        (disjoint_union(chain(7), chain(7)), INTEGERS, 388),
+        (chain(13), RATIONALS, 349),
+        (disjoint_union(chain(7), chain(7)), INTEGERS, 206),
+        (chain(13), modular(9), 505),
     ],
-    ids=["13", "2x7"],
+    ids=["13", "2x7", "13-mod9"],
 )
 def test_certificate_makes_one_product_per_listed_pair(poset, ring, products,
                                                         monkeypatch):
-    # n^2 idempotent pairs; per cover e_uv, for psi and for theta, two
-    # placements and one row per z > v; one annihilation pair per y < v and
-    # one per z > u.  Chain-13: 169 + 2 * (24 + 66) + 12 * 13 = 505.  Two
-    # 7-chains: 196 + 2 * (24 + 30) + 12 * 7 = 388.  The generator rows made
-    # (n + c) * d products per map and 2 c s for annihilation: 6,422 and
-    # 3,920.
+    # n squares in characteristic 0 and n^2 idempotent pairs over Z/n; per
+    # cover e_uv, for psi and for theta, two placements and one row per
+    # z > v; one annihilation pair per y < v and one per z > u.  Chain-13
+    # over Q: 13 + 2 * (24 + 66) + 12 * 13 = 349, and 169 in place of 13 over
+    # Z/9, 505.  Two 7-chains over Z: 14 + 2 * (24 + 30) + 12 * 7 = 206, where
+    # the 196 pairs made 388.  The generator rows made (n + c) * d products
+    # per map and 2 c s for annihilation: 6,422 and 3,920.
     dec = decompose(random_jordan_iso(poset, ring, seed=3))
     calls = counted_sparse_products(monkeypatch)
     assert _near_sum_holds(dec)
@@ -1174,6 +1195,67 @@ def test_decompose_rejects_a_shear_before_building_psi_and_theta(poset,
                 decompose(bad)
             worst = max(worst, calls[0])
     assert 0 < worst <= n * n + 2 * n
+
+
+def scan_idempotents_hold(m):
+    """The n^2 idempotent pairs m(e_x) m(e_y) = delta_xy m(e_x), every one:
+    the oracle of the characteristic-0 shortcut in _idempotents_hold."""
+    pairs = itertools.product(m.domain.basis.diagonal_indices(), repeat=2)
+    return next(linmaps._homomorphism_failures(m, pairs, anti=False), None) is None
+
+
+def z3_antichain_map():
+    """Over Z/3 on the 4-element antichain: images (1,1,0,0), (1,0,1,0),
+    (1,0,0,1) and (1,0,0,0), idempotents that sum to (4,1,1,1) = 1, with
+    determinant -1, but (1,1,0,0)(1,0,1,0) = (1,0,0,0) is not 0."""
+    algebra = incidence_algebra(antichain(4), modular(3))
+    columns = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0]]
+    return LinMap(algebra, algebra, columns)
+
+
+def test_orthogonality_shortcut_is_gated_on_characteristic_zero(monkeypatch):
+    phi = z3_antichain_map()
+    assert not _idempotents_hold(phi) and not scan_idempotents_hold(phi)
+    with pytest.raises(NotJordanError):
+        decompose(phi)
+    # Read as characteristic 0, the squares and the sum pass it, and so
+    # does the certificate: the antichain has no cover to check.
+    monkeypatch.setattr(phi.ring, "characteristic", 0)
+    assert _idempotents_hold(phi)
+    assert decompose(phi).report.passed
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS], ids=repr)
+def test_orthogonality_shortcut_scans_when_the_squares_miss_one(ring, monkeypatch):
+    # Every image is an idempotent, but they sum to 2 e_1 + e_2 or to e_1,
+    # not to 1: the pair scan decides, orthogonal or not, and runs its n^2
+    # pairs after the n squares.
+    algebra = incidence_algebra(antichain(3), ring)
+    zero, one = ring.zero, ring.one
+    e1, e2 = [one, zero, zero], [zero, one, zero]
+    calls = counted_sparse_products(monkeypatch)
+    for columns, orthogonal, products in (
+        ([e1, e1, e2], False, 3 + 2),  # the scan stops at (e_1, e_2)
+        ([e1, [zero] * 3, e2], True, 3 + 9),
+    ):
+        phi = LinMap(algebra, algebra, columns)
+        calls[0] = 0
+        assert _idempotents_hold(phi) is orthogonal
+        assert calls[0] == products
+        assert scan_idempotents_hold(phi) is orthogonal
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(all_posets_up_to(4)),
+    st.sampled_from([RATIONALS, INTEGERS]),
+    st.sampled_from(["jordan", "perturbed", "sheared", "random-column"]),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_orthogonality_shortcut_matches_the_pair_scan(poset, ring, kind, twist, seed):
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    assert _idempotents_hold(phi) == scan_idempotents_hold(phi)
 
 
 def test_decompose_reports_the_full_scan_when_the_recognizer_passes(monkeypatch):
@@ -2039,6 +2121,18 @@ def test_equal_by_sandwiches_matches_equality():
         if t % 3 == 0:
             b[rng.randrange(d)] = (b[0] + 1 + rng.randrange(8)) % 9
         assert equal_by_sandwiches(phi, a, b) == (a == b)
+
+
+@pytest.mark.parametrize("ring", TORSIONFREE_RINGS, ids=repr)
+def test_equal_by_sandwiches_refuses_float_and_bool_coordinates(ring):
+    # 0.5 read as unequal to zero and True as equal to 1 before the lists
+    # went through ring.normalize
+    phi = random_jordan_iso(P2, ring, seed=1)
+    zeros = [ring.zero] * 3
+    for a, b in (([0.5, 0, 0], zeros), ([True, 0, 0], [1, 0, 0]), (zeros, [0, 0.0, 0])):
+        with pytest.raises(FialgError):
+            equal_by_sandwiches(phi, a, b)
+    assert equal_by_sandwiches(phi, [ring.normalize(10), 0, 0], [10, 0, 0])
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,7 +39,13 @@ from fialg.jordan import _cover_pairs
 from fialg.linmaps import _homomorphism_failures
 from fialg.reports import VerificationReport, run_check
 from fialg.rings import RationalRing
-from fialg.matrices import invert_columns, mat_vec
+from fialg.matrices import (
+    _CERTIFYING_PRIME,
+    certifies_unit_determinant,
+    invert_columns,
+    mat_vec,
+    require_unit_determinant,
+)
 
 from conftest import (
     all_posets_up_to,
@@ -1061,3 +1067,61 @@ def test_sparse_determinant_matches_bareiss(source, ring_name, seed, poset_index
     assert determinant_outcome(unit_determinant_dense, ring, cols) == (
         determinant_outcome(bareiss_unit_determinant, ring, cols)
     )
+
+
+def certifies_dense(ring, cols):
+    """certifies_unit_determinant on dense columns."""
+    height = len(cols[0]) if cols else 0
+    return certifies_unit_determinant(ring, [sparse_vector(c) for c in cols], height)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(
+        ["integer", "random", "repeated_column", "doubled_column", "basis_change",
+         "jordan", "twisted", "empty"]
+    ),
+    st.sampled_from(sorted(ORACLE_RINGS)),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 3),
+)
+def test_certified_unit_determinants_pass_bareiss(source, ring_name, seed, poset_index):
+    # A certificate is never wrong.  Over Z and Z/n Euclid's algorithm makes
+    # the certifier decide, so it declines only what Bareiss refuses; over Q
+    # it may decline a unit, a nonzero determinant divisible by its prime.
+    ring = ORACLE_RINGS[ring_name]
+    cols = oracle_matrix(source, ring, seed, poset_index)
+    refused = isinstance(determinant_outcome(bareiss_unit_determinant, ring, cols), str)
+    certified = certifies_dense(ring, cols)
+    assert not (certified and refused)
+    if not isinstance(ring, RationalRing):
+        assert certified or refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["jordan", "twisted"]),
+    st.sampled_from(["rationals", "integers", "mod9"]),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 3),
+)
+def test_certifier_decides_every_generated_map(source, ring_name, seed, poset_index):
+    ring = ORACLE_RINGS[ring_name]
+    assert certifies_dense(ring, oracle_matrix(source, ring, seed, poset_index))
+
+
+def test_certifier_declines_what_it_cannot_certify():
+    p = _CERTIFYING_PRIME
+    # not square: declined, and refused with require_unit_determinant's text
+    assert not certifies_unit_determinant(INTEGERS, [{0: 1}], 2)
+    with pytest.raises(NotInvertibleError, match="^matrix is not square$"):
+        require_unit_determinant(INTEGERS, [{0: 1}], 2)
+    # over Q a determinant divisible by the prime is declined, yet a unit
+    assert not certifies_dense(RATIONALS, [[Fraction(p, 3)]])
+    assert require_unit_determinant(RATIONALS, [{0: Fraction(p, 3)}], 1) == p
+    # no entry 1 or -1, but Euclid's algorithm finds one: det [[2, 3], [3, 5]] = 1
+    assert certifies_dense(INTEGERS, [[2, 3], [3, 5]])
+    assert not certifies_dense(INTEGERS, [[2, 4], [3, 5]])  # det -2
+    # no unit entry of Z/15, determinant 9 - 25 = -16, a unit
+    assert certifies_dense(modular(15), [[3, 5], [5, 3]])
+    assert not certifies_dense(modular(15), [[3, 5], [6, 10]])  # det 0
