@@ -181,28 +181,6 @@ class FinSeries:
             FinSeries._of(self.poset, self.ring, strict),
         )
 
-    def truncate(self, x: str, mode: str) -> "FinSeries":
-        """Row/column slice at x: mode "above" keeps entries (x, v) with
-        v > x; mode "below" keeps entries (u, x) with u < x."""
-        i = self.poset.index(x)
-        if mode == "above":
-            kept = {k: v for k, v in self.coeffs.items() if k[0] == i and k[1] != i}
-        elif mode == "below":
-            kept = {k: v for k, v in self.coeffs.items() if k[1] == i and k[0] != i}
-        else:
-            raise FialgError(f'truncate mode must be "above" or "below", got {mode!r}')
-        return FinSeries._of(self.poset, self.ring, kept)
-
-    def sandwich(self, x: str, y: str) -> "FinSeries":
-        """e_x * f * e_y in closed form: f(x,y) e_xy when x <= y, else 0."""
-        i, j = self.poset.index(x), self.poset.index(y)
-        if not self.poset.relation[i][j]:
-            return FinSeries.zero(self.poset, self.ring)
-        c = self.coeffs.get((i, j))
-        if c is None:
-            return FinSeries.zero(self.poset, self.ring)
-        return FinSeries._of(self.poset, self.ring, {(i, j): c})
-
     def inverse(self) -> "FinSeries":
         """Convolution inverse; exists iff every diagonal entry is a unit.
 
@@ -527,7 +505,8 @@ def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
     """The same algebra presented over a new basis.
 
     new_basis_columns[j] holds the old coordinates of the j-th new basis
-    vector; the column matrix must be invertible over the ring.  The result
+    vector, each sent through ring.normalize (a float or bool is refused);
+    the column matrix must be invertible over the ring.  The result
     carries no incidence basis — it is a generic StructAlgebra.  It costs one
     invert_columns, then works on the nonzeros: cell (i, j) is the
     multiply_sparse product of new basis vectors i and j, mapped through the
@@ -541,7 +520,7 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     {index: nonzero} columns, for callers that carry vectors across too."""
     ring = algebra.ring
     d = algebra.dimension
-    cols = [list(c) for c in new_basis_columns]
+    cols = [[ring.normalize(v) for v in c] for c in new_basis_columns]
     if len(cols) != d or any(len(c) != d for c in cols):
         raise FialgError("change of basis must be a square matrix of full size")
     basis = [sparse_vector(c) for c in cols]

@@ -74,7 +74,7 @@ from .linmaps import (
     check_jordan,
     jordan_pair_check,
 )
-from .matrices import certifies_unit_determinant, mat_vec, require_unit_determinant
+from .matrices import mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
@@ -297,10 +297,8 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     """Split a Jordan isomorphism into its near-sum components.
 
     Requires phi out of an incidence-algebra presentation with a unit
-    determinant, over a 2-torsion-free ring (override with allow_torsion).
-    certifies_unit_determinant decides the determinant in the ring's own
-    arithmetic, and require_unit_determinant only when it declines, so a
-    refusal is require_unit_determinant's.
+    determinant, over a 2-torsion-free ring (override with allow_torsion),
+    decided by require_unit_determinant in the ring's own arithmetic.
     Returns psi, theta and the verify_near_sum report, whose five
     checks are the Jordan verdict.  The certificate's idempotent pairs read
     only phi's diagonal columns, which psi and theta share, so they run
@@ -318,9 +316,7 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
         raise TorsionRefusedError(
             f"{ring!r} has 2-torsion; pass allow_torsion=True to proceed"
         )
-    columns, height = phi.sparse_columns, phi.codomain.dimension
-    if not certifies_unit_determinant(ring, columns, height):
-        require_unit_determinant(ring, columns, height)
+    require_unit_determinant(ring, phi.sparse_columns, phi.codomain.dimension)
 
     def sandwiches():
         maps = (LinMap._of_sparse(dom, phi.codomain, c) for c in _near_sum_columns(phi))

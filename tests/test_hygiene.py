@@ -20,6 +20,7 @@ from fialg import (
     FinSeries,
     LinMap,
     StructAlgebra,
+    change_basis,
     conjugate_by_unit,
     decompose,
     equal_by_sandwiches,
@@ -193,12 +194,25 @@ def test_every_payload_door_normalizes_and_refuses_floats_and_bools(door, ring):
             build(ring, bad)
 
 
+def unitriangular_basis(ring, v):
+    """A basis change of chain-2's incidence algebra with v above the
+    diagonal, so invertible whatever v is."""
+    one, zero = ring.one, ring.zero
+    return [[one, zero, zero], [v, one, zero], [zero, zero, one]]
+
+
 # The public entry points that take coordinate lists, as a function of the
 # ring and one coordinate v that they read on chain-2.
 COORDINATE_DOORS = {
     "LinMap.apply_coords": lambda ring, v: LinMap.identity(
         incidence_algebra(chain(2), ring)
     ).apply_coords([v, ring.zero, ring.zero]),
+    "change_basis": lambda ring, v: change_basis(
+        incidence_algebra(chain(2), ring), unitriangular_basis(ring, v)
+    ),
+    "rebase_codomain": lambda ring, v: rebase_codomain(
+        LinMap.identity(incidence_algebra(chain(2), ring)), unitriangular_basis(ring, v)
+    ),
     "equal_by_sandwiches": lambda ring, v: equal_by_sandwiches(
         LinMap.identity(incidence_algebra(chain(2), ring)),
         [v, ring.zero, ring.zero],
@@ -215,6 +229,24 @@ def test_every_coordinate_door_normalizes_and_refuses_floats_and_bools(door, rin
     for bad in (0.5, 1.5, 0.0, 1.0, True, False):
         with pytest.raises(FialgError):
             read(ring, bad)
+
+
+def test_only_the_rings_import_fractions():
+    """Fraction is the payload of the rationals, not a representation of a
+    kernel: the kernels run in the ring's own arithmetic."""
+    def imported_modules(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                yield node.module
+
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "fractions" in imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert importers == ["rings.py"]
 
 
 # The one call under src/ that passes indent= to json.dumps: the report

@@ -52,7 +52,7 @@ from fialg import (
     verify_near_sum,
     verify_paper_identities,
 )
-from fialg import linmaps
+from fialg import linmaps, matrices
 from fialg.algebra import _sparse_add, sparse_vector
 from fialg.errors import FialgError
 from fialg.jordan import (
@@ -730,9 +730,14 @@ def test_certificate_makes_no_dense_product(monkeypatch):
 
 def test_decompose_certifies_generated_determinants_without_fractions(monkeypatch):
     # the generator's maps, plain and twisted, over Q, Z and Z/9: every unit
-    # determinant is certified in the ring's own arithmetic
-    def refuse(*args, **kwargs):
-        raise AssertionError("decompose eliminated in Fractions")
+    # determinant is decided in integers or residues, Q's on its integer lift
+    eliminate, rings = matrices._eliminate, []
+
+    def no_fractions(ring, rows, reduce_above):
+        if ring == RATIONALS:
+            raise AssertionError("decompose eliminated in Fractions")
+        rings.append(ring)
+        return eliminate(ring, rows, reduce_above)
 
     maps = [
         phi
@@ -741,9 +746,11 @@ def test_decompose_certifies_generated_determinants_without_fractions(monkeypatc
         for twist in (False, True)
         for phi in jordan_corpus(poset, ring, seeds=range(2), twist=twist)
     ]
-    monkeypatch.setattr("fialg.matrices._eliminate", refuse)
+    monkeypatch.setattr(matrices, "_eliminate", no_fractions)
     for phi in maps:
+        rings.clear()
         assert decompose(phi).report.passed
+        assert rings == [phi.ring if phi.ring != RATIONALS else matrices._LIFT_RING]
 
 
 ORACLE_POSETS = st.sampled_from(all_posets_up_to(4)) | st.sampled_from(

@@ -40,8 +40,8 @@ from fialg.linmaps import _homomorphism_failures
 from fialg.reports import VerificationReport, run_check
 from fialg.rings import RationalRing
 from fialg.matrices import (
-    _CERTIFYING_PRIME,
-    certifies_unit_determinant,
+    _LIFT_RING,
+    _eliminate,
     invert_columns,
     mat_vec,
     require_unit_determinant,
@@ -771,19 +771,25 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def integer_lift(columns):
+    """Each column scaled by the lcm of its denominators, and the product of
+    the scales: the integer matrix whose determinant is the product times
+    the matrix's own."""
+    lifted, scales = [], 1
+    for col in columns:
+        scale = math.lcm(*(v.denominator for v in col))
+        lifted.append([v.numerator * (scale // v.denominator) for v in col])
+        scales *= scale
+    return lifted, scales
+
+
 def bareiss_unit_determinant(ring, columns) -> int:
     """require_unit_determinant as a dense Bareiss determinant of the integer
     lift (each rational column scaled by the lcm of its denominators)."""
     n = len(columns)
     if any(len(col) != n for col in columns):
         raise NotInvertibleError("matrix is not square")
-    if isinstance(ring, RationalRing):
-        lifted = []
-        for col in columns:
-            scale = math.lcm(*(v.denominator for v in col))
-            lifted.append([v.numerator * (scale // v.denominator) for v in col])
-    else:
-        lifted = columns
+    lifted = integer_lift(columns)[0] if isinstance(ring, RationalRing) else columns
     det = bareiss_determinant(lifted)  # the transpose has the same determinant
     if not ring.is_unit(ring.normalize(det)):
         raise NotInvertibleError(
@@ -1043,25 +1049,31 @@ def test_invert_columns_known_determinants():
 
 
 def determinant_outcome(determinant, ring, columns):
-    """The returned determinant, or the refusal message."""
+    """None when the determinant is accepted as a unit, else the refusal
+    message."""
     try:
-        return determinant(ring, columns)
+        determinant(ring, columns)
     except NotInvertibleError as exc:
         return str(exc)
+    return None
 
 
-@settings(max_examples=300, deadline=None)
+ORACLE_SOURCES = [
+    "integer", "random", "repeated_column", "doubled_column", "basis_change",
+    "jordan", "twisted", "empty",
+]
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(
-        ["integer", "random", "repeated_column", "doubled_column", "jordan",
-         "twisted", "empty"]
-    ),
-    st.sampled_from(["rationals", "integers", "mod9", "mod15"]),
+    st.sampled_from(ORACLE_SOURCES),
+    st.sampled_from(sorted(ORACLE_RINGS)),
     st.integers(0, 10 ** 6),
     st.integers(0, 10 ** 3),
 )
 def test_sparse_determinant_matches_bareiss(source, ring_name, seed, poset_index):
-    # the same integer-lift determinant, or the same refusal text
+    # accepted exactly when Bareiss accepts, on every ring, Q included, and
+    # refused with the same text
     ring = ORACLE_RINGS[ring_name]
     cols = oracle_matrix(source, ring, seed, poset_index)
     assert determinant_outcome(unit_determinant_dense, ring, cols) == (
@@ -1069,33 +1081,34 @@ def test_sparse_determinant_matches_bareiss(source, ring_name, seed, poset_index
     )
 
 
-def certifies_dense(ring, cols):
-    """certifies_unit_determinant on dense columns."""
-    height = len(cols[0]) if cols else 0
-    return certifies_unit_determinant(ring, [sparse_vector(c) for c in cols], height)
-
-
 @settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(
-        ["integer", "random", "repeated_column", "doubled_column", "basis_change",
-         "jordan", "twisted", "empty"]
-    ),
+    st.sampled_from(ORACLE_SOURCES),
     st.sampled_from(sorted(ORACLE_RINGS)),
     st.integers(0, 10 ** 6),
     st.integers(0, 10 ** 3),
+    st.booleans(),
 )
-def test_certified_unit_determinants_pass_bareiss(source, ring_name, seed, poset_index):
-    # A certificate is never wrong.  Over Z and Z/n Euclid's algorithm makes
-    # the certifier decide, so it declines only what Bareiss refuses; over Q
-    # it may decline a unit, a nonzero determinant divisible by its prime.
+def test_elimination_determinant_matches_bareiss(
+    source, ring_name, seed, poset_index, reduce_above
+):
+    # the elimination's value, singular and non-unit matrices included:
+    # exact over Z, mod n over Z/n, and over Q mod the lift prime on the
+    # integer lift and exact in Fractions
     ring = ORACLE_RINGS[ring_name]
     cols = oracle_matrix(source, ring, seed, poset_index)
-    refused = isinstance(determinant_outcome(bareiss_unit_determinant, ring, cols), str)
-    certified = certifies_dense(ring, cols)
-    assert not (certified and refused)
-    if not isinstance(ring, RationalRing):
-        assert certified or refused
+    if isinstance(ring, RationalRing):
+        lifted, scales = integer_lift(cols)
+        det = bareiss_determinant(lifted)
+        rows = [sparse_vector(map(_LIFT_RING.normalize, col)) for col in lifted]
+        assert _eliminate(_LIFT_RING, rows, reduce_above) == _LIFT_RING.normalize(det)
+        assert _eliminate(ring, [sparse_vector(c) for c in cols], reduce_above) == (
+            Fraction(det, scales)
+        )
+    else:
+        rows = [sparse_vector(c) for c in cols]
+        det = _eliminate(ring, rows, reduce_above)
+        assert det == ring.normalize(bareiss_determinant(cols))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1105,23 +1118,26 @@ def test_certified_unit_determinants_pass_bareiss(source, ring_name, seed, poset
     st.integers(0, 10 ** 6),
     st.integers(0, 10 ** 3),
 )
-def test_certifier_decides_every_generated_map(source, ring_name, seed, poset_index):
+def test_generated_maps_have_unit_determinants(source, ring_name, seed, poset_index):
     ring = ORACLE_RINGS[ring_name]
-    assert certifies_dense(ring, oracle_matrix(source, ring, seed, poset_index))
+    unit_determinant_dense(ring, oracle_matrix(source, ring, seed, poset_index))
 
 
-def test_certifier_declines_what_it_cannot_certify():
-    p = _CERTIFYING_PRIME
-    # not square: declined, and refused with require_unit_determinant's text
-    assert not certifies_unit_determinant(INTEGERS, [{0: 1}], 2)
+def test_unit_determinant_edge_cases():
+    p = _LIFT_RING.modulus
     with pytest.raises(NotInvertibleError, match="^matrix is not square$"):
         require_unit_determinant(INTEGERS, [{0: 1}], 2)
-    # over Q a determinant divisible by the prime is declined, yet a unit
-    assert not certifies_dense(RATIONALS, [[Fraction(p, 3)]])
-    assert require_unit_determinant(RATIONALS, [{0: Fraction(p, 3)}], 1) == p
+    # over Q a determinant divisible by the lift prime is 0 on the lift, and
+    # the elimination in Fractions accepts it
+    unit_determinant_dense(RATIONALS, [[Fraction(p, 3)]])
+    unit_determinant_dense(RATIONALS, [[Fraction(p), Fraction(1)], [Fraction(0), Fraction(2)]])
+    with pytest.raises(NotInvertibleError, match="^determinant 0 is not a unit of rationals$"):
+        unit_determinant_dense(RATIONALS, [[Fraction(p), Fraction(2 * p)]] * 2)
     # no entry 1 or -1, but Euclid's algorithm finds one: det [[2, 3], [3, 5]] = 1
-    assert certifies_dense(INTEGERS, [[2, 3], [3, 5]])
-    assert not certifies_dense(INTEGERS, [[2, 4], [3, 5]])  # det -2
+    unit_determinant_dense(INTEGERS, [[2, 3], [3, 5]])
+    with pytest.raises(NotInvertibleError, match="^determinant -2 is not a unit of integers$"):
+        unit_determinant_dense(INTEGERS, [[2, 4], [3, 5]])
     # no unit entry of Z/15, determinant 9 - 25 = -16, a unit
-    assert certifies_dense(modular(15), [[3, 5], [5, 3]])
-    assert not certifies_dense(modular(15), [[3, 5], [6, 10]])  # det 0
+    unit_determinant_dense(modular(15), [[3, 5], [5, 3]])
+    with pytest.raises(NotInvertibleError, match=r"^determinant 0 is not a unit of modular\(15\)$"):
+        unit_determinant_dense(modular(15), [[3, 5], [6, 10]])
