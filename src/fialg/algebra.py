@@ -9,10 +9,11 @@ with its unit basis attached, so element_from_series() maps a series to its
 coordinates exactly.
 
 Each type has one checking door, as LinMap does.  FinSeries(...) checks every
-key and StructAlgebra(...) every cell index; both send every payload through
-ring.normalize and drop zeros, and AlgElem(...) normalizes its coordinates.
-The builders inside the package, which already hold canonical payloads, use
-FinSeries._of and StructAlgebra._of_tuples and are not checked again.
+key and StructAlgebra(...) every cell index and the identity and associative
+laws on the basis; both send every payload through ring.normalize and drop
+zeros, and AlgElem(...) normalizes its coordinates.  The builders inside the
+package, which already hold canonical payloads, use FinSeries._of and
+StructAlgebra._of_tuples and are not checked again.
 
 For a finite poset every series has finite support, so the full function
 algebra and its finitely-supported subalgebra coincide; there is only one
@@ -21,6 +22,7 @@ series type here.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,10 +75,6 @@ class FinSeries:
         return f
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, poset: Poset, ring: Ring) -> "FinSeries":
-        return cls._of(poset, ring, {})
 
     @classmethod
     def delta(cls, poset: Poset, ring: Ring) -> "FinSeries":
@@ -290,11 +288,13 @@ class StructAlgebra:
     cells[i][j] lists the nonzero coordinates of b_i * b_j as (k, coeff)
     pairs.  StructAlgebra(...) checks the table's shape and each index k,
     normalizes each coefficient and identity coordinate and drops zero
-    coefficients.  It checks no law: the two builders, incidence_algebra()
-    and change_basis(), produce unital associative tables by construction
-    and go through _of_tuples.  multiply() takes and returns dense coordinate
-    lists; multiply_sparse() takes and returns {index: nonzero payload}
-    dicts and touches only the nonzero coordinates and cells.
+    coefficients.  It then checks the laws that decompose's certificate
+    uses: the identity is two-sided on every basis vector, and every basis
+    triple associates, d^3 products paid at this door only.  The two
+    builders, incidence_algebra() and change_basis(), produce unital
+    associative tables by construction and go through _of_tuples.
+    multiply() takes and returns {index: nonzero payload} dicts and touches
+    only the nonzero coordinates and cells.
     """
 
     def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
@@ -312,6 +312,17 @@ class StructAlgebra:
             return tuple(out)
 
         self._take(ring, tuple(tuple(map(cell, row)) for row in cells), identity, basis)
+        units = [{k: ring.one} for k in range(d)]
+        one = sparse_vector(identity)
+        for k, b in enumerate(units):
+            if self.multiply(one, b) != b or self.multiply(b, one) != b:
+                raise FialgError(f"the identity is not two-sided at basis vector {k}")
+        products = [[self.multiply(a, b) for b in units] for a in units]
+        for i, j, k in itertools.product(range(d), repeat=3):
+            if self.multiply(products[i][j], units[k]) != self.multiply(
+                units[i], products[j][k]
+            ):
+                raise FialgError(f"basis triple {(i, j, k)} does not associate")
 
     @classmethod
     def _of_tuples(cls, ring: Ring, cells: tuple, identity, basis: AlgBasis | None):
@@ -327,28 +338,7 @@ class StructAlgebra:
         if len(cells) != d or any(len(row) != d for row in cells):
             raise FialgError("structure-constant table shape mismatch")
 
-    def multiply(self, u, v) -> list:
-        """Product of two coordinate vectors."""
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        out = [ring.zero] * self.dimension
-        cells = self.cells
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = cells[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                cell = row[j]
-                if not cell:
-                    continue
-                ab = mul(a, b)
-                for k, c in cell:
-                    out[k] = add(out[k], mul(ab, c))
-        return out
-
-    def multiply_sparse(self, u: dict, v: dict) -> dict:
+    def multiply(self, u: dict, v: dict) -> dict:
         """Product of two vectors held as {index: nonzero payload}, with the
         zeros of the result dropped, so that == on the dicts is equality of
         the vectors.  The work is nonzeros of u x nonzeros of v x cell size:
@@ -446,7 +436,7 @@ class AlgElem:
 
     def __mul__(self, other):
         u, v = sparse_vector(self.coords), sparse_vector(self._peer(other).coords)
-        product = self.algebra.multiply_sparse(u, v)
+        product = self.algebra.multiply(u, v)
         return AlgElem(self.algebra, tuple(self.algebra.dense(product)))
 
     def scale(self, r) -> "AlgElem":
@@ -457,7 +447,7 @@ class AlgElem:
 
 def sparse_vector(coords) -> dict:
     """The {index: nonzero payload} form of a coordinate vector, as
-    StructAlgebra.multiply_sparse takes it."""
+    StructAlgebra.multiply takes it."""
     return {k: a for k, a in enumerate(coords) if a}
 
 
@@ -509,7 +499,7 @@ def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
     the column matrix must be invertible over the ring.  The result
     carries no incidence basis — it is a generic StructAlgebra.  It costs one
     invert_columns, then works on the nonzeros: cell (i, j) is the
-    multiply_sparse product of new basis vectors i and j, mapped through the
+    product of new basis vectors i and j, mapped through the
     inverse's {index: nonzero} columns, so a zero product costs one check.
     """
     return _change_basis(algebra, new_basis_columns)[0]
@@ -529,7 +519,7 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     def transported(w: dict) -> tuple:
         return tuple(sorted(mat_vec(ring, inverse, w.items()).items())) if w else ()
 
-    multiply = algebra.multiply_sparse
+    multiply = algebra.multiply
     cells = tuple(tuple(transported(multiply(u, v)) for v in basis) for u in basis)
     one = sparse_vector(algebra.identity)
     identity = algebra.dense(mat_vec(ring, inverse, one.items()))

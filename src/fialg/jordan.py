@@ -22,20 +22,20 @@ the n squares and phi(1) = 1 stand in for the n^2 idempotent pairs
 on chain-13 over Q and 505 over Z/9, where a scan of every basis pair takes
 2 d^2.  Its homomorphism clauses are check_homomorphism's own scan.
 decompose() multiplies the maps' columns as {index: nonzero} dicts
-(LinMap.sparse_columns) with multiply_sparse, from the sandwiches to the
-verdict.  The full scan runs only when the certificate fails, to collect
+(LinMap.sparse_columns) with StructAlgebra.multiply, from the sandwiches to
+the verdict.  The full scan runs only when the certificate fails, to collect
 witnesses; decompose() runs the Jordan recognizer before it, so that only a
 Jordan map pays for the failing report, and the recognizer's own report is
 built only when NotJordanError.report is read.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Each sample
-image is mat_vec of the series on phi's {index: nonzero} columns; the word,
-idempotent and diagonal families multiply the images, densely, with
-StructAlgebra.multiply.  The sandwich families read one table of Peirce
-components phi(e_x) v phi(e_y) per sample image v, built on the nonzeros,
-and report what a per-pair scan does; the equality criterion reads one table
-of a - b.  The window families build each left factor phi(e_x) s(f) phi(e_W)
-once per first sample f.  The polarized triple and five-factor families are
+image is mat_vec of the series on phi's {index: nonzero} columns, and every
+family multiplies the images on their nonzeros with StructAlgebra.multiply;
+a dense list is built only for a witness.  The sandwich families read one
+table of Peirce components phi(e_x) v phi(e_y) per sample image v and report
+what a per-pair scan does; the equality criterion reads one table of a - b.
+The window families build each left factor phi(e_x) s(f) phi(e_W) once per
+first sample f.  The polarized triple and five-factor families are
 one word identity, phi(sum of word products of the drawn series) = sum of
 the same products of their images, and the two idempotent families walk one
 grid of subset idempotents e_Y against the general samples.
@@ -278,7 +278,7 @@ def _near_sum_columns(phi: LinMap):
     """The defining sandwich products, one {index: nonzero} column per basis
     unit, multiplied from phi's sparse columns."""
     basis = _incidence_domain(phi).basis
-    multiply = phi.codomain.multiply_sparse
+    multiply = phi.codomain.multiply
     cols = phi.sparse_columns
     psi_cols, theta_cols = [], []
     for k, (i, j) in enumerate(basis.pairs):
@@ -419,7 +419,9 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 def _idempotents_hold(m: LinMap) -> bool:
     """The idempotent pairs: does m(e_x) m(e_y) = delta_xy m(e_x) hold?  In
     characteristic 0, the n squares and m(1) = 1 decide it; the scan of all
-    n^2 pairs runs when m(1) is not 1, and over Z/n."""
+    n^2 pairs runs when m(1) is not 1, and over Z/n.  The shortcut presumes
+    an associative codomain with a two-sided identity: incidence_algebra and
+    change_basis build one, and StructAlgebra(...) refuses any other table."""
     diagonal = m.domain.basis.diagonal_indices()
     if m.ring.characteristic == 0:
         # Cochran's theorem.  With P_x = m(e_x), P_x^2 = P_x and sum P_x = 1,
@@ -428,10 +430,9 @@ def _idempotents_hold(m: LinMap) -> bool:
         # 0 the trace of an idempotent is its rank, so the ranks of the L_x
         # add up to the dimension, and the images, which span, form a direct
         # sum.  So L_x L_y = 0 for x != y, and P_x P_y = L_x L_y (1) = 0.
-        # Only associativity and a two-sided identity are used, which
-        # incidence_algebra and change_basis build.  Over Z/3 the antichain
-        # images (1,1,0,0), (1,0,1,0), (1,0,0,1), (1,0,0,0) are idempotents
-        # summing to 1 with (1,1,0,0)(1,0,1,0) != 0.
+        # Only associativity and a two-sided identity are used.  Over Z/3
+        # the antichain images (1,1,0,0), (1,0,1,0), (1,0,0,1), (1,0,0,0)
+        # are idempotents summing to 1 with (1,1,0,0)(1,0,1,0) != 0.
         squares = ((x, x) for x in diagonal)
         if next(_homomorphism_failures(m, squares, anti=False), None) is not None:
             return False
@@ -534,7 +535,7 @@ def _annihilation_failures(dec: Decomposition, pairs):
     are dense."""
     cod = dec.phi.codomain
     psi, theta = dec.psi.sparse_columns, dec.theta.sparse_columns
-    multiply = cod.multiply_sparse
+    multiply = cod.multiply
     zero_vec = [dec.phi.ring.zero] * cod.dimension
     notes = ("psi(b_i) * theta(b_j)", "theta(b_i) * psi(b_j)")
     for i, j, mirrored in pairs:
@@ -562,7 +563,7 @@ def _peirce_table(phi: LinMap, v: dict) -> dict:
     per entry; incomparable pairs are never built."""
     basis = phi.domain.basis
     poset = basis.poset
-    multiply = phi.codomain.multiply_sparse
+    multiply = phi.codomain.multiply
     diag = [phi.sparse_columns[basis.index_of[(i, i)]] for i in range(poset.size)]
     left = [multiply(e, v) for e in diag]
     table = {}
@@ -616,7 +617,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     basis = dom.basis
     poset, at, pairs = basis.poset, basis.index_of, basis.pairs
     n, labels = poset.size, poset.elements
-    multiply = cod.multiply_sparse
+    multiply = cod.multiply
     zero_vec = [ring.zero] * cod.dimension
     diag = [phi.sparse_columns[at[(i, i)]] for i in range(n)]
     name = "theta" if mirror else "psi"
@@ -626,8 +627,9 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
         pullback = mat_vec(ring, phi_inverse.sparse_columns, image.items())
         f = FinSeries._of(poset, ring, {pairs[k]: v for k, v in pullback.items()})
         pulled.append((image, f))
-    # Every codomain is associative (incidence tables and their change_basis
-    # transports), so the five-factor product is exactly (L phi(e_W)) R with
+    # Every codomain is associative (incidence tables, their change_basis
+    # transports, and the tables StructAlgebra(...) checks), so the
+    # five-factor product is exactly (L phi(e_W)) R with
     # L = phi(e_x) s(f) and R = s(g) phi(e_y) built once per sample and element.
     halves = [
         ([multiply(e, image) for e in diag], [multiply(image, e) for e in diag])
@@ -708,7 +710,6 @@ def verify_paper_identities(
     cod = phi.codomain
     n = poset.size
     add, mul = ring.add, ring.mul
-    zero_vec = [ring.zero] * cod.dimension
     samples = _IDENTITY_SAMPLES
 
     rng = random.Random(seed)
@@ -724,8 +725,8 @@ def verify_paper_identities(
         tuple(i for i in range(n) if rng.random() < 0.5) for _ in range(3)
     ]
 
-    def phi_of(f: FinSeries):
-        return cod.dense(_series_image(phi, phi.sparse_columns, f))
+    def phi_of(f: FinSeries) -> dict:
+        return _series_image(phi, phi.sparse_columns, f)
 
     def scaled(f: FinSeries, pair, m: LinMap) -> dict:
         """f(x, y) times m(e_xy), on the nonzeros."""
@@ -737,20 +738,20 @@ def verify_paper_identities(
         return functools.reduce(cod.multiply, vectors)
 
     def addc(*vectors):
-        return functools.reduce(lambda u, v: list(map(add, u, v)), vectors)
+        return functools.reduce(functools.partial(_sparse_add, ring), vectors)
 
     psi, theta = (LinMap._of_sparse(dom, cod, c) for c in _near_sum_columns(phi))
     labels = poset.elements
 
-    # The sandwich families read the Peirce components phi(e_x) v phi(e_y)
-    # of each sample image v from one table, built on first use.  Images,
-    # tables and sides are {index: nonzero} dicts; witnesses are dense.
+    # Images, products and sides are {index: nonzero} dicts; witnesses are
+    # dense.  The sandwich families read the Peirce components
+    # phi(e_x) v phi(e_y) of each sample image v from one table, built on
+    # first use.
     dense = cod.dense
 
     @functools.cache
     def phi_table(s, strict=False):
-        f = (strict_samples if strict else general)[s]
-        return _peirce_table(phi, _series_image(phi, phi.sparse_columns, f))
+        return _peirce_table(phi, phi_of((strict_samples if strict else general)[s]))
 
     checks = []
 
@@ -805,7 +806,7 @@ def verify_paper_identities(
             images = [phi_of(f) for f in series]
             rhs = addc(*(mulc(*map(images.__getitem__, w)) for w in words))
             if lhs != rhs:
-                yield (t,), lhs, rhs
+                yield (t,), dense(lhs), dense(rhs)
 
     # phi(abc + cba) = phi(a)phi(b)phi(c) + phi(c)phi(b)phi(a)
     triple = word_failures(samples + 1, 0.5, ((0, 1, 2), (2, 1, 0)))
@@ -834,7 +835,7 @@ def verify_paper_identities(
         for side, note in zip(((u, v), (v, u)), notes):
             product = mulc(*side)
             if product != target:
-                yield key, product, target, note
+                yield key, dense(product), dense(target), note
 
     # phi(a)phi(e) = phi(e)phi(a) = phi(ae) for idempotents e_Y commuting
     # with a: a keeps the entries with both ends inside Y or both outside
@@ -849,7 +850,7 @@ def verify_paper_identities(
     def annihilating_idempotent():
         notes = ("phi(e)phi(a)", "phi(a)phi(e)")
         for key, _, pe, _, pa in idempotent_grid(lambda x, y: not (x or y)):
-            yield from both_orders(key, pe, pa, zero_vec, notes)
+            yield from both_orders(key, pe, pa, {}, notes)
 
     checks.append(run_check("annihilating_idempotent", annihilating_idempotent()))
 
@@ -880,10 +881,10 @@ def verify_paper_identities(
                 if lhs != rhs:
                     yield key, dense(lhs), dense(rhs), "matches phi sandwich"
                 if back := table[(v, u)]:
-                    yield key, dense(back), zero_vec, away
+                    yield key, dense(back), dense({}), away
             for i in range(n):
                 if mid := table[(i, i)]:
-                    yield (s, labels[i]), dense(mid), zero_vec, "diagonal is zero"
+                    yield (s, labels[i]), dense(mid), dense({}), "diagonal is zero"
 
     checks.append(run_check("psi_sandwich", sandwich_failures(psi, False)))
     checks.append(run_check("theta_sandwich", sandwich_failures(theta, True)))

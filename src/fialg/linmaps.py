@@ -10,7 +10,7 @@ tuples — enough, by bilinearity, to decide the corresponding law for
 arbitrary elements — and report witnesses instead of bare booleans.
 
 The scans run on the nonzeros: each recognizer multiplies the map's sparse
-columns with StructAlgebra.multiply_sparse.  The left side, m(b_i b_j +
+columns with StructAlgebra.multiply.  The left side, m(b_i b_j +
 b_j b_i) or m(b_i b_j), is the combination of the columns the domain's
 cells touch, so it costs nothing where a basis product is zero, as most are
 in an incidence algebra.  Sides are compared as dicts, and dense coordinate lists
@@ -79,12 +79,6 @@ class LinMap:
     def identity(cls, algebra: StructAlgebra) -> "LinMap":
         units = ({k: algebra.ring.one} for k in range(algebra.dimension))
         return cls._of_sparse(algebra, algebra, units)
-
-    @classmethod
-    def zero(cls, domain: StructAlgebra, codomain: StructAlgebra) -> "LinMap":
-        if domain.ring != codomain.ring:
-            raise ContextMismatchError("domain and codomain rings differ")
-        return cls._of_sparse(domain, codomain, ({} for _ in range(domain.dimension)))
 
     # -- action ----------------------------------------------------------------
 
@@ -192,7 +186,7 @@ def _homomorphism_failures(m: LinMap, pairs, anti: bool):
     witnesses are dense, as run_check takes them."""
     cod, ring = m.codomain, m.ring
     images = m.sparse_columns
-    multiply = cod.multiply_sparse
+    multiply = cod.multiply
     cells = m.domain.cells
     for i, j in pairs:
         cell = cells[i][j]
@@ -230,7 +224,7 @@ def _jordan_pair_failures(m: LinMap, pairs):
     (i, j) given, in their order, as run_check takes them."""
     cod, ring = m.codomain, m.ring
     images = m.sparse_columns
-    multiply = cod.multiply_sparse
+    multiply = cod.multiply
     cells = m.domain.cells
     for i, j in pairs:
         sym = _sparse_add(ring, dict(cells[i][j]), dict(cells[j][i]))
@@ -285,8 +279,8 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
     dom, cod = m.domain, m.codomain
     d = dom.dimension
     images = m.sparse_columns
-    multiply = cod.multiply_sparse
-    dom_multiply = dom.multiply_sparse
+    multiply = cod.multiply
+    dom_multiply = dom.multiply
     units = [{k: ring.one} for k in range(d)]
 
     report = jordan_pair_check(m)
@@ -329,13 +323,13 @@ def _quadratic_failures(m: LinMap):
     with 2-torsion they can pass where these fail."""
     dom, cod, ring = m.domain, m.codomain, m.ring
     images = m.sparse_columns
-    multiply = cod.multiply_sparse
+    multiply = cod.multiply
     d = dom.dimension
     yield from _homomorphism_failures(m, ((i, i) for i in range(d)), anti=False)
     for i in range(d):
         unit = {i: ring.one}
         for j in range(d):
-            inner = dom.multiply_sparse(dict(dom.cells[i][j]), unit)
+            inner = dom.multiply(dict(dom.cells[i][j]), unit)
             lhs = mat_vec(ring, images, inner.items())
             rhs = multiply(multiply(images[i], images[j]), images[i])
             if lhs != rhs:

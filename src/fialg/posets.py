@@ -46,9 +46,6 @@ class Poset:
 
     # -- order queries -------------------------------------------------------
 
-    def le(self, x: str, y: str) -> bool:
-        return self.relation[self.index(x)][self.index(y)]
-
     def interval(self, x: str, y: str) -> list[str]:
         """[x, y] = every z with x <= z <= y, in element order; empty when x !<= y."""
         i, j = self.index(x), self.index(y)
@@ -252,9 +249,6 @@ class OrderMap:
                         f"map is not {kind} at "
                         f"({src.elements[i]!r}, {src.elements[j]!r})"
                     )
-
-    def apply(self, label: str) -> str:
-        return self.target.elements[self.images[self.source.index(label)]]
 
 
 def order_isomorphisms(p: Poset, q: Poset, reversing: bool = False) -> list[OrderMap]:

@@ -10,6 +10,7 @@ from fialg import (
     INTEGERS,
     RATIONALS,
     FinSeries,
+    LinMap,
     Poset,
     modular,
     random_basis_change,
@@ -37,6 +38,45 @@ def dense_mat_vec(ring, columns, vec):
             if c:
                 out[i] = add(out[i], mul(a, c))
     return out
+
+
+def dense_multiply(algebra, u, v):
+    """Product of two coordinate lists of a StructAlgebra, entry by entry
+    over every pair of coordinates: the oracle of the sparse multiply."""
+    ring = algebra.ring
+    add, mul = ring.add, ring.mul
+    out = [ring.zero] * algebra.dimension
+    cells = algebra.cells
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = cells[i]
+        for j, b in enumerate(v):
+            if not b:
+                continue
+            cell = row[j]
+            if not cell:
+                continue
+            ab = mul(a, b)
+            for k, c in cell:
+                out[k] = add(out[k], mul(ab, c))
+    return out
+
+
+def le(poset, x, y):
+    """x <= y in a poset, by label."""
+    return poset.relation[poset.index(x)][poset.index(y)]
+
+
+def order_image(m, label):
+    """The image of a label under an OrderMap."""
+    return m.target.elements[m.images[m.source.index(label)]]
+
+
+def zero_map(domain, codomain):
+    """The zero map, through the checking LinMap door."""
+    zero = domain.ring.zero
+    return LinMap(domain, codomain, [[zero] * codomain.dimension] * domain.dimension)
 
 
 def unit_vector(algebra, k):

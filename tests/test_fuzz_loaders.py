@@ -28,7 +28,7 @@ from fialg.algebra import sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
 from fialg.linmaps import _check_shape
 
-from conftest import antichain, chain, diamond, two_two_chains
+from conftest import antichain, chain, diamond, le, two_two_chains
 
 LABELS = ["a", "b", "c", "d"]
 KEYS = ["elements", "relations", "ring", "modular", "domain_dim", "codomain_dim",
@@ -102,7 +102,7 @@ def valid_maps(draw, dim, scalars):
 
 
 def valid_series(poset):
-    pairs = [(x, y) for x in poset.elements for y in poset.elements if poset.le(x, y)]
+    pairs = [(x, y) for x in poset.elements for y in poset.elements if le(poset, x, y)]
     entry = st.builds(
         lambda xy, v: {"x": xy[0], "y": xy[1], "value": v},
         st.sampled_from(pairs),

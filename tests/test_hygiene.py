@@ -1,6 +1,7 @@
-"""Hygiene of the fialg package: its imports, kernel users and series
-builders, read from the source with ast, the one column store of a LinMap,
-the payload doors of its public classes, and the pytest settings."""
+"""Hygiene of the fialg package: its imports, its one product kernel and
+its series builders, read from the source with ast, the one column store of
+a LinMap, the payload doors of its public classes, and the pytest
+settings."""
 
 import ast
 import random
@@ -78,14 +79,6 @@ def test_all_lists_exactly_the_public_names_of_the_package():
     assert set(fialg.__all__) == public
 
 
-# The functions that still use the dense product kernel,
-# StructAlgebra.multiply: what remains of ROADMAP item 3 (sparse-only
-# kernels).  mat_vec runs on {index: nonzero} columns and is no dense
-# kernel.  The list only shrinks; a function that drops its dense call
-# leaves it.
-DENSE_KERNEL_USERS = {"jordan.verify_paper_identities"}
-
-
 def functions(body, prefix=""):
     """The module-level functions and the methods of a module body, by
     qualified name; nested functions belong to the function around them."""
@@ -96,17 +89,25 @@ def functions(body, prefix=""):
             yield from functions(node.body, prefix + node.name + ".")
 
 
-def test_dense_kernel_users_are_the_allowlist():
-    users = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for name, fn in functions(tree.body):
-            if any(
-                isinstance(node, ast.Attribute) and node.attr == "multiply"
-                for node in ast.walk(fn)
-            ):
-                users.add(f"{path.stem}.{name}")
-    assert users == DENSE_KERNEL_USERS
+def test_one_product_kernel():
+    """StructAlgebra has one product, multiply, on {index: nonzero} dicts;
+    the dense loop over coordinate lists is the test oracle dense_multiply."""
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "StructAlgebra"
+    ]
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert {m for m in methods if "multiply" in m or "product" in m} == {"multiply"}
+    assert [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "multiply_sparse" in path.read_text()
+    ] == []
+    A = incidence_algebra(chain(2), RATIONALS)
+    one = RATIONALS.one
+    assert A.multiply({0: one}, {2: one}) == {2: one}
+    assert A.multiply({2: one}, {0: one}) == {}
+    assert type(A.multiply({0: one}, {0: one})) is dict
 
 
 # The functions under src/ that build a series through the checking door,
@@ -133,8 +134,23 @@ def test_checked_series_builders_are_the_allowlist():
     assert builders == CHECKED_SERIES_BUILDERS
 
 
+def x_squared_is_v_x(one, v):
+    """The table of R[x]/(x^2 - v x) over the basis 1, x: unital and
+    associative for every v, with v in cell (x, x)."""
+    return [[[(0, one)], [(1, one)]], [[(1, one)], [(1, v)]]]
+
+
+def split_with_identity_v_b0_plus_b1(one, v):
+    """The table of R x R over the basis b0 = e1, b1 = e2 + (1 - v) e1, where
+    the identity e1 + e2 is v b0 + b1: unital and associative for every v,
+    which the identity coordinate then carries."""
+    w = one - v
+    return [[[(0, one)], [(0, w)]], [[(0, w)], [(0, w * w - w), (1, one)]]]
+
+
 # Each public constructor that takes ring payloads, as a function of the
-# ring and one payload v that it builds an object on chain-2 from.
+# ring and one payload v that it builds an object from: on chain-2, or on a
+# two-dimensional table that obeys the laws StructAlgebra(...) checks.
 PAYLOAD_DOORS = {
     "AlgElem": lambda ring, v: AlgElem(
         incidence_algebra(chain(2), ring), (v, ring.zero, ring.zero)
@@ -147,9 +163,11 @@ PAYLOAD_DOORS = {
         *[incidence_algebra(chain(2), ring)] * 2,
         [[v, ring.zero, ring.zero], [ring.zero] * 3, [ring.zero] * 3],
     ),
-    "StructAlgebra.cells": lambda ring, v: StructAlgebra(ring, [[[(0, v)]]], (ring.one,)),
+    "StructAlgebra.cells": lambda ring, v: StructAlgebra(
+        ring, x_squared_is_v_x(ring.one, v), (ring.one, ring.zero)
+    ),
     "StructAlgebra.identity": lambda ring, v: StructAlgebra(
-        ring, [[[(0, ring.one)]]], (v,)
+        ring, split_with_identity_v_b0_plus_b1(ring.one, v), (v, ring.one)
     ),
 }
 
@@ -297,7 +315,7 @@ def test_dense_view_readers_are_the_allowlist():
 
 
 # The functions that read a domain's structure constants (.cells) and
-# multiply images with multiply_sparse: the one homomorphism scan and the
+# multiply images with multiply: the one homomorphism scan and the
 # Jordan scans.  A second homomorphism or anti-homomorphism scan would join
 # this list.
 IMAGE_SCANS = {
@@ -347,7 +365,7 @@ def test_one_homomorphism_scan():
     scans = {
         name
         for name, fn in bodies.items()
-        if {"cells", "multiply_sparse"}
+        if {"cells", "multiply"}
         <= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     }
     assert scans == IMAGE_SCANS

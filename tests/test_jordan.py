@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import tracemalloc
 from dataclasses import replace
@@ -74,6 +75,7 @@ from conftest import (
     boolean_lattice,
     chain,
     dense_mat_vec,
+    dense_multiply,
     diamond,
     disjoint_union,
     jordan_corpus,
@@ -81,6 +83,7 @@ from conftest import (
     singleton,
     two_two_chains,
     unit_vector,
+    zero_map,
 )
 from test_posets import brute_order_isomorphisms
 
@@ -151,8 +154,8 @@ def dense_near_sum_columns(phi):
             psi_cols.append(exy)
             theta_cols.append(exy)
         else:
-            psi_cols.append(cod.multiply(cod.multiply(ex, exy), ey))
-            theta_cols.append(cod.multiply(cod.multiply(ey, exy), ex))
+            psi_cols.append(dense_multiply(cod, dense_multiply(cod, ex, exy), ey))
+            theta_cols.append(dense_multiply(cod, dense_multiply(cod, ey, exy), ex))
     return psi_cols, theta_cols
 
 
@@ -579,10 +582,10 @@ def scan_near_sum(dec):
     def annihilation():
         for i in strict:
             for j in strict:
-                p = cod.multiply(psi.columns[i], theta.columns[j])
+                p = dense_multiply(cod, psi.columns[i], theta.columns[j])
                 if p != zero:
                     yield (i, j), p, zero, "psi(b_i) * theta(b_j)"
-                q = cod.multiply(theta.columns[i], psi.columns[j])
+                q = dense_multiply(cod, theta.columns[i], psi.columns[j])
                 if q != zero:
                     yield (i, j), q, zero, "theta(b_i) * psi(b_j)"
 
@@ -703,27 +706,18 @@ def test_passing_certificate_needs_no_inverse_or_recognizer(monkeypatch):
         assert decompose(phi, allow_torsion=True).report.passed
 
 
-def test_certificate_makes_no_dense_product(monkeypatch):
+def test_certificate_builds_no_dense_list(monkeypatch):
     # decompose runs on the nonzeros: the sandwiches that build psi and
-    # theta (4 * (d - n) = 220 dense products here while they were dense)
-    # and the certificate make no dense product
+    # theta and the certificate multiply {index: nonzero} dicts, and a
+    # passing map builds no dense coordinate list
     phi = random_jordan_iso(chain(11), RATIONALS, seed=3)
-    calls = []
-    multiply = StructAlgebra.multiply
-
-    def counting(self, u, v):
-        calls.append(1)
-        return multiply(self, u, v)
-
-    monkeypatch.setattr(StructAlgebra, "multiply", counting)
-    dec = decompose(phi)
-    assert dec.report.passed
-    assert len(calls) == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the certificate made a dense product")
+        raise AssertionError("decompose built a dense list")
 
-    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    monkeypatch.setattr(StructAlgebra, "dense", refuse)
+    dec = decompose(phi)
+    assert dec.report.passed
     assert _near_sum_holds(dec)
     assert verify_near_sum(dec).passed
 
@@ -816,11 +810,11 @@ def test_decompose_stops_at_the_first_pair_law_failure(poset, monkeypatch):
     phi = random_jordan_iso(poset, ring, seed=1)
     d, n = phi.domain.dimension, poset.size
     products = [0]
-    multiply_sparse = StructAlgebra.multiply_sparse
+    multiply = StructAlgebra.multiply
 
     def counting(self, u, v):
         products[0] += 1
-        return multiply_sparse(self, u, v)
+        return multiply(self, u, v)
 
     scans = []
     verdict = linmaps._jordan_pair_verdict
@@ -837,7 +831,7 @@ def test_decompose_stops_at_the_first_pair_law_failure(poset, monkeypatch):
         built.append(m)
         return jordan_pair_check(m)
 
-    monkeypatch.setattr(StructAlgebra, "multiply_sparse", counting)
+    monkeypatch.setattr(StructAlgebra, "multiply", counting)
     monkeypatch.setattr("fialg.jordan._jordan_pair_verdict", counted_verdict)
     monkeypatch.setattr("fialg.jordan.jordan_pair_check", recorded_pair_check)
     for x, y in [(0, n - 1), (n // 2, 1), (n - 1, 0)]:
@@ -1139,17 +1133,17 @@ def test_twisted_codomain_certificate_agrees_with_full_scan():
             assert dec.report == scan_near_sum(dec)
 
 
-def counted_sparse_products(monkeypatch):
-    """A one-item list that counts StructAlgebra.multiply_sparse calls from
-    now on."""
+def counted_products(monkeypatch):
+    """A one-item list that counts StructAlgebra.multiply calls from now
+    on."""
     calls = [0]
-    multiply_sparse = StructAlgebra.multiply_sparse
+    multiply = StructAlgebra.multiply
 
     def counting(self, u, v):
         calls[0] += 1
-        return multiply_sparse(self, u, v)
+        return multiply(self, u, v)
 
-    monkeypatch.setattr(StructAlgebra, "multiply_sparse", counting)
+    monkeypatch.setattr(StructAlgebra, "multiply", counting)
     return calls
 
 
@@ -1172,7 +1166,7 @@ def test_certificate_makes_one_product_per_listed_pair(poset, ring, products,
     # the 196 pairs made 388.  The generator rows made (n + c) * d products
     # per map and 2 c s for annihilation: 6,422 and 3,920.
     dec = decompose(random_jordan_iso(poset, ring, seed=3))
-    calls = counted_sparse_products(monkeypatch)
+    calls = counted_products(monkeypatch)
     assert _near_sum_holds(dec)
     assert calls[0] == products
 
@@ -1192,7 +1186,7 @@ def test_decompose_rejects_a_shear_before_building_psi_and_theta(poset,
     n = poset.size
     maps = [random_jordan_iso(poset, ring, seed=1) for ring in TORSIONFREE_RINGS]
     monkeypatch.setattr("fialg.jordan._near_sum_columns", refuse)
-    calls = counted_sparse_products(monkeypatch)
+    calls = counted_products(monkeypatch)
     worst = 0
     for phi in maps:
         for x, y in itertools.permutations(range(n), 2):
@@ -1240,7 +1234,7 @@ def test_orthogonality_shortcut_scans_when_the_squares_miss_one(ring, monkeypatc
     algebra = incidence_algebra(antichain(3), ring)
     zero, one = ring.zero, ring.one
     e1, e2 = [one, zero, zero], [zero, one, zero]
-    calls = counted_sparse_products(monkeypatch)
+    calls = counted_products(monkeypatch)
     for columns, orthogonal, products in (
         ([e1, e1, e2], False, 3 + 2),  # the scan stops at (e_1, e_2)
         ([e1, [zero] * 3, e2], True, 3 + 9),
@@ -1352,7 +1346,7 @@ def test_decompose_refuses_a_map_onto_an_algebra_of_another_dimension():
     A = incidence_algebra(P3, RATIONALS)
     B = incidence_algebra(diamond(), RATIONALS)
     with pytest.raises(NotInvertibleError, match="^matrix is not square$"):
-        decompose(LinMap.zero(A, B))
+        decompose(zero_map(A, B))
 
 
 def test_verify_near_sum_flags_tampering():
@@ -1392,7 +1386,7 @@ def test_extension_agrees_with_inverse_oracle():
 
 def dense_extend_via_inverse(phi, f, anti, phi_inverse):
     """extend_via_inverse on dense coordinate lists, each sandwich and image
-    multiplied with StructAlgebra.multiply and dense_mat_vec: the oracle of
+    multiplied with dense_multiply and dense_mat_vec: the oracle of
     the sparse construction."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
     basis = dom.basis
@@ -1404,9 +1398,9 @@ def dense_extend_via_inverse(phi, f, anti, phi_inverse):
         ex = phi.columns[basis.index_of[(i, i)]]
         ey = phi.columns[basis.index_of[(j, j)]]
         if anti:
-            a = cod.multiply(cod.multiply(ey, phi_z), ex)
+            a = dense_multiply(cod, dense_multiply(cod, ey, phi_z), ex)
         else:
-            a = cod.multiply(cod.multiply(ex, phi_z), ey)
+            a = dense_multiply(cod, dense_multiply(cod, ex, phi_z), ey)
         v = dense_mat_vec(ring, phi_inverse.columns, a)[basis.index_of[(i, j)]]
         if v != ring.zero:
             g_coeffs[(i, j)] = v
@@ -1436,19 +1430,24 @@ def test_extension_matches_the_dense_oracle_on_small_posets(ring, twist):
                 assert got == dense_extend_via_inverse(m, f, anti, inv)
 
 
-def test_extension_makes_no_dense_product(monkeypatch):
+def test_extension_builds_one_dense_list(monkeypatch):
+    # the construction runs on the nonzeros; its one dense list is the
+    # coordinates of the element it returns
     phi = rebase_codomain(
         random_jordan_iso(diamond(), modular(9), seed=2),
         random_basis_change(incidence_algebra(diamond(), modular(9)), seed=3),
     )
     f = random_series(diamond(), modular(9), random.Random(1), density=0.6)
+    dense_lists, dense = [], StructAlgebra.dense
 
-    def refuse(*args):
-        raise AssertionError("dense kernel called")
+    def counted(self, vec):
+        dense_lists.append(vec)
+        return dense(self, vec)
 
-    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    monkeypatch.setattr(StructAlgebra, "dense", counted)
     for anti in (False, True):
         extend_via_inverse(phi, f, anti=anti)
+    assert len(dense_lists) == 2
     assert "columns" not in vars(phi)
 
 
@@ -1533,7 +1532,7 @@ def test_identity_suite_torsion_gate():
 def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror):
     """The window annihilation families as a direct dense scan: phi(e_W)
     summed afresh for every window, the five factors multiplied left to
-    right with StructAlgebra.multiply, and each interval rebuilt per pair.
+    right with dense_multiply, and each interval rebuilt per pair.
     Same instances and rng draws as fialg.jordan._window_failures, which it
     checks; columns are dense lists."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
@@ -1552,7 +1551,7 @@ def scan_window_failures(phi, phi_inverse, columns, strict_samples, rng, mirror)
     def mulc(*vectors):
         out = vectors[0]
         for v in vectors[1:]:
-            out = cod.multiply(out, v)
+            out = dense_multiply(cod, out, v)
         return out
 
     name = "theta" if mirror else "psi"
@@ -1627,7 +1626,7 @@ def unmemoized_window_failures(phi, phi_inverse, columns, strict_samples, rng,
     basis = dom.basis
     poset, at, pairs = basis.poset, basis.index_of, basis.pairs
     n, labels = poset.size, poset.elements
-    multiply = cod.multiply_sparse
+    multiply = cod.multiply
     zero_vec = [ring.zero] * cod.dimension
     diag = [phi.sparse_columns[at[(i, i)]] for i in range(n)]
     name = "theta" if mirror else "psi"
@@ -1809,17 +1808,16 @@ def scan_equal_by_sandwiches(phi, a, b):
 
     for i in range(basis.poset.size):
         e = diag_img(i)
-        if cod.multiply(cod.multiply(e, a), e) != cod.multiply(
-            cod.multiply(e, b), e
-        ):
+        side_a = dense_multiply(cod, dense_multiply(cod, e, a), e)
+        if side_a != dense_multiply(cod, dense_multiply(cod, e, b), e):
             return False
     for (i, j) in basis.poset.strict_index_pairs():
         ex, ey = diag_img(i), diag_img(j)
-        left_a = cod.multiply(cod.multiply(ex, a), ey)
-        right_a = cod.multiply(cod.multiply(ey, a), ex)
+        left_a = dense_multiply(cod, dense_multiply(cod, ex, a), ey)
+        right_a = dense_multiply(cod, dense_multiply(cod, ey, a), ex)
         sum_a = [add(u, v) for u, v in zip(left_a, right_a)]
-        left_b = cod.multiply(cod.multiply(ex, b), ey)
-        right_b = cod.multiply(cod.multiply(ey, b), ex)
+        left_b = dense_multiply(cod, dense_multiply(cod, ex, b), ey)
+        right_b = dense_multiply(cod, dense_multiply(cod, ey, b), ex)
         sum_b = [add(u, v) for u, v in zip(left_b, right_b)]
         if sum_a != sum_b:
             return False
@@ -1863,7 +1861,7 @@ def scan_sandwich_checks(phi, seed):
     def mulc(*vectors):
         out = vectors[0]
         for v in vectors[1:]:
-            out = cod.multiply(out, v)
+            out = dense_multiply(cod, out, v)
         return out
 
     def unit_sandwich_strict():
@@ -1956,21 +1954,167 @@ def test_sandwich_families_agree_with_scan_oracle(poset, ring, kind, twist, seed
     assert report.to_json(fmt) == expected.to_json(fmt)
 
 
+def dense_word_and_idempotent_checks(phi, seed):
+    """The word, idempotent and diagonal families of verify_paper_identities
+    on dense coordinate lists, every image through dense_mat_vec and every
+    product through dense_multiply: the oracle of the families on the
+    nonzeros.  The samples are the suite's draws from Random(seed), in its
+    order; returns the checks by name."""
+    dom, cod, ring = phi.domain, phi.codomain, phi.ring
+    poset = dom.basis.poset
+    n, labels = poset.size, poset.elements
+    zero_vec = [ring.zero] * cod.dimension
+    samples = _IDENTITY_SAMPLES
+    rng = random.Random(seed)
+    general = [FinSeries.delta(poset, ring), FinSeries.zeta(poset, ring)] + [
+        random_series(poset, ring, rng, density=0.6) for _ in range(samples)
+    ]
+    for _ in range(samples):  # the strict samples, drawn before the subsets
+        random_series(poset, ring, rng, density=0.7, strict_only=True)
+    subset_pool = [tuple(range(n))] + [
+        tuple(i for i in range(n) if rng.random() < 0.5) for _ in range(3)
+    ]
+
+    def phi_of(f):
+        return dense_mat_vec(ring, phi.columns, dom.element_from_series(f).coords)
+
+    def mulc(*vectors):
+        return functools.reduce(functools.partial(dense_multiply, cod), vectors)
+
+    def addc(*vectors):
+        return functools.reduce(lambda u, v: list(map(ring.add, u, v)), vectors)
+
+    def word_failures(rounds, density, words):
+        for t in range(rounds):
+            series = [
+                random_series(poset, ring, rng, density=density)
+                for _ in range(max(map(max, words)) + 1)
+            ]
+            products = (functools.reduce(operator.mul, map(series.__getitem__, w))
+                        for w in words)
+            lhs = phi_of(functools.reduce(operator.add, products))
+            images = [phi_of(f) for f in series]
+            rhs = addc(*(mulc(*map(images.__getitem__, w)) for w in words))
+            if lhs != rhs:
+                yield (t,), lhs, rhs
+
+    def idempotent_grid(keep):
+        for yi, ys in enumerate(subset_pool):
+            y_set = set(ys)
+            e = FinSeries.subset_idempotent(poset, ring, [labels[i] for i in ys])
+            pe = phi_of(e)
+            for s, f in enumerate(general):
+                kept = {k: v for k, v in f.coeffs.items()
+                        if keep(k[0] in y_set, k[1] in y_set)}
+                a = FinSeries(poset, ring, kept)
+                yield (yi, s), e, pe, a, phi_of(a)
+
+    def both_orders(key, u, v, target, notes):
+        for side, note in zip(((u, v), (v, u)), notes):
+            product = mulc(*side)
+            if product != target:
+                yield key, product, target, note
+
+    def commuting_idempotent():
+        notes = ("phi(a)phi(e) vs phi(ae)", "phi(e)phi(a) vs phi(ae)")
+        for key, e, pe, a, pa in idempotent_grid(operator.eq):
+            yield from both_orders(key, pa, pe, phi_of(a * e), notes)
+
+    def annihilating_idempotent():
+        notes = ("phi(e)phi(a)", "phi(a)phi(e)")
+        for key, _, pe, _, pa in idempotent_grid(lambda x, y: not (x or y)):
+            yield from both_orders(key, pe, pa, zero_vec, notes)
+
+    def diagonal_restriction():
+        parts = [f.split_diag()[0] for f in general]
+        images = [phi_of(fd) for fd in parts]
+        notes = ("homomorphism direction", "anti direction")
+        for (s, fd), (t, gd) in itertools.product(enumerate(parts), repeat=2):
+            yield from both_orders((s, t), images[s], images[t], phi_of(fd * gd), notes)
+
+    five = ((0, 1, 2, 3, 4), (4, 3, 0, 1, 2), (2, 1, 0, 3, 4), (4, 3, 2, 1, 0))
+    families = {  # run in this order: the word families draw from rng
+        "polarized_triple": lambda: word_failures(
+            samples + 1, 0.5, ((0, 1, 2), (2, 1, 0))
+        ),
+        "five_factor": lambda: word_failures(samples, 0.4, five),
+        "commuting_idempotent": commuting_idempotent,
+        "annihilating_idempotent": annihilating_idempotent,
+        "diagonal_restriction_homomorphism": diagonal_restriction,
+    }
+    assert tuple(families) == PORTED_FAMILIES
+    return {name: run_check(name, failures()) for name, failures in families.items()}
+
+
+PORTED_FAMILIES = (
+    "polarized_triple",
+    "five_factor",
+    "commuting_idempotent",
+    "annihilating_idempotent",
+    "diagonal_restriction_homomorphism",
+)
+
+
+def word_and_idempotent_reports(phi, seed):
+    """verify_paper_identities's report, and the same report with the dense
+    oracle's word, idempotent and diagonal checks in place; None when phi is
+    not invertible."""
+    try:
+        report = verify_paper_identities(phi, seed, allow_torsion=True)
+    except NotInvertibleError:
+        return None
+    dense = dense_word_and_idempotent_checks(phi, seed)
+    assert set(dense) <= {c.name for c in report.checks}
+    return report, VerificationReport(tuple(dense.get(c.name, c) for c in report.checks))
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=repr)
+@pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
+def test_word_and_idempotent_families_match_the_dense_oracle(ring, twist):
+    # Every damage kind on three small posets, plain and twisted; the damaged
+    # maps fail some of the five families, so witnesses are compared too.
+    fmt, failing = ring.format, 0
+    for poset, kind in itertools.product(
+        (chain(3), diamond(), two_two_chains()), ORACLE_KINDS
+    ):
+        phi = identity_corpus_map(poset, ring, kind, twist, 1)
+        if (reports := word_and_idempotent_reports(phi, 1)) is not None:
+            report, expected = reports
+            assert report.to_json(fmt) == expected.to_json(fmt)
+            failing += sum(
+                not c.passed for c in expected.checks if c.name in PORTED_FAMILIES
+            )
+    assert failing > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(ORACLE_RINGS),
+    st.sampled_from(ORACLE_KINDS),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_word_and_idempotent_families_agree_with_dense_oracle(poset, ring, kind,
+                                                              twist, seed):
+    reports = word_and_idempotent_reports(
+        identity_corpus_map(poset, ring, kind, twist, seed), seed
+    )
+    assume(reports is not None)
+    report, expected = reports
+    assert report.to_json(ring.format) == expected.to_json(ring.format)
+
+
 def calls_per_family(phi, seed):
-    """StructAlgebra.multiply, StructAlgebra.multiply_sparse and mat_vec
-    calls of verify_paper_identities, counted by the family whose check was
-    running."""
+    """StructAlgebra.multiply and mat_vec calls of verify_paper_identities,
+    counted by the family whose check was running."""
     family = [None]
-    products, sparse_products, images = (collections.Counter() for _ in range(3))
-    multiply, multiply_sparse = StructAlgebra.multiply, StructAlgebra.multiply_sparse
+    products, images = collections.Counter(), collections.Counter()
+    multiply = StructAlgebra.multiply
 
     def counted_multiply(self, u, v):
         products[family[0]] += 1
         return multiply(self, u, v)
-
-    def counted_multiply_sparse(self, u, v):
-        sparse_products[family[0]] += 1
-        return multiply_sparse(self, u, v)
 
     def counted_mat_vec(ring, columns, pairs):
         images[family[0]] += 1
@@ -1982,13 +2126,11 @@ def calls_per_family(phi, seed):
 
     with mock.patch.object(
         StructAlgebra, "multiply", counted_multiply
-    ), mock.patch.object(
-        StructAlgebra, "multiply_sparse", counted_multiply_sparse
     ), mock.patch("fialg.jordan.mat_vec", counted_mat_vec), mock.patch(
         "fialg.jordan.run_check", named
     ):
         assert verify_paper_identities(phi, seed=seed).passed
-    return products, sparse_products, images
+    return products, images
 
 
 def test_window_families_build_each_factor_once():
@@ -2003,7 +2145,7 @@ def test_window_families_build_each_factor_once():
     # windows took 30 + 4 * 540 = 2190 and the left-to-right scan 8 per window.
     # Every product runs on the nonzeros.
     phi = random_jordan_iso(chain(5), RATIONALS, seed=1)
-    counts, sparse, _ = calls_per_family(phi, 1)
+    products, _ = calls_per_family(phi, 1)
     left_factors = {False: set(), True: set()}
 
     def recount(*args):
@@ -2014,10 +2156,9 @@ def test_window_families_build_each_factor_once():
     assert {m: len(keys) for m, keys in left_factors.items()} == {False: 256, True: 237}
     for family, mirror in (("psi_window_annihilation", False),
                            ("theta_window_annihilation", True)):
-        assert sparse[family] == 2 * 3 * 5 + 2 * 540 + len(left_factors[mirror])
-        assert counts[family] == 0
-    assert sparse["psi_window_annihilation"] == 1366
-    assert sparse["theta_window_annihilation"] == 1347
+        assert products[family] == 2 * 3 * 5 + 2 * 540 + len(left_factors[mirror])
+    assert products["psi_window_annihilation"] == 1366
+    assert products["theta_window_annihilation"] == 1347
 
 
 SANDWICH_FAMILIES = (
@@ -2038,44 +2179,41 @@ def test_sandwich_families_build_one_table_per_sample_image():
     # criterion rounds of 5 whose b differs from a (the odd rounds; the equal
     # rounds build none): 16 tables, 480 products.  Two tables a round, one
     # per side, made 24 tables and 720 products; the per-pair scans took 1,176.
-    counts, sparse, _ = calls_per_family(
-        random_jordan_iso(chain(5), RATIONALS, seed=1), 1
-    )
-    assert sum(counts[name] for name in SANDWICH_FAMILIES) == 0
-    assert sum(sparse[name] for name in SANDWICH_FAMILIES) == 16 * 30
-    assert sparse["unit_sandwich_strict"] == 5 * 30
-    assert sparse["unit_sandwich_diagonal"] == sparse["coefficient_sandwich"] == 0
-    assert sparse["psi_sandwich"] == 2 * 3 * 30
-    assert sparse["theta_sandwich"] == 3 * 30
-    assert sparse["sandwich_equality_criterion"] == 2 * 30
-    assert sum(counts.values()) == 194
+    products, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    assert sum(products[name] for name in SANDWICH_FAMILIES) == 16 * 30
+    assert products["unit_sandwich_strict"] == 5 * 30
+    assert products["unit_sandwich_diagonal"] == products["coefficient_sandwich"] == 0
+    assert products["psi_sandwich"] == 2 * 3 * 30
+    assert products["theta_sandwich"] == 3 * 30
+    assert products["sandwich_equality_criterion"] == 2 * 30
 
 
 def test_diagonal_restriction_maps_each_diagonal_part_once():
     # 5 general samples: one image per diagonal part and one per product of
     # two parts, 5 + 25, where mapping both factors for every pair took 125.
-    _, _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert images["diagonal_restriction_homomorphism"] == 5 + 5 * 5
 
 
 def test_identity_families_keep_their_product_counts():
-    # Every family's dense and sparse products on chain-5 over Q, seed 1.
-    # The 40 sparse products outside any family build psi and theta: two
-    # per strict unit, and chain-5 has 10 strict units.  The window and
-    # criterion counts are derived in the two tests above.
-    counts, sparse, _ = calls_per_family(
-        random_jordan_iso(chain(5), RATIONALS, seed=1), 1
-    )
-    assert dict(counts) == {
+    # Every family's products on chain-5 over Q, seed 1, one kernel for all:
+    # as many as the dense and the sparse kernel made between them.  The 40
+    # products outside any family build psi and theta: two per strict unit,
+    # and chain-5 has 10 strict units.  The word families make 2 products
+    # per word of 3 and 4 per word of 5 (4 rounds of 2 words, 3 rounds of
+    # 4), the idempotent grid 2 per subset and sample (4 subsets, 5
+    # samples), and the diagonal restriction 2 per ordered pair of the 5
+    # samples.  The window and criterion counts are derived in the two tests
+    # above.
+    products, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    assert dict(products) == {
+        None: 40,
+        "unit_sandwich_strict": 150,
         "polarized_triple": 16,
         "five_factor": 48,
         "commuting_idempotent": 40,
         "annihilating_idempotent": 40,
         "diagonal_restriction_homomorphism": 50,
-    }
-    assert dict(sparse) == {
-        None: 40,
-        "unit_sandwich_strict": 150,
         "psi_sandwich": 180,
         "theta_sandwich": 90,
         "psi_window_annihilation": 1366,
@@ -2087,7 +2225,7 @@ def test_identity_families_keep_their_product_counts():
 def test_word_identities_map_each_drawn_series_once():
     # one image of the summed word products, and one per drawn series:
     # 4 rounds of 3 series, and 3 rounds of 5
-    _, _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
+    _, images = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert images["polarized_triple"] == 4 * (1 + 3)
     assert images["five_factor"] == 3 * (1 + 5)
 
@@ -2173,18 +2311,18 @@ def test_equal_by_sandwiches_agrees_with_per_pair_oracle(poset, ring, kind, twis
 
 def dense_peirce_table(phi, v):
     """The Peirce table on dense coordinate lists, each component multiplied
-    with StructAlgebra.multiply as (phi(e_x) v) phi(e_y): the oracle of the
+    with dense_multiply as (phi(e_x) v) phi(e_y): the oracle of the
     sparse _peirce_table."""
     basis = phi.domain.basis
     poset = basis.poset
     cod = phi.codomain
     diag = [phi.columns[basis.index_of[(i, i)]] for i in range(poset.size)]
-    left = [cod.multiply(e, v) for e in diag]
+    left = [dense_multiply(cod, e, v) for e in diag]
     table = {}
     for (i, j) in poset.comparable_index_pairs():
-        table[(i, j)] = cod.multiply(left[i], diag[j])
+        table[(i, j)] = dense_multiply(cod, left[i], diag[j])
         if i != j:
-            table[(j, i)] = cod.multiply(left[j], diag[i])
+            table[(j, i)] = dense_multiply(cod, left[j], diag[i])
     return table
 
 
@@ -2237,10 +2375,10 @@ def test_equal_by_sandwiches_builds_one_sparse_table_of_the_difference(
     rng = random.Random(2)
 
     def refuse(*args):
-        raise AssertionError("the criterion made a dense product")
+        raise AssertionError("the criterion built a dense list")
 
-    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
-    calls = counted_sparse_products(monkeypatch)
+    monkeypatch.setattr(StructAlgebra, "dense", refuse)
+    calls = counted_products(monkeypatch)
     table = n + n + 2 * strict
     for k in range(cod.dimension):
         a = [ring.sample(rng) for _ in range(cod.dimension)]

@@ -53,12 +53,14 @@ from conftest import (
     basis_product,
     chain,
     dense_mat_vec,
+    dense_multiply,
     diamond,
     invert_dense,
     two_two_chains,
     unit_determinant_dense,
     unit_vector,
     unitriangular_shear,
+    zero_map,
 )
 
 P3 = chain(3)
@@ -97,7 +99,7 @@ def test_column_shape_guards():
     with pytest.raises(FialgError, match="column height"):
         LinMap(A, A, [[Fraction(0)] * (A.dimension - 1)] * A.dimension)
     with pytest.raises(ContextMismatchError):
-        LinMap.zero(A, B)
+        zero_map(A, B)
 
 
 def test_dense_columns_are_normalized_once_and_kept_as_nonzeros():
@@ -125,11 +127,11 @@ def test_maps_out_of_the_empty_algebra_have_the_codomain_dimension():
     ring = RATIONALS
     E = incidence_algebra(validate_poset([], []), ring)
     A = incidence_algebra(chain(2), ring)
-    out = LinMap.zero(E, A)
+    out = zero_map(E, A)
     assert out.apply_coords([]) == [ring.zero] * 3
     assert out.apply(AlgElem(E, ())) == AlgElem(A, (ring.zero,) * 3)
-    assert out.compose(LinMap.zero(A, E)) == LinMap.zero(A, A)
-    assert LinMap.zero(A, E).compose(out) == LinMap.zero(E, E)
+    assert out.compose(zero_map(A, E)) == zero_map(A, A)
+    assert zero_map(A, E).compose(out) == zero_map(E, E)
 
 
 def test_wrong_length_vectors_are_refused():
@@ -200,12 +202,12 @@ def test_mat_vec_and_apply_coords_match_the_dense_oracle(ring_name, d_in, d_out,
 
 def test_invert_refuses_singular_maps():
     A = incidence_algebra(chain(2), RATIONALS)
-    zero = LinMap.zero(A, A)
+    zero = zero_map(A, A)
     with pytest.raises(NotInvertibleError):
         zero.invert()
     B = incidence_algebra(P3, RATIONALS)
     with pytest.raises(NotInvertibleError, match="not square"):
-        LinMap.zero(A, B).invert()
+        zero_map(A, B).invert()
 
 
 def test_json_round_trip():
@@ -309,8 +311,8 @@ def writer_maps(ring):
             generated.append(random_jordan_iso(poset, ring, seed=5))
         for m in generated:
             maps += [m, rebase_codomain(m, random_basis_change(m.codomain, 6))]
-        maps += [LinMap.zero(A, A), LinMap.identity(A)]
-        maps += [LinMap.zero(A, empty), LinMap.zero(empty, A)]
+        maps += [zero_map(A, A), LinMap.identity(A)]
+        maps += [zero_map(A, empty), zero_map(empty, A)]
     return maps
 
 
@@ -347,9 +349,6 @@ def test_rebase_codomain_inverts_once_and_matches_the_dense_route(ring, monkeypa
         inversions.append(args)
         return invert_columns(*args)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("rebase_codomain made a dense product")
-
     for poset in (P3, diamond(), two_two_chains(), EMPTY_POSET):
         orders = order_isomorphisms(poset, poset, reversing=True)
         phi = from_order_map(orders[0], ring)
@@ -361,7 +360,6 @@ def test_rebase_codomain_inverts_once_and_matches_the_dense_route(ring, monkeypa
             with monkeypatch.context() as patch:
                 for module in ("fialg.algebra", "fialg.linmaps"):
                     patch.setattr(f"{module}.invert_columns", counted)
-                patch.setattr(StructAlgebra, "multiply", refuse)
                 tw = rebase_codomain(phi, cols)
             assert len(inversions) == 1
             assert tw.codomain == change_basis(A, cols)
@@ -402,7 +400,7 @@ def table_jordan_triples(m):
     d = dom.dimension
     images = m.columns
     pair_products = [
-        [cod.multiply(images[i], images[j]) for j in range(d)] for i in range(d)
+        [dense_multiply(cod, images[i], images[j]) for j in range(d)] for i in range(d)
     ]
 
     def failures():
@@ -410,11 +408,11 @@ def table_jordan_triples(m):
             for i in range(d):
                 left_ij = basis_product(dom, i, j)
                 for k in range(i, d):
-                    t1 = dom.multiply(left_ij, unit_vector(dom, k))
-                    t2 = dom.multiply(basis_product(dom, k, j), unit_vector(dom, i))
+                    t1 = dense_multiply(dom, left_ij, unit_vector(dom, k))
+                    t2 = dense_multiply(dom, basis_product(dom, k, j), unit_vector(dom, i))
                     lhs = m.apply_coords([add(a, b) for a, b in zip(t1, t2)])
-                    r1 = cod.multiply(pair_products[i][j], images[k])
-                    r2 = cod.multiply(pair_products[k][j], images[i])
+                    r1 = dense_multiply(cod, pair_products[i][j], images[k])
+                    r2 = dense_multiply(cod, pair_products[k][j], images[i])
                     rhs = [add(a, b) for a, b in zip(r1, r2)]
                     if lhs != rhs:
                         yield (i, j, k), lhs, rhs
@@ -468,7 +466,7 @@ def dense_apply(m, vec):
 
 def dense_check_homomorphism(m, anti=False, unital=False):
     """check_homomorphism on dense coordinate lists: every left side through
-    dense_mat_vec and every image product through StructAlgebra.multiply."""
+    dense_mat_vec and every image product through dense_multiply."""
     dom, cod = m.domain, m.codomain
     images = m.columns
 
@@ -477,9 +475,9 @@ def dense_check_homomorphism(m, anti=False, unital=False):
             for j in range(dom.dimension):
                 lhs = dense_apply(m, basis_product(dom, i, j))
                 rhs = (
-                    cod.multiply(images[j], images[i])
+                    dense_multiply(cod, images[j], images[i])
                     if anti
-                    else cod.multiply(images[i], images[j])
+                    else dense_multiply(cod, images[i], images[j])
                 )
                 if lhs != rhs:
                     yield (i, j), lhs, rhs
@@ -505,8 +503,8 @@ def dense_jordan_pair_check(m):
                     for a, b in zip(basis_product(dom, i, j), basis_product(dom, j, i))
                 ]
                 lhs = dense_apply(m, sym)
-                p = cod.multiply(images[i], images[j])
-                q = cod.multiply(images[j], images[i])
+                p = dense_multiply(cod, images[i], images[j])
+                q = dense_multiply(cod, images[j], images[i])
                 rhs = [add(a, b) for a, b in zip(p, q)]
                 if lhs != rhs:
                     yield (i, j), lhs, rhs
@@ -522,14 +520,17 @@ def dense_quadratic_laws(m):
     def failures():
         for i in range(dom.dimension):
             lhs = dense_apply(m, basis_product(dom, i, i))
-            rhs = cod.multiply(images[i], images[i])
+            rhs = dense_multiply(cod, images[i], images[i])
             if lhs != rhs:
                 yield (i, i), lhs, rhs
         for i in range(dom.dimension):
             for j in range(dom.dimension):
-                product = dom.multiply(basis_product(dom, i, j), unit_vector(dom, i))
+                product = dense_multiply(
+                    dom, basis_product(dom, i, j), unit_vector(dom, i)
+                )
                 lhs = dense_apply(m, product)
-                rhs = cod.multiply(cod.multiply(images[i], images[j]), images[i])
+                pair = dense_multiply(cod, images[i], images[j])
+                rhs = dense_multiply(cod, pair, images[i])
                 if lhs != rhs:
                     yield (i, j, i), lhs, rhs
 
@@ -621,7 +622,7 @@ def test_unital_clause_fails_twice_the_identity_with_a_witness():
     assert witness.right == A.identity
     assert "columns" not in vars(doubled)
     # the empty algebra's 1 is 0, so a map out of it is unital only onto it
-    out = LinMap.zero(incidence_algebra(EMPTY_POSET, INTEGERS), A)
+    out = zero_map(incidence_algebra(EMPTY_POSET, INTEGERS), A)
     (witness,) = check_homomorphism(out, unital=True).check("unital").witnesses
     assert witness.left == (0,) * d and witness.right == A.identity
 
@@ -710,9 +711,10 @@ def test_generator_row_corpus_has_both_verdicts():
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
-def test_recognizers_make_no_dense_product(monkeypatch):
-    # the scans multiply {index: nonzero} columns with multiply_sparse; a
-    # dense product anywhere in them, witnesses included, fails this test
+def test_recognizers_build_dense_lists_only_for_witnesses(monkeypatch):
+    # the scans multiply {index: nonzero} columns with multiply and compare
+    # dicts: a passing scan builds no dense coordinate list, and a failing
+    # one builds two per failing instance, its witness's sides
     ring, poset = RATIONALS, diamond()
     phi = random_jordan_iso(poset, ring, seed=5)
     hom = from_order_map(order_isomorphisms(poset, poset)[1], ring)
@@ -723,18 +725,25 @@ def test_recognizers_make_no_dense_product(monkeypatch):
     maps = [phi, hom, anti, failing]
     maps += [rebase_codomain(m, random_basis_change(m.codomain, seed=7)) for m in maps]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a recognizer made a dense product")
+    dense_lists, dense = [0], StructAlgebra.dense
 
-    monkeypatch.setattr(StructAlgebra, "multiply", refuse)
+    def counted(self, vec):
+        dense_lists[0] += 1
+        return dense(self, vec)
+
+    monkeypatch.setattr(StructAlgebra, "dense", counted)
     for jordan, straight, backward, bad in (maps[:4], maps[4:]):
         assert jordan_pair_check(jordan).passed
         assert check_jordan(jordan).passed
         assert check_homomorphism(straight, unital=True).passed
         assert check_homomorphism(backward, anti=True, unital=True).passed
         assert check_jordan(backward).passed
-        assert not check_jordan(bad).passed
-        assert not check_homomorphism(bad, anti=True).passed
+        assert dense_lists == [0]
+        for scan in (check_jordan, lambda m: check_homomorphism(m, anti=True)):
+            report = scan(bad)
+            assert not report.passed
+            assert dense_lists[0] == 2 * sum(c.failure_count for c in report.checks)
+            dense_lists[0] = 0
 
 
 # -- exact matrix kernel -------------------------------------------------------
