@@ -219,38 +219,6 @@ class FinSeries:
         pairs = poset.comparable_index_pairs()
         return FinSeries._of(poset, ring, {p: val for p in pairs if (val := v(*p))})
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"x": x, "y": y, "value": self.ring.format(v)}
-                for x, y, v in self.entries()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, poset: Poset, ring: Ring, obj) -> "FinSeries":
-        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
-            raise FialgError(f"not a series description: {obj!r}")
-        entries: dict = {}
-        for e in obj["entries"]:
-            if not (
-                isinstance(e, dict)
-                and {"x", "y", "value"} <= e.keys()
-                and isinstance(e["x"], str)
-                and isinstance(e["y"], str)
-            ):
-                raise FialgError(
-                    f"series entries must be {{x, y, value}} objects with "
-                    f"string labels: {e!r}"
-                )
-            key = (e["x"], e["y"])
-            if key in entries:
-                raise FialgError(f"duplicate series entry at {key}")
-            entries[key] = ring.parse(e["value"])
-        return cls.from_entries(poset, ring, entries)
-
 
 class AlgBasis:
     """The ordered unit basis of an incidence algebra: diagonal units e_x in
@@ -423,26 +391,10 @@ class AlgElem:
             self.algebra, tuple(add(a, b) for a, b in zip(self.coords, other.coords))
         )
 
-    def __neg__(self):
-        neg = self.algebra.ring.neg
-        return AlgElem(self.algebra, tuple(neg(a) for a in self.coords))
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        sub = self.algebra.ring.sub
-        return AlgElem(
-            self.algebra, tuple(sub(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
     def __mul__(self, other):
         u, v = sparse_vector(self.coords), sparse_vector(self._peer(other).coords)
         product = self.algebra.multiply(u, v)
         return AlgElem(self.algebra, tuple(self.algebra.dense(product)))
-
-    def scale(self, r) -> "AlgElem":
-        ring = self.algebra.ring
-        r = ring.normalize(r)
-        return AlgElem(self.algebra, tuple(ring.mul(r, a) for a in self.coords))
 
 
 def sparse_vector(coords) -> dict:

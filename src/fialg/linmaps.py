@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from operator import ne
 
-from .algebra import AlgElem, StructAlgebra, _change_basis, _sparse_add, sparse_vector
+from .algebra import StructAlgebra, _change_basis, _sparse_add, sparse_vector
 from .errors import ContextMismatchError, FialgError, TorsionRefusedError
 from .matrices import invert_columns, mat_vec
 from .reports import CheckResult, VerificationReport, run_check
@@ -89,11 +89,6 @@ class LinMap:
             raise ContextMismatchError("vector length does not match the map's domain")
         pairs = sparse_vector(map(self.ring.normalize, vec)).items()
         return self.codomain.dense(mat_vec(self.ring, self.sparse_columns, pairs))
-
-    def apply(self, a: AlgElem) -> AlgElem:
-        if a.algebra is not self.domain and a.algebra != self.domain:
-            raise ContextMismatchError("element does not live in the map's domain")
-        return AlgElem(self.codomain, tuple(self.apply_coords(a.coords)))
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner: (self.compose(inner))(a) = self(inner(a))."""

@@ -60,9 +60,6 @@ class Ring:
     def sample_unit(self, rng):
         raise NotImplementedError
 
-    def to_json(self):
-        return {"ring": self.kind}
-
     def __repr__(self):
         return self.kind
 
@@ -202,9 +199,6 @@ class ModularRing(Ring):
             r = rng.randrange(1, n)
             if math.gcd(r, n) == 1:
                 return r
-
-    def to_json(self):
-        return {"ring": {"modular": self.modulus}}
 
     def __repr__(self):
         return f"modular({self.modulus})"

@@ -204,18 +204,6 @@ def test_inverse_names_offending_element():
         f.inverse()
 
 
-def test_series_json_round_trip():
-    f = rs(D, RATIONALS, 2)
-    assert FinSeries.from_json(D, RATIONALS, f.to_json()) == f
-    with pytest.raises(FialgError):
-        FinSeries.from_json(
-            D,
-            RATIONALS,
-            {"entries": [{"x": "bot", "y": "top", "value": "1"},
-                         {"x": "bot", "y": "top", "value": "2"}]},
-        )
-
-
 def test_cross_context_arithmetic_refused():
     f = FinSeries.zeta(P3, RATIONALS)
     g = FinSeries.zeta(P3, INTEGERS)

@@ -24,7 +24,7 @@ from fialg import (
     verify_paper_identities,
 )
 from conftest import chain, diamond, two_two_chains
-from test_jordan import damaged_map
+from test_jordan import FALSE_PASSES, damaged_map, false_pass_map
 from test_linmaps import (
     dense_check_homomorphism,
     dense_check_jordan,
@@ -204,6 +204,24 @@ def test_swap_shear_over_z2_is_not_jordan(tmp_path, capsys):
     assert [c["name"] for c in checks if not c["pass"]] == ["jordan_quadratic"]
     assert cli.run(["decompose", *ctx]) == 2
     assert capsys.readouterr().err.startswith("error: NotJordanError")
+
+
+def test_verify_identities_fails_a_non_jordan_map_the_families_pass(tmp_path, capsys):
+    # over Z/9 this map passes all 13 families at seed 0; the Jordan guard
+    # fails it with one pair witness, as verify refuses it
+    relations, seed = FALSE_PASSES[0]
+    phi = false_pass_map(relations)
+    ctx = [
+        "--poset", write_json(tmp_path / "poset.json", phi.domain.basis.poset.to_json()),
+        "--ring", write_json(tmp_path / "ring.json", {"ring": {"modular": 9}}),
+        "--map", write_json(tmp_path / "map.json", phi.to_json()),
+    ]
+    assert cli.run(["verify", "--identities", "--seed", str(seed), *ctx]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 14 and all(c["pass"] for c in checks[:13])
+    assert checks[13]["name"] == "jordan_pairs" and not checks[13]["pass"]
+    assert len(checks[13]["witnesses"]) == 1
+    assert cli.run(["verify", *ctx]) == 2
 
 
 def test_verify_near_sum_and_identities_on_fixture():

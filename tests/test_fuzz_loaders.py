@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from fialg import (
     INTEGERS,
     RATIONALS,
-    FinSeries,
     LinMap,
     Poset,
     cli,
@@ -28,7 +27,7 @@ from fialg.algebra import sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
 from fialg.linmaps import _check_shape
 
-from conftest import antichain, chain, diamond, le, two_two_chains
+from conftest import antichain, chain, diamond, two_two_chains
 
 LABELS = ["a", "b", "c", "d"]
 KEYS = ["elements", "relations", "ring", "modular", "domain_dim", "codomain_dim",
@@ -101,14 +100,13 @@ def valid_maps(draw, dim, scalars):
     return {"domain_dim": dim, "codomain_dim": dim, "columns": columns}
 
 
-def valid_series(poset):
-    pairs = [(x, y) for x in poset.elements for y in poset.elements if le(poset, x, y)]
-    entry = st.builds(
-        lambda xy, v: {"x": xy[0], "y": xy[1], "value": v},
-        st.sampled_from(pairs),
-        SCALARS,
-    )
-    return st.fixed_dictionaries({"entries": st.lists(entry, max_size=4)})
+def documented_ring(obj):
+    """The ring a documented spelling names: {"ring": "integers"},
+    {"ring": "rationals"} or {"ring": {"modular": n}}."""
+    desc = obj["ring"]
+    if isinstance(desc, dict):
+        return modular(desc["modular"])
+    return {"integers": INTEGERS, "rationals": RATIONALS}[desc]
 
 
 CONTEXTS = st.sampled_from([
@@ -140,7 +138,7 @@ def test_library_loaders_accept_or_raise_fialg_error(poset_obj, ring_obj, contex
         assert Poset.from_json(poset.to_json()) == poset
     ring = load_or_refuse(ring_from_json, ring_obj)
     if ring is not None:
-        assert ring_from_json(ring.to_json()) == ring
+        assert ring == documented_ring(ring_obj)
 
     p, r = context
     algebra = incidence_algebra(p, r)
@@ -148,10 +146,6 @@ def test_library_loaders_accept_or_raise_fialg_error(poset_obj, ring_obj, contex
     phi = load_or_refuse(LinMap.from_json, algebra, algebra, map_obj)
     if phi is not None:
         assert LinMap.from_json(algebra, algebra, phi.to_json()) == phi
-    series_obj = data.draw(near_miss(valid_series(p)))
-    series = load_or_refuse(FinSeries.from_json, p, r, series_obj)
-    if series is not None:
-        assert FinSeries.from_json(p, r, series.to_json()) == series
 
 
 def dense_from_json(domain, codomain, obj):

@@ -267,6 +267,32 @@ def test_only_the_rings_import_fractions():
     assert importers == ["rings.py"]
 
 
+# The JSON readers and writers under src/: the formats the CLI reads (poset,
+# ring and map files) and writes (posets, maps, decompositions and reports).
+WIRE_FORMATS = {
+    "Poset.to_json",
+    "Poset.from_json",
+    "LinMap.to_json",
+    "LinMap.from_json",
+    "Decomposition.to_json",
+    "Witness.to_json",
+    "CheckResult.to_json",
+    "VerificationReport.to_json",
+    "ring_from_json",
+}
+
+
+def test_every_wire_format_is_one_the_cli_speaks():
+    formats = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, _ in functions(tree.body):
+            last = name.rsplit(".", 1)[-1]
+            if last in ("to_json", "from_json") or last.endswith("_from_json"):
+                formats.add(name)
+    assert formats == WIRE_FORMATS
+
+
 # The one call under src/ that passes indent= to json.dumps: the report
 # writer's whole-document fallback.  Every output goes through cli._json_text,
 # which writes the same bytes with the C string encoder; the pure-Python

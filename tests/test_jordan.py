@@ -1735,6 +1735,74 @@ def test_window_families_agree_with_scan_oracle(poset, ring, kind, twist, seed):
     assert report.to_json(fmt) == expected.to_json(fmt)
 
 
+# Two perturbed Jordan maps over Z/9 (relations on the elements 1-4, with
+# the identity seed) that pass all 13 families and are not Jordan: one
+# strict column moves only inside its own Peirce space, and the word
+# families' sampled coefficients are zero divisors.
+FALSE_PASSES = (
+    ([["2", "1"], ["3", "2"], ["4", "1"]], 0),
+    ([["2", "4"], ["3", "1"], ["3", "2"]], 7),
+)
+
+
+def false_pass_map(relations):
+    poset = validate_poset(["1", "2", "3", "4"], relations)
+    return identity_corpus_map(poset, modular(9), "perturbed", False, 0)
+
+
+@pytest.mark.parametrize("relations, seed", FALSE_PASSES)
+def test_identity_report_fails_a_non_jordan_map_the_families_pass(relations, seed):
+    phi = false_pass_map(relations)
+    assert not check_jordan(phi).passed
+    report = verify_paper_identities(phi, seed)
+    assert len(report.checks) == 14
+    assert all(c.passed for c in report.checks[:13])
+    jordan = report.checks[13]
+    assert (jordan.name, jordan.passed, len(jordan.witnesses)) == ("jordan_pairs", False, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from((RATIONALS, INTEGERS, modular(9), modular(27), modular(15))),
+    IDENTITY_KINDS,
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6),
+)
+@example(validate_poset(["1", "2", "3", "4"], FALSE_PASSES[0][0]), modular(9),
+         "perturbed", False, 0, FALSE_PASSES[0][1])
+@example(validate_poset(["1", "2", "3", "4"], FALSE_PASSES[1][0]), modular(9),
+         "perturbed", False, 0, FALSE_PASSES[1][1])
+def test_a_passing_identity_report_means_the_map_is_jordan(poset, ring, kind, twist,
+                                                           seed, identity_seed):
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    try:
+        report = verify_paper_identities(phi, identity_seed)
+    except NotInvertibleError:
+        assume(False)
+    assert not report.passed or check_jordan(phi).passed
+
+
+def test_identity_guard_runs_check_jordan_over_a_ring_with_2_torsion(monkeypatch):
+    # Over Z/4 a failing certificate sends the guard to check_jordan, with
+    # its jordan_quadratic check; a Jordan map's certificate passes, so it
+    # is made to fail here.  The recognizer passes and adds no check.
+    phi = jordan_map(diamond(), modular(4), 3)
+    expected = verify_paper_identities(phi, allow_torsion=True)
+    calls = []
+
+    def recorded_check_jordan(m, allow_torsion=False):
+        calls.append((m, allow_torsion))
+        return check_jordan(m, allow_torsion)
+
+    monkeypatch.setattr("fialg.jordan._near_sum_holds", lambda dec: False)
+    monkeypatch.setattr("fialg.jordan.check_jordan", recorded_check_jordan)
+    report = verify_paper_identities(phi, allow_torsion=True)
+    assert calls == [(phi, True)]
+    assert report == expected and len(report.checks) == 13 and report.passed
+
+
 ORACLE_RINGS = (RATIONALS, INTEGERS, modular(9), modular(15))
 ORACLE_KINDS = ("jordan", "perturbed", "sheared", "random-column")
 
@@ -2107,7 +2175,8 @@ def test_word_and_idempotent_families_agree_with_dense_oracle(poset, ring, kind,
 
 def calls_per_family(phi, seed):
     """StructAlgebra.multiply and mat_vec calls of verify_paper_identities,
-    counted by the family whose check was running."""
+    counted by the family whose check was running; the Jordan guard's
+    certificate counts as near_sum_certificate."""
     family = [None]
     products, images = collections.Counter(), collections.Counter()
     multiply = StructAlgebra.multiply
@@ -2124,11 +2193,15 @@ def calls_per_family(phi, seed):
         family[0] = name
         return run_check(name, instances)
 
+    def certificate(dec):
+        family[0] = "near_sum_certificate"
+        return _near_sum_holds(dec)
+
     with mock.patch.object(
         StructAlgebra, "multiply", counted_multiply
     ), mock.patch("fialg.jordan.mat_vec", counted_mat_vec), mock.patch(
         "fialg.jordan.run_check", named
-    ):
+    ), mock.patch("fialg.jordan._near_sum_holds", certificate):
         assert verify_paper_identities(phi, seed=seed).passed
     return products, images
 
@@ -2204,7 +2277,10 @@ def test_identity_families_keep_their_product_counts():
     # 4), the idempotent grid 2 per subset and sample (4 subsets, 5
     # samples), and the diagonal restriction 2 per ordered pair of the 5
     # samples.  The window and criterion counts are derived in the two tests
-    # above.
+    # above.  The Jordan guard's certificate, run once the families pass,
+    # makes 53: the 5 squares of the idempotent images, and on chain-5's 4
+    # covers 14 placement and row pairs each for psi and theta and 20
+    # annihilation pairs.
     products, _ = calls_per_family(random_jordan_iso(chain(5), RATIONALS, seed=1), 1)
     assert dict(products) == {
         None: 40,
@@ -2219,6 +2295,7 @@ def test_identity_families_keep_their_product_counts():
         "psi_window_annihilation": 1366,
         "theta_window_annihilation": 1347,
         "sandwich_equality_criterion": 60,
+        "near_sum_certificate": 53,
     }
 
 

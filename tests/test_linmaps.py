@@ -129,7 +129,6 @@ def test_maps_out_of_the_empty_algebra_have_the_codomain_dimension():
     A = incidence_algebra(chain(2), ring)
     out = zero_map(E, A)
     assert out.apply_coords([]) == [ring.zero] * 3
-    assert out.apply(AlgElem(E, ())) == AlgElem(A, (ring.zero,) * 3)
     assert out.compose(zero_map(A, E)) == zero_map(A, A)
     assert zero_map(A, E).compose(out) == zero_map(E, E)
 
@@ -147,17 +146,6 @@ def test_wrong_length_vectors_are_refused():
     with pytest.raises(ContextMismatchError):
         equal_by_sandwiches(phi, [1, 0, 0, 0], [1, 0, 0, 0])
     assert equal_by_sandwiches(phi, [1, 0, 0], AlgElem(A, (1, 0, 0)))
-
-
-@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
-@pytest.mark.parametrize("entry", [0.5, 1.5, 0.0, True], ids=repr)
-def test_apply_refuses_floats_and_bools(ring, entry):
-    # neither is exact ring data, the zero-valued 0.0 and False included
-    phi = random_jordan_iso(chain(2), ring, seed=1)
-    with pytest.raises(FialgError):
-        phi.apply_coords([entry, 0, 0])
-    with pytest.raises(FialgError):
-        phi.apply(AlgElem(phi.domain, (entry, ring.zero, ring.zero)))
 
 
 MAT_VEC_RINGS = {
