@@ -148,6 +148,18 @@ def test_wrong_length_vectors_are_refused():
     assert equal_by_sandwiches(phi, [1, 0, 0], AlgElem(A, (1, 0, 0)))
 
 
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+@pytest.mark.parametrize("entry", [0.5, 1.5, 0.0, True], ids=repr)
+def test_apply_refuses_floats_and_bools(ring, entry):
+    # neither is exact ring data, the zero-valued 0.0 and False included;
+    # an element holding one is refused before any map could apply to it
+    phi = random_jordan_iso(chain(2), ring, seed=1)
+    with pytest.raises(FialgError):
+        phi.apply_coords([entry, 0, 0])
+    with pytest.raises(FialgError):
+        AlgElem(phi.domain, (entry, ring.zero, ring.zero))
+
+
 MAT_VEC_RINGS = {
     "rationals": RATIONALS,
     "integers": INTEGERS,
