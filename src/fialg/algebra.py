@@ -22,7 +22,6 @@ series type here.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,9 +257,13 @@ class StructAlgebra:
     normalizes each coefficient and identity coordinate and drops zero
     coefficients.  It then checks the laws that decompose's certificate
     uses: the identity is two-sided on every basis vector, and every basis
-    triple associates, d^3 products paid at this door only.  The two
-    builders, incidence_algebra() and change_basis(), produce unital
-    associative tables by construction and go through _of_tuples.
+    triple associates.  That check is exact, but it visits only the triples
+    (i, j, k) where b_i b_j or b_j b_k is nonzero, and for those only the k
+    that the rows of b_i b_j's support and row j reach; the others associate
+    with both sides zero.  So its products follow the table's nonzeros, up
+    to d^3 on a table with every cell full, and it is paid at this door
+    only.  The two builders, incidence_algebra() and change_basis(), produce
+    unital associative tables by construction and go through _of_tuples.
     multiply() takes and returns {index: nonzero payload} dicts and touches
     only the nonzero coordinates and cells.
     """
@@ -280,17 +283,33 @@ class StructAlgebra:
             return tuple(out)
 
         self._take(ring, tuple(tuple(map(cell, row)) for row in cells), identity, basis)
+        multiply = self.multiply
         units = [{k: ring.one} for k in range(d)]
         one = sparse_vector(identity)
         for k, b in enumerate(units):
-            if self.multiply(one, b) != b or self.multiply(b, one) != b:
+            if multiply(one, b) != b or multiply(b, one) != b:
                 raise FialgError(f"the identity is not two-sided at basis vector {k}")
-        products = [[self.multiply(a, b) for b in units] for a in units]
-        for i, j, k in itertools.product(range(d), repeat=3):
-            if self.multiply(products[i][j], units[k]) != self.multiply(
-                units[i], products[j][k]
-            ):
-                raise FialgError(f"basis triple {(i, j, k)} does not associate")
+        # products[i] holds the nonzero b_i b_j by j, made at the nonempty
+        # cells only.  (b_i b_j) b_k and b_i (b_j b_k) are both zero unless k
+        # is in row j or in a row l of the support of b_i b_j, so only those
+        # k are visited, in increasing order: the first failing triple is the
+        # full d^3 scan's.
+        products = [
+            {j: p for j in row if (p := multiply(units[i], units[j]))}
+            for i, row in enumerate(_nonempty_cells(self))
+        ]
+        for i, row in enumerate(products):
+            for j in range(d):
+                ij, right = row.get(j), products[j]
+                reach = set(right)
+                if ij:
+                    reach.update(*(products[l] for l in ij))
+                for k in sorted(reach):
+                    jk = right.get(k)
+                    if (multiply(ij, units[k]) if ij else {}) != (
+                        multiply(units[i], jk) if jk else {}
+                    ):
+                        raise FialgError(f"basis triple {(i, j, k)} does not associate")
 
     @classmethod
     def _of_tuples(cls, ring: Ring, cells: tuple, identity, basis: AlgBasis | None):
@@ -451,8 +470,10 @@ def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
     the column matrix must be invertible over the ring.  The result
     carries no incidence basis — it is a generic StructAlgebra.  It costs one
     invert_columns, then works on the nonzeros: cell (i, j) is the
-    product of new basis vectors i and j, mapped through the
-    inverse's {index: nonzero} columns, so a zero product costs one check.
+    product of new basis vectors i and j, mapped through the inverse's
+    {index: nonzero} columns.  The product is formed only for the j whose
+    vector holds an old b with a nonempty cell (a, b) for some old a in
+    vector i; every other cell is empty with no product made.
     """
     return _change_basis(algebra, new_basis_columns)[0]
 
@@ -462,7 +483,7 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     {index: nonzero} columns, for callers that carry vectors across too."""
     ring = algebra.ring
     d = algebra.dimension
-    cols = [[ring.normalize(v) for v in c] for c in new_basis_columns]
+    cols = [list(map(ring.normalize, c)) for c in new_basis_columns]
     if len(cols) != d or any(len(c) != d for c in cols):
         raise FialgError("change of basis must be a square matrix of full size")
     basis = [sparse_vector(c) for c in cols]
@@ -471,11 +492,28 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     def transported(w: dict) -> tuple:
         return tuple(sorted(mat_vec(ring, inverse, w.items()).items())) if w else ()
 
+    holders = [[] for _ in range(d)]  # old index b -> the new vectors holding it
+    for j, v in enumerate(basis):
+        for b in v:
+            holders[b].append(j)
+    rows = _nonempty_cells(algebra)
     multiply = algebra.multiply
-    cells = tuple(tuple(transported(multiply(u, v)) for v in basis) for u in basis)
+    cells = []
+    for u in basis:
+        # u v is zero unless some a of u and b of v have a nonempty cell
+        row = [()] * d
+        for j in {j for a in u for b in rows[a] for j in holders[b]}:
+            row[j] = transported(multiply(u, basis[j]))
+        cells.append(tuple(row))
     one = sparse_vector(algebra.identity)
     identity = algebra.dense(mat_vec(ring, inverse, one.items()))
-    return StructAlgebra._of_tuples(ring, cells, identity, None), inverse
+    return StructAlgebra._of_tuples(ring, tuple(cells), identity, None), inverse
+
+
+def _nonempty_cells(algebra: StructAlgebra) -> list:
+    """For each basis index i, the indices j whose cell (i, j) is nonempty,
+    in increasing order: the b_j whose product with b_i can be nonzero."""
+    return [[j for j, cell in enumerate(row) if cell] for row in algebra.cells]
 
 
 def random_series(

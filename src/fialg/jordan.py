@@ -184,19 +184,23 @@ def random_basis_change(algebra: StructAlgebra, seed: int):
     rng = random.Random(seed)
     perm = list(range(d))
     rng.shuffle(perm)
-    cols = []
-    for j in range(d):
-        col = [ring.zero] * d
-        col[perm[j]] = ring.sample_unit(rng)
-        cols.append(col)
+    cols = [{perm[j]: ring.sample_unit(rng)} for j in range(d)]
     for _ in range(d // 2 + 1):
         i, j = rng.randrange(d), rng.randrange(d)
         if i == j:
             continue
         r = ring.sample(rng)
-        source = list(cols[i])
-        cols[j] = [ring.add(a, ring.mul(r, b)) for a, b in zip(cols[j], source)]
-    return cols
+        target = cols[j]
+        for k, b in cols[i].items():  # column j += r * column i, on i's nonzeros
+            if w := ring.add(target.get(k, ring.zero), ring.mul(r, b)):
+                target[k] = w
+            else:
+                target.pop(k, None)
+    dense = [[ring.zero] * d for _ in range(d)]
+    for out, col in zip(dense, cols):
+        for k, a in col.items():
+            out[k] = a
+    return dense
 
 
 def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
@@ -417,19 +421,22 @@ def _near_sum_holds(dec: Decomposition) -> bool:
 
 
 def _idempotents_hold(m: LinMap) -> bool:
-    """The idempotent pairs: does m(e_x) m(e_y) = delta_xy m(e_x) hold?  In
-    characteristic 0, the n squares and m(1) = 1 decide it; the scan of all
-    n^2 pairs runs when m(1) is not 1, and over Z/n.  The shortcut presumes
-    an associative codomain with a two-sided identity: incidence_algebra and
-    change_basis build one, and StructAlgebra(...) refuses any other table."""
+    """The idempotent pairs: does m(e_x) m(e_y) = delta_xy m(e_x) hold?  Over
+    a torsion-free ring, the n squares and m(1) = 1 decide it; the scan of
+    all n^2 pairs runs when m(1) is not 1, and over a ring with torsion, such
+    as Z/n.  The shortcut presumes an associative codomain with a two-sided
+    identity: incidence_algebra and change_basis build one, and
+    StructAlgebra(...) refuses any other table."""
     diagonal = m.domain.basis.diagonal_indices()
-    if m.ring.characteristic == 0:
+    if m.ring.is_torsion_free:
         # Cochran's theorem.  With P_x = m(e_x), P_x^2 = P_x and sum P_x = 1,
         # left multiplication L_x by P_x is an idempotent operator on the
-        # codomain tensored with Q, and sum L_x = L_1 = I.  In characteristic
-        # 0 the trace of an idempotent is its rank, so the ranks of the L_x
-        # add up to the dimension, and the images, which span, form a direct
-        # sum.  So L_x L_y = 0 for x != y, and P_x P_y = L_x L_y (1) = 0.
+        # codomain tensored with Q, and sum L_x = L_1 = I.  Over Q the trace
+        # of an idempotent is its rank, so the ranks of the L_x add up to
+        # the dimension, and the images, which span, form a direct sum.  So
+        # L_x L_y = 0 for x != y, and P_x P_y = L_x L_y (1) = 0.  Tensoring
+        # with Q loses nothing only when the ring is torsion-free; a ring of
+        # characteristic 0 with torsion, such as Z x Z/3, does not qualify.
         # Only associativity and a two-sided identity are used.  Over Z/3
         # the antichain images (1,1,0,0), (1,0,1,0), (1,0,0,1), (1,0,0,0)
         # are idempotents summing to 1 with (1,1,0,0)(1,0,1,0) != 0.

@@ -284,9 +284,10 @@ def _iter_order_isomorphisms(
     def shape(rel, i):
         return sum(rel[k][i] for k in range(n)), sum(rel[i])
 
+    src_shapes = [shape(src, i) for i in range(n)]
     tgt_shapes = [shape(tgt, t) for t in range(n)]
     candidates = [
-        [t for t in range(n) if tgt_shapes[t] == shape(src, i)] for i in range(n)
+        [t for t in range(n) if tgt_shapes[t] == src_shapes[i]] for i in range(n)
     ]
     images: list[int] = []
 

@@ -20,8 +20,8 @@ class Ring:
 
     kind = "?"
 
-    # concrete subclasses bind: zero, one, add, sub, neg, mul, and the
-    # characteristic, the least n > 0 with n * one = 0, or 0 when none is
+    # concrete subclasses bind: zero, one, add, sub, neg, mul, and
+    # is_torsion_free, True when n a = 0 for an integer n > 0 forces a = 0
 
     def normalize(self, a):
         raise NotImplementedError
@@ -72,7 +72,7 @@ class Ring:
 
 class IntegerRing(Ring):
     kind = "integers"
-    characteristic = 0
+    is_torsion_free = True
     zero = 0
     one = 1
     add = staticmethod(operator.add)
@@ -107,7 +107,7 @@ class IntegerRing(Ring):
 
 class RationalRing(Ring):
     kind = "rationals"
-    characteristic = 0
+    is_torsion_free = True
     zero = Fraction(0)
     one = Fraction(1)
     add = staticmethod(operator.add)
@@ -116,6 +116,8 @@ class RationalRing(Ring):
     mul = staticmethod(operator.mul)
 
     def normalize(self, a):
+        if type(a) is Fraction:  # exact and in lowest terms already
+            return a
         if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
             raise FialgError(f"not a rational payload (int or Fraction): {a!r}")
         return Fraction(a)
@@ -145,11 +147,12 @@ class ModularRing(Ring):
     """Residues mod n with canonical representatives in [0, n)."""
 
     kind = "modular"
+    is_torsion_free = False
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
             raise FialgError(f"modulus must be an integer >= 2, got {modulus!r}")
-        self.modulus = self.characteristic = modulus
+        self.modulus = modulus
         n = modulus
         self.zero = 0
         self.one = 1 % n

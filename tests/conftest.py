@@ -12,6 +12,7 @@ from fialg import (
     FinSeries,
     LinMap,
     Poset,
+    StructAlgebra,
     modular,
     random_basis_change,
     random_jordan_iso,
@@ -61,6 +62,20 @@ def dense_multiply(algebra, u, v):
             for k, c in cell:
                 out[k] = add(out[k], mul(ab, c))
     return out
+
+
+def counted_products(monkeypatch):
+    """A one-item list that counts StructAlgebra.multiply calls from now
+    on."""
+    calls = [0]
+    multiply = StructAlgebra.multiply
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return multiply(self, u, v)
+
+    monkeypatch.setattr(StructAlgebra, "multiply", counting)
+    return calls
 
 
 def le(poset, x, y):

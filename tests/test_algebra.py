@@ -26,6 +26,7 @@ from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
 
 from conftest import (
+    counted_products,
     basis_product,
     dense_mat_vec,
     dense_multiply,
@@ -317,6 +318,144 @@ def test_every_builders_table_passes_the_checking_door(ring):
         assert StructAlgebra(ring, A.cells, A.identity, A.basis) == A
         B = change_basis(A, random_basis_change(A, 1))
         assert StructAlgebra(ring, B.cells, B.identity) == B
+
+
+def scan_associativity_failure(algebra):
+    """The checking door's law check as a full scan, on a table taken as it
+    is: the two-sided identity on each basis vector, then every one of the
+    d^3 basis triples in lexicographic order.  The message of the first
+    failure, as the door words it, or None when the laws hold: the oracle of
+    the door's narrowed triple scan."""
+    d, multiply = algebra.dimension, algebra.multiply
+    units = [{k: algebra.ring.one} for k in range(d)]
+    one = sparse_vector(algebra.identity)
+    for k, b in enumerate(units):
+        if multiply(one, b) != b or multiply(b, one) != b:
+            return f"the identity is not two-sided at basis vector {k}"
+    products = [[multiply(a, b) for b in units] for a in units]
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if multiply(products[i][j], units[k]) != multiply(units[i], products[j][k]):
+            return f"basis triple {(i, j, k)} does not associate"
+    return None
+
+
+def door_failure(ring, cells, identity):
+    """The message with which StructAlgebra(...) refuses the table, or None
+    when it takes it."""
+    try:
+        StructAlgebra(ring, cells, identity)
+    except FialgError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(all_posets_up_to(3) + [diamond(), chain(4), two_two_chains()]),
+    st.sampled_from([RATIONALS, INTEGERS, modular(9), modular(15)]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_the_door_refuses_a_corrupted_cell_as_the_full_scan_does(
+    poset, ring, twist, off_identity, seed
+):
+    # one coefficient of one cell set to a random scalar, zero included: the
+    # door refuses with the full scan's first failure, or takes the table
+    # exactly when the full scan finds none.  A cell off the identity's
+    # support leaves the identity two-sided, so the triple scan decides.
+    rng = random.Random(seed)
+    A = incidence_algebra(poset, ring)
+    if twist:
+        A = change_basis(A, random_basis_change(A, seed))
+    d = A.dimension
+    rows = [m for m in range(d) if not A.identity[m]] if off_identity else []
+    rows = rows or list(range(d))
+    i, j, k = rng.choice(rows), rng.choice(rows), rng.randrange(d)
+    cell = dict(A.cells[i][j])
+    cell[k] = ring.sample(rng)
+    cells = [list(row) for row in A.cells]
+    cells[i][j] = tuple((m, c) for m, c in sorted(cell.items()) if c)
+    corrupted = StructAlgebra._of_tuples(
+        ring, tuple(map(tuple, cells)), A.identity, None
+    )
+    assert door_failure(ring, cells, A.identity) == scan_associativity_failure(corrupted)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_the_door_names_the_full_scans_first_triple(ring):
+    # chain-3's table with e_12 e_23 = e_12 in place of e_13: the identity
+    # still holds, and the least failing triple is (3, 5, 1), read as
+    # (e_12 e_23) e_2 = e_12 against e_12 (e_23 e_2) = 0; (3, 5, 2) fails too
+    A = incidence_algebra(chain(3), ring)
+    cells = [list(row) for row in A.cells]
+    cells[3][5] = ((3, ring.one),)
+    corrupted = StructAlgebra._of_tuples(
+        ring, tuple(map(tuple, cells)), A.identity, None
+    )
+    expected = "basis triple (3, 5, 1) does not associate"
+    assert scan_associativity_failure(corrupted) == expected
+    assert door_failure(ring, cells, A.identity) == expected
+
+
+@pytest.mark.parametrize(
+    "ring, products, nonempty",
+    [(RATIONALS, 116, 116), (INTEGERS, 130, 130), (modular(9), 99, 95)],
+    ids=repr,
+)
+def test_change_basis_multiplies_only_the_pairs_that_meet(
+    ring, products, nonempty, monkeypatch
+):
+    # chain-6 has d = 21: the pair loop made all 441 products.  A pair
+    # (u, v) is multiplied when some old a of u and b of v have a nonempty
+    # cell, so at least once per nonempty cell of the result; over Z/9, 4
+    # of those products cancel to zero.
+    A = incidence_algebra(chain(6), ring)
+    cols = random_basis_change(A, 1)
+    calls = counted_products(monkeypatch)
+    B = change_basis(A, cols)
+    assert calls[0] == products
+    assert sum(1 for row in B.cells for cell in row if cell) == nonempty
+    assert B.cells == is_zero_change_basis_cells(A, cols)
+
+
+def dense_random_basis_change(algebra, seed):
+    """random_basis_change with each shear applied as d dense ring
+    operations: the oracle of its sparse shears."""
+    ring, d = algebra.ring, algebra.dimension
+    if d == 0:
+        return []
+    rng = random.Random(seed)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    cols = []
+    for j in range(d):
+        col = [ring.zero] * d
+        col[perm[j]] = ring.sample_unit(rng)
+        cols.append(col)
+    for _ in range(d // 2 + 1):
+        i, j = rng.randrange(d), rng.randrange(d)
+        if i == j:
+            continue
+        r = ring.sample(rng)
+        source = list(cols[i])
+        cols[j] = [ring.add(a, ring.mul(r, b)) for a, b in zip(cols[j], source)]
+    return cols
+
+
+@pytest.mark.parametrize(
+    "ring", [RATIONALS, INTEGERS, modular(9), modular(2), modular(15)], ids=repr
+)
+def test_random_basis_change_matches_the_dense_shears(ring):
+    for poset in (P3, D, boolean_lattice(3), chain(6), validate_poset([], [])):
+        A = incidence_algebra(poset, ring)
+        for seed in range(4):
+            sparse = random_basis_change(A, seed)
+            dense = dense_random_basis_change(A, seed)
+            assert sparse == dense
+            assert [[type(a) for a in c] for c in sparse] == [
+                [type(a) for a in c] for c in dense
+            ]
 
 
 def test_incidence_algebra_is_cached():

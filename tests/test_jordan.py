@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from fialg import (
     Decomposition,
     FinSeries,
     INTEGERS,
+    IntegerRing,
     LinMap,
     NotInvertibleError,
     NotJordanError,
@@ -70,6 +72,7 @@ from fialg.jordan import (
 from fialg.matrices import mat_vec
 
 from conftest import (
+    counted_products,
     all_posets_up_to,
     antichain,
     boolean_lattice,
@@ -1133,20 +1136,6 @@ def test_twisted_codomain_certificate_agrees_with_full_scan():
             assert dec.report == scan_near_sum(dec)
 
 
-def counted_products(monkeypatch):
-    """A one-item list that counts StructAlgebra.multiply calls from now
-    on."""
-    calls = [0]
-    multiply = StructAlgebra.multiply
-
-    def counting(self, u, v):
-        calls[0] += 1
-        return multiply(self, u, v)
-
-    monkeypatch.setattr(StructAlgebra, "multiply", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "poset, ring, products",
     [
@@ -1219,11 +1208,33 @@ def test_orthogonality_shortcut_is_gated_on_characteristic_zero(monkeypatch):
     assert not _idempotents_hold(phi) and not scan_idempotents_hold(phi)
     with pytest.raises(NotJordanError):
         decompose(phi)
-    # Read as characteristic 0, the squares and the sum pass it, and so
-    # does the certificate: the antichain has no cover to check.
-    monkeypatch.setattr(phi.ring, "characteristic", 0)
+    # Read as torsion-free, the squares and the sum pass it, and so does
+    # the certificate: the antichain has no cover to check.
+    monkeypatch.setattr(phi.ring, "is_torsion_free", True)
     assert _idempotents_hold(phi)
     assert decompose(phi).report.passed
+
+
+class IntegersWithTorsionFlag(IntegerRing):
+    """Z's arithmetic, so characteristic 0, reporting torsion as a ring such
+    as Z x Z/3 does."""
+
+    is_torsion_free = False
+
+
+def test_a_characteristic_zero_ring_with_torsion_scans_every_idempotent_pair(
+    monkeypatch,
+):
+    # Cochran's shortcut makes the n squares; a ring that reports torsion
+    # makes all n^2 pairs, whatever its characteristic
+    n = 4
+    calls = counted_products(monkeypatch)
+    for ring, products in ((INTEGERS, n), (IntegersWithTorsionFlag(), n * n)):
+        phi = random_jordan_iso(antichain(n), ring, seed=1)
+        calls[0] = 0
+        assert _idempotents_hold(phi)
+        assert calls[0] == products, ring
+        assert scan_idempotents_hold(phi)
 
 
 @pytest.mark.parametrize("ring", [RATIONALS, INTEGERS], ids=repr)
@@ -1845,6 +1856,9 @@ def test_window_memo_keeps_the_traced_peak_near_the_unmemoized_suite():
     phi = random_jordan_iso(disjoint_union(chain(5), chain(5), chain(5)), INTEGERS, 1)
 
     def traced_peak():
+        # collect first, so that neither peak holds garbage left uncollected
+        # by whatever ran before
+        gc.collect()
         tracemalloc.start()
         try:
             assert verify_paper_identities(phi, seed=1).passed
