@@ -22,6 +22,7 @@ series type here.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -257,13 +258,9 @@ class StructAlgebra:
     normalizes each coefficient and identity coordinate and drops zero
     coefficients.  It then checks the laws that decompose's certificate
     uses: the identity is two-sided on every basis vector, and every basis
-    triple associates.  That check is exact, but it visits only the triples
-    (i, j, k) where b_i b_j or b_j b_k is nonzero, and for those only the k
-    that the rows of b_i b_j's support and row j reach; the others associate
-    with both sides zero.  So its products follow the table's nonzeros, up
-    to d^3 on a table with every cell full, and it is paid at this door
-    only.  The two builders, incidence_algebra() and change_basis(), produce
-    unital associative tables by construction and go through _of_tuples.
+    triple associates, d^3 products paid at this door only.  The two
+    builders, incidence_algebra() and change_basis(), produce unital
+    associative tables by construction and go through _of_tuples.
     multiply() takes and returns {index: nonzero payload} dicts and touches
     only the nonzero coordinates and cells.
     """
@@ -283,33 +280,17 @@ class StructAlgebra:
             return tuple(out)
 
         self._take(ring, tuple(tuple(map(cell, row)) for row in cells), identity, basis)
-        multiply = self.multiply
         units = [{k: ring.one} for k in range(d)]
         one = sparse_vector(identity)
         for k, b in enumerate(units):
-            if multiply(one, b) != b or multiply(b, one) != b:
+            if self.multiply(one, b) != b or self.multiply(b, one) != b:
                 raise FialgError(f"the identity is not two-sided at basis vector {k}")
-        # products[i] holds the nonzero b_i b_j by j, made at the nonempty
-        # cells only.  (b_i b_j) b_k and b_i (b_j b_k) are both zero unless k
-        # is in row j or in a row l of the support of b_i b_j, so only those
-        # k are visited, in increasing order: the first failing triple is the
-        # full d^3 scan's.
-        products = [
-            {j: p for j in row if (p := multiply(units[i], units[j]))}
-            for i, row in enumerate(_nonempty_cells(self))
-        ]
-        for i, row in enumerate(products):
-            for j in range(d):
-                ij, right = row.get(j), products[j]
-                reach = set(right)
-                if ij:
-                    reach.update(*(products[l] for l in ij))
-                for k in sorted(reach):
-                    jk = right.get(k)
-                    if (multiply(ij, units[k]) if ij else {}) != (
-                        multiply(units[i], jk) if jk else {}
-                    ):
-                        raise FialgError(f"basis triple {(i, j, k)} does not associate")
+        products = [[self.multiply(a, b) for b in units] for a in units]
+        for i, j, k in itertools.product(range(d), repeat=3):
+            if self.multiply(products[i][j], units[k]) != self.multiply(
+                units[i], products[j][k]
+            ):
+                raise FialgError(f"basis triple {(i, j, k)} does not associate")
 
     @classmethod
     def _of_tuples(cls, ring: Ring, cells: tuple, identity, basis: AlgBasis | None):

@@ -20,8 +20,12 @@ class Ring:
 
     kind = "?"
 
-    # concrete subclasses bind: zero, one, add, sub, neg, mul, and
-    # is_torsion_free, True when n a = 0 for an integer n > 0 forces a = 0
+    # True when n a = 0 for an integer n > 0 forces a = 0.  A ring that does
+    # not say so is taken to have torsion, so it gets no shortcut that needs
+    # torsion-freeness.
+    is_torsion_free = False
+
+    # concrete subclasses bind: zero, one, add, sub, neg, mul
 
     def normalize(self, a):
         raise NotImplementedError
@@ -147,7 +151,6 @@ class ModularRing(Ring):
     """Residues mod n with canonical representatives in [0, n)."""
 
     kind = "modular"
-    is_torsion_free = False
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:

@@ -26,8 +26,8 @@ from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
 
 from conftest import (
-    counted_products,
     basis_product,
+    counted_products,
     dense_mat_vec,
     dense_multiply,
     invert_dense,
@@ -318,84 +318,6 @@ def test_every_builders_table_passes_the_checking_door(ring):
         assert StructAlgebra(ring, A.cells, A.identity, A.basis) == A
         B = change_basis(A, random_basis_change(A, 1))
         assert StructAlgebra(ring, B.cells, B.identity) == B
-
-
-def scan_associativity_failure(algebra):
-    """The checking door's law check as a full scan, on a table taken as it
-    is: the two-sided identity on each basis vector, then every one of the
-    d^3 basis triples in lexicographic order.  The message of the first
-    failure, as the door words it, or None when the laws hold: the oracle of
-    the door's narrowed triple scan."""
-    d, multiply = algebra.dimension, algebra.multiply
-    units = [{k: algebra.ring.one} for k in range(d)]
-    one = sparse_vector(algebra.identity)
-    for k, b in enumerate(units):
-        if multiply(one, b) != b or multiply(b, one) != b:
-            return f"the identity is not two-sided at basis vector {k}"
-    products = [[multiply(a, b) for b in units] for a in units]
-    for i, j, k in itertools.product(range(d), repeat=3):
-        if multiply(products[i][j], units[k]) != multiply(units[i], products[j][k]):
-            return f"basis triple {(i, j, k)} does not associate"
-    return None
-
-
-def door_failure(ring, cells, identity):
-    """The message with which StructAlgebra(...) refuses the table, or None
-    when it takes it."""
-    try:
-        StructAlgebra(ring, cells, identity)
-    except FialgError as exc:
-        return str(exc)
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(all_posets_up_to(3) + [diamond(), chain(4), two_two_chains()]),
-    st.sampled_from([RATIONALS, INTEGERS, modular(9), modular(15)]),
-    st.booleans(),
-    st.booleans(),
-    st.integers(0, 10 ** 6),
-)
-def test_the_door_refuses_a_corrupted_cell_as_the_full_scan_does(
-    poset, ring, twist, off_identity, seed
-):
-    # one coefficient of one cell set to a random scalar, zero included: the
-    # door refuses with the full scan's first failure, or takes the table
-    # exactly when the full scan finds none.  A cell off the identity's
-    # support leaves the identity two-sided, so the triple scan decides.
-    rng = random.Random(seed)
-    A = incidence_algebra(poset, ring)
-    if twist:
-        A = change_basis(A, random_basis_change(A, seed))
-    d = A.dimension
-    rows = [m for m in range(d) if not A.identity[m]] if off_identity else []
-    rows = rows or list(range(d))
-    i, j, k = rng.choice(rows), rng.choice(rows), rng.randrange(d)
-    cell = dict(A.cells[i][j])
-    cell[k] = ring.sample(rng)
-    cells = [list(row) for row in A.cells]
-    cells[i][j] = tuple((m, c) for m, c in sorted(cell.items()) if c)
-    corrupted = StructAlgebra._of_tuples(
-        ring, tuple(map(tuple, cells)), A.identity, None
-    )
-    assert door_failure(ring, cells, A.identity) == scan_associativity_failure(corrupted)
-
-
-@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
-def test_the_door_names_the_full_scans_first_triple(ring):
-    # chain-3's table with e_12 e_23 = e_12 in place of e_13: the identity
-    # still holds, and the least failing triple is (3, 5, 1), read as
-    # (e_12 e_23) e_2 = e_12 against e_12 (e_23 e_2) = 0; (3, 5, 2) fails too
-    A = incidence_algebra(chain(3), ring)
-    cells = [list(row) for row in A.cells]
-    cells[3][5] = ((3, ring.one),)
-    corrupted = StructAlgebra._of_tuples(
-        ring, tuple(map(tuple, cells)), A.identity, None
-    )
-    expected = "basis triple (3, 5, 1) does not associate"
-    assert scan_associativity_failure(corrupted) == expected
-    assert door_failure(ring, cells, A.identity) == expected
 
 
 @pytest.mark.parametrize(

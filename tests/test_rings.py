@@ -22,6 +22,7 @@ from fialg import (
     validate_poset,
 )
 from fialg.errors import FialgError
+from fialg.rings import Ring
 
 RINGS = [INTEGERS, RATIONALS, modular(2), modular(9), modular(12), modular(97)]
 
@@ -156,6 +157,18 @@ def test_two_torsionfree_iff_odd_modulus():
         assert modular(n).is_two_torsionfree() == (not has_torsion)
         assert modular(n).is_two_torsionfree() == (n % 2 == 1)
 
+
+
+def test_only_z_and_q_are_torsion_free():
+    # the flag gates Cochran's shortcut, so a ring that does not set it is
+    # taken to have torsion and gets the full idempotent pair scan
+    assert INTEGERS.is_torsion_free and RATIONALS.is_torsion_free
+    assert not any(modular(n).is_torsion_free for n in range(2, 51))
+
+    class Unflagged(Ring):
+        pass
+
+    assert Unflagged().is_torsion_free is False
 
 def test_normalize_guards():
     with pytest.raises(FialgError):
