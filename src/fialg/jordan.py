@@ -20,13 +20,16 @@ n + O(c n) image products for n elements and c covers over Q and Z, where
 the n squares and phi(1) = 1 stand in for the n^2 idempotent pairs
 (Cochran's theorem, in _idempotents_hold), and n^2 + O(c n) over Z/n: 349
 on chain-13 over Q and 505 over Z/9, where a scan of every basis pair takes
-2 d^2.  Its homomorphism clauses are check_homomorphism's own scan.
+2 d^2.  Its homomorphism clauses are check_homomorphism's own instances on
+linmaps' one law scan, and its m(1) = 1 premise is check_homomorphism's
+unital clause.
 decompose() multiplies the maps' columns as {index: nonzero} dicts
 (LinMap.sparse_columns) with StructAlgebra.multiply, from the sandwiches to
 the verdict.  The full scan runs only when the certificate fails, to collect
 witnesses; decompose() runs the Jordan recognizer before it, so that only a
 Jordan map pays for the failing report, and the recognizer's own report is
-built only when NotJordanError.report is read.
+built only when NotJordanError.report is read; _jordan_recognizer picks the
+recognizer for decompose() and for the identity suite's guard alike.
 verify_paper_identities() exercises the full family of sandwich, idempotent,
 and annihilation identities that make the construction work.  Each sample
 image is mat_vec of the series on phi's {index: nonzero} columns, and every
@@ -37,8 +40,9 @@ what a per-pair scan does; the equality criterion reads one table of a - b.
 The window families build each left factor phi(e_x) s(f) phi(e_W) once per
 first sample f.  The polarized triple and five-factor families are
 one word identity, phi(sum of word products of the drawn series) = sum of
-the same products of their images, and the two idempotent families walk one
-grid of subset idempotents e_Y against the general samples.
+the same products of their images, on the recognizers' law scan, and the
+two idempotent families walk one grid of subset idempotents e_Y against the
+general samples.
 
 Everything here is exact: a check passes only on literal equality of
 coordinates.
@@ -61,16 +65,14 @@ from .algebra import (
     random_series,
     sparse_vector,
 )
-from .errors import (
-    ContextMismatchError,
-    NotJordanError,
-    PreconditionFailedError,
-    TorsionRefusedError,
-)
+from .errors import ContextMismatchError, NotJordanError, PreconditionFailedError
 from .linmaps import (
     LinMap,
     _homomorphism_failures,
     _jordan_pair_verdict,
+    _law_failures,
+    _require_two_torsionfree,
+    _unital_failures,
     check_jordan,
     jordan_pair_check,
 )
@@ -208,10 +210,7 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
     component an order isomorphism or (when available) anti-isomorphism onto
     a component of the same shape, assembled as a near-sum, then composed
     with a random unit conjugation.  Always invertible and Jordan."""
-    if not ring.is_two_torsionfree():
-        raise TorsionRefusedError(
-            f"{ring!r} has 2-torsion; Jordan generation is not meaningful there"
-        )
+    _require_two_torsionfree(ring, False, "Jordan generation is not meaningful there")
     rng = random.Random(seed)
     algebra = incidence_algebra(poset, ring)
     basis = algebra.basis
@@ -316,10 +315,7 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     """
     dom = _incidence_domain(phi)
     ring = phi.ring
-    if not ring.is_two_torsionfree() and not allow_torsion:
-        raise TorsionRefusedError(
-            f"{ring!r} has 2-torsion; pass allow_torsion=True to proceed"
-        )
+    _require_two_torsionfree(ring, allow_torsion, "pass allow_torsion=True to proceed")
     require_unit_determinant(ring, phi.sparse_columns, phi.codomain.dimension)
 
     def sandwiches():
@@ -337,18 +333,24 @@ def decompose(phi: LinMap, allow_torsion: bool = False) -> Decomposition:
     dec = sandwiches() if _idempotents_hold(phi) else None
     if dec is not None and _covers_hold(dec):
         return replace(dec, report=_NEAR_SUM_PASS)
-    if ring.is_two_torsionfree():
-        failed = not _jordan_pair_verdict(phi).passed
-        report = functools.partial(jordan_pair_check, phi)
-    else:
-        report = check_jordan(phi, allow_torsion=True)
-        failed = not report.passed
-    if failed:
+    verdict, report = _jordan_recognizer(phi)
+    if not all(c.passed for c in verdict):
         raise NotJordanError(
             "map fails the Jordan identities; see attached report", report=report
         )
     dec = dec or sandwiches()
     return replace(dec, report=_near_sum_scan(dec))
+
+
+def _jordan_recognizer(phi: LinMap):
+    """The recognizer behind a failed certificate: its checks, and the report
+    NotJordanError carries.  Over a 2-torsion-free ring the pair law decides,
+    stopping at the first failure, and jordan_pair_check's report is built
+    when first read; with 2-torsion both are check_jordan's."""
+    if phi.ring.is_two_torsionfree():
+        return (_jordan_pair_verdict(phi),), functools.partial(jordan_pair_check, phi)
+    report = check_jordan(phi, allow_torsion=True)
+    return report.checks, report
 
 
 def extend_via_inverse(
@@ -443,8 +445,7 @@ def _idempotents_hold(m: LinMap) -> bool:
         squares = ((x, x) for x in diagonal)
         if next(_homomorphism_failures(m, squares, anti=False), None) is not None:
             return False
-        one = sparse_vector(m.domain.identity).items()
-        if mat_vec(m.ring, m.sparse_columns, one) == sparse_vector(m.codomain.identity):
+        if next(_unital_failures(m), None) is None:
             return True
     pairs = itertools.product(diagonal, repeat=2)
     return next(_homomorphism_failures(m, pairs, anti=False), None) is None
@@ -710,10 +711,7 @@ def verify_paper_identities(
     """
     dom = _incidence_domain(phi)
     ring = phi.ring
-    if not ring.is_two_torsionfree() and not allow_torsion:
-        raise TorsionRefusedError(
-            f"{ring!r} has 2-torsion; pass allow_torsion=True to proceed"
-        )
+    _require_two_torsionfree(ring, allow_torsion, "pass allow_torsion=True to proceed")
     phi_inverse = phi.invert()
     basis = dom.basis
     poset = basis.poset
@@ -746,9 +744,6 @@ def verify_paper_identities(
 
     def mulc(*vectors):
         return functools.reduce(cod.multiply, vectors)
-
-    def addc(*vectors):
-        return functools.reduce(functools.partial(_sparse_add, ring), vectors)
 
     psi, theta = (LinMap._of_sparse(dom, cod, c) for c in _near_sum_columns(phi))
     labels = poset.elements
@@ -803,8 +798,10 @@ def verify_paper_identities(
 
     # phi(sum of the words' products of drawn series) = the sum of the same
     # products of their images; a word lists the positions of the series it
-    # multiplies, in order, and each round draws and maps each series once
-    def word_failures(rounds, density, words):
+    # multiplies, in order, and each round draws and maps each series once.
+    # A round is one instance of the law scan, which makes each word's last
+    # product; the summed product goes in as a generator, mapped even if zero.
+    def word_instances(rounds, density, words):
         for t in range(rounds):
             series = [
                 random_series(poset, ring, rng, density=density)
@@ -812,19 +809,20 @@ def verify_paper_identities(
             ]
             products = (functools.reduce(operator.mul, map(series.__getitem__, w))
                         for w in words)
-            lhs = phi_of(functools.reduce(operator.add, products))
+            total = functools.reduce(operator.add, products)
             images = [phi_of(f) for f in series]
-            rhs = addc(*(mulc(*map(images.__getitem__, w)) for w in words))
-            if lhs != rhs:
-                yield (t,), dense(lhs), dense(rhs)
+            x = ((basis.index_of[k], v) for k, v in total.coeffs.items())
+            yield (t,), x, [(mulc(*map(images.__getitem__, w[:-1])), images[w[-1]])
+                            for w in words]
 
     # phi(abc + cba) = phi(a)phi(b)phi(c) + phi(c)phi(b)phi(a)
-    triple = word_failures(samples + 1, 0.5, ((0, 1, 2), (2, 1, 0)))
-    checks.append(run_check("polarized_triple", triple))
+    triple = word_instances(samples + 1, 0.5, ((0, 1, 2), (2, 1, 0)))
+    checks.append(run_check("polarized_triple", _law_failures(phi, triple)))
 
     # phi(abcde + edabc + cbade + edcba) = the four matching image products
     five = ((0, 1, 2, 3, 4), (4, 3, 0, 1, 2), (2, 1, 0, 3, 4), (4, 3, 2, 1, 0))
-    checks.append(run_check("five_factor", word_failures(samples, 0.4, five)))
+    five_words = word_instances(samples, 0.4, five)
+    checks.append(run_check("five_factor", _law_failures(phi, five_words)))
 
     # The idempotent families walk one grid: each subset Y of subset_pool,
     # with e = e_Y, against each general sample f, cut down to the part a of
@@ -929,9 +927,5 @@ def verify_paper_identities(
     if all(c.passed for c in checks) and not _near_sum_holds(
         Decomposition(phi, psi, theta, None)
     ):
-        if ring.is_two_torsionfree():
-            verdict = (_jordan_pair_verdict(phi),)
-        else:
-            verdict = check_jordan(phi, allow_torsion=True).checks
-        checks += [c for c in verdict if not c.passed]
+        checks += [c for c in _jordan_recognizer(phi)[0] if not c.passed]
     return VerificationReport(tuple(checks))

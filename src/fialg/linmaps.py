@@ -9,19 +9,18 @@ nothing in the library reads it.  All recognizers quantify over basis
 tuples — enough, by bilinearity, to decide the corresponding law for
 arbitrary elements — and report witnesses instead of bare booleans.
 
-The scans run on the nonzeros: each recognizer multiplies the map's sparse
-columns with StructAlgebra.multiply.  The left side, m(b_i b_j +
-b_j b_i) or m(b_i b_j), is the combination of the columns the domain's
-cells touch, so it costs nothing where a basis product is zero, as most are
-in an incidence algebra.  Sides are compared as dicts, and dense coordinate lists
-are built only for witnesses, so a report is the one a dense scan gives.
-For a domain of dimension d, check_homomorphism takes one image product on
-each of d^2 pairs, the pair law two on each of d(d+1)/2 pairs, and the
-triple law two on each of d^2(d+1)/2 triples (b_i b_j b_k and b_k b_j b_i
-are one instance), plus the d^2 products images[i] images[j] it reuses;
-over a ring with 2-torsion the unpolarized laws add d + 2 d^2 products.
-The near-sum certificate behind decompose is check_homomorphism's scan,
-_homomorphism_failures, run on basis pairs read off an incidence domain.
+Every law is one scan, _law_failures: it compares m(x), mat_vec of a domain
+vector x on the sparse columns, with a sum of image products u v made by
+StructAlgebra.multiply, as dicts; dense lists are built only for witnesses,
+so a report is the one a dense scan gives.  A recognizer contributes its
+instances: for a domain of dimension d, the homomorphism law one product on
+each of d^2 pairs, the pair law two on each of d(d+1)/2 pairs, the triple
+law two on each of d^2(d+1)/2 triples (b_i b_j b_k and b_k b_j b_i are one
+instance) against a reused column of the d^2 products images[i] images[j],
+and over a ring with 2-torsion the unpolarized laws d + 2 d^2 products.  An
+empty cell is not mapped, so a zero basis product, as most are in an
+incidence algebra, costs only its image products.  The near-sum
+certificate and the identity suite's word families run the same scan.
 """
 
 from __future__ import annotations
@@ -175,20 +174,40 @@ def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     return LinMap._of_sparse(m.domain, target, cols)
 
 
+def _law_failures(m: LinMap, instances):
+    """The one law scan: for each (key, x, terms), m(x) against the sum of
+    the products u v for (u, v) in terms, where x is a domain vector as
+    (index, nonzero) pairs; a mismatch is yielded with dense sides, as
+    run_check takes it.  An empty tuple or view x, such as an empty cell,
+    is zero and not mapped; a generator is always mapped."""
+    ring, images, cod = m.ring, m.sparse_columns, m.codomain
+    multiply = cod.multiply
+    for key, x, terms in instances:
+        lhs = mat_vec(ring, images, x) if x else {}
+        rhs = {}
+        for u, v in terms:
+            p = multiply(u, v)
+            rhs = _sparse_add(ring, rhs, p) if rhs else p
+        if lhs != rhs:
+            yield key, cod.dense(lhs), cod.dense(rhs)
+
+
 def _homomorphism_failures(m: LinMap, pairs, anti: bool):
     """m(b_i b_j) against m(b_i) m(b_j), or m(b_j) m(b_i) with anti, for the
-    basis pairs (i, j) given, in their order, on m's sparse columns; the
-    witnesses are dense, as run_check takes them."""
-    cod, ring = m.codomain, m.ring
-    images = m.sparse_columns
-    multiply = cod.multiply
-    cells = m.domain.cells
-    for i, j in pairs:
-        cell = cells[i][j]
-        lhs = mat_vec(ring, images, cell) if cell else {}
-        rhs = multiply(images[j], images[i]) if anti else multiply(images[i], images[j])
-        if lhs != rhs:
-            yield (i, j), cod.dense(lhs), cod.dense(rhs)
+    basis pairs (i, j) given, in their order."""
+    images, cells = m.sparse_columns, m.domain.cells
+    return _law_failures(m, (
+        ((i, j), cells[i][j], ((images[j], images[i]) if anti else (images[i], images[j]),))
+        for i, j in pairs
+    ))
+
+
+def _unital_failures(m: LinMap):
+    """m(1) against the codomain's 1: one failure, keyed (), or none."""
+    cod = m.codomain
+    lhs = mat_vec(m.ring, m.sparse_columns, sparse_vector(m.domain.identity).items())
+    if lhs != sparse_vector(cod.identity):
+        yield (), cod.dense(lhs), list(cod.identity)
 
 
 def check_homomorphism(
@@ -205,32 +224,20 @@ def check_homomorphism(
     pairs = itertools.product(range(m.domain.dimension), repeat=2)
     checks = [run_check(name, _homomorphism_failures(m, pairs, anti))]
     if unital:
-        cod, one = m.codomain, sparse_vector(m.domain.identity)
-        lhs = mat_vec(m.ring, m.sparse_columns, one.items())
-        rhs = list(cod.identity)
-        failures = [] if lhs == sparse_vector(rhs) else [((), cod.dense(lhs), rhs)]
-        checks.append(run_check("unital", failures))
+        checks.append(run_check("unital", _unital_failures(m)))
     return VerificationReport(tuple(checks))
 
 
 def _jordan_pair_failures(m: LinMap, pairs):
     """The failures of the polarized square law
     m(b_i b_j + b_j b_i) = m(b_i)m(b_j) + m(b_j)m(b_i) on the basis pairs
-    (i, j) given, in their order, as run_check takes them."""
-    cod, ring = m.codomain, m.ring
-    images = m.sparse_columns
-    multiply = cod.multiply
-    cells = m.domain.cells
-    for i, j in pairs:
-        sym = _sparse_add(ring, dict(cells[i][j]), dict(cells[j][i]))
-        lhs = mat_vec(ring, images, sym.items())
-        rhs = _sparse_add(
-            ring,
-            multiply(images[i], images[j]),
-            multiply(images[j], images[i]),
-        )
-        if lhs != rhs:
-            yield (i, j), cod.dense(lhs), cod.dense(rhs)
+    (i, j) given, in their order."""
+    ring, images, cells = m.ring, m.sparse_columns, m.domain.cells
+    return _law_failures(m, (
+        ((i, j), _sparse_add(ring, dict(cells[i][j]), dict(cells[j][i])).items(),
+         ((images[i], images[j]), (images[j], images[i])))
+        for i, j in pairs
+    ))
 
 
 def jordan_pair_check(m: LinMap) -> VerificationReport:
@@ -254,6 +261,13 @@ def _jordan_pair_verdict(m: LinMap) -> CheckResult:
     return run_check("jordan_pairs", itertools.islice(failures, 1))
 
 
+def _require_two_torsionfree(ring, allow: bool, remedy: str) -> None:
+    """Unless allow is set, refuse a ring with 2-torsion with the message
+    "<ring> has 2-torsion; <remedy>"."""
+    if not allow and not ring.is_two_torsionfree():
+        raise TorsionRefusedError(f"{ring!r} has 2-torsion; {remedy}")
+
+
 def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
     """Is m a Jordan homomorphism?
 
@@ -267,20 +281,17 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
     with the two families give m(a^2) = m(a)^2 and m(aba) = m(a)m(b)m(a).
     """
     ring = m.ring
-    if not ring.is_two_torsionfree() and not allow_torsion:
-        raise TorsionRefusedError(
-            f"{ring!r} has 2-torsion; pass allow_torsion=True to check anyway"
-        )
-    dom, cod = m.domain, m.codomain
+    _require_two_torsionfree(ring, allow_torsion, "pass allow_torsion=True to check anyway")
+    dom = m.domain
     d = dom.dimension
     images = m.sparse_columns
-    multiply = cod.multiply
+    multiply = m.codomain.multiply
     dom_multiply = dom.multiply
     units = [{k: ring.one} for k in range(d)]
 
     report = jordan_pair_check(m)
 
-    def triple_failures():
+    def triples():
         # (i, j, k) and (k, j, i) state the same identity; scan i <= k.  Only
         # column j of the products images[i] images[j] is alive: d, not d^2.
         for j in range(d):
@@ -288,24 +299,12 @@ def check_jordan(m: LinMap, allow_torsion: bool = False) -> VerificationReport:
             left = [dict(dom.cells[i][j]) for i in range(d)]
             for i in range(d):
                 for k in range(i, d):
-                    lhs = mat_vec(
-                        ring,
-                        images,
-                        _sparse_add(
-                            ring,
-                            dom_multiply(left[i], units[k]),
-                            dom_multiply(left[k], units[i]),
-                        ).items(),
-                    )
-                    rhs = _sparse_add(
-                        ring,
-                        multiply(column[i], images[k]),
-                        multiply(column[k], images[i]),
-                    )
-                    if lhs != rhs:
-                        yield (i, j, k), cod.dense(lhs), cod.dense(rhs)
+                    x = _sparse_add(ring, dom_multiply(left[i], units[k]),
+                                    dom_multiply(left[k], units[i]))
+                    terms = ((column[i], images[k]), (column[k], images[i]))
+                    yield (i, j, k), x.items(), terms
 
-    checks = [run_check("jordan_triples", triple_failures())]
+    checks = [run_check("jordan_triples", _law_failures(m, triples()))]
     if not ring.is_two_torsionfree():
         checks.append(run_check("jordan_quadratic", _quadratic_failures(m)))
     return report.extend(VerificationReport(tuple(checks)))
@@ -316,16 +315,12 @@ def _quadratic_failures(m: LinMap):
     at (i, i), and m(b_i b_j b_i) = m(b_i)m(b_j)m(b_i), at (i, j, i).  The
     polarized instances with a repeated index are twice these, so over a ring
     with 2-torsion they can pass where these fail."""
-    dom, cod, ring = m.domain, m.codomain, m.ring
-    images = m.sparse_columns
-    multiply = cod.multiply
+    dom, images, multiply = m.domain, m.sparse_columns, m.codomain.multiply
     d = dom.dimension
-    yield from _homomorphism_failures(m, ((i, i) for i in range(d)), anti=False)
-    for i in range(d):
-        unit = {i: ring.one}
-        for j in range(d):
-            inner = dom.multiply(dict(dom.cells[i][j]), unit)
-            lhs = mat_vec(ring, images, inner.items())
-            rhs = multiply(multiply(images[i], images[j]), images[i])
-            if lhs != rhs:
-                yield (i, j, i), cod.dense(lhs), cod.dense(rhs)
+    squares = _homomorphism_failures(m, ((i, i) for i in range(d)), anti=False)
+    return itertools.chain(squares, _law_failures(m, (
+        ((i, j, i), dom.multiply(dict(dom.cells[i][j]), {i: m.ring.one}).items(),
+         ((multiply(images[i], images[j]), images[i]),))
+        for i in range(d)
+        for j in range(d)
+    )))

@@ -340,16 +340,23 @@ def test_dense_view_readers_are_the_allowlist():
     assert readers == DENSE_VIEW_READERS
 
 
-# The functions that read a domain's structure constants (.cells) and
-# multiply images with multiply: the one homomorphism scan and the
-# Jordan scans.  A second homomorphism or anti-homomorphism scan would join
+# The functions that compare m(x) with a sum of codomain products and build
+# dense witnesses: generators that call mat_vec, multiply with .multiply,
+# compare with == or != and read .dense.  That is the one law scan; the
+# homomorphism, pair, triple and quadratic laws and the identity suite's
+# word families are instance lists over it.  A second such scan would join
 # this list.
-IMAGE_SCANS = {
-    "linmaps._homomorphism_failures",
-    "linmaps._jordan_pair_failures",
-    "linmaps._quadratic_failures",
+IMAGE_SCANS = {"linmaps._law_failures"}
+
+# The entry points that decide a law through the scan.
+LAW_SCAN_CALLERS = (
+    "linmaps.check_homomorphism",
+    "linmaps.jordan_pair_check",
+    "linmaps._jordan_pair_verdict",
     "linmaps.check_jordan",
-}
+    "jordan._near_sum_holds",
+    "jordan.verify_paper_identities",
+)
 
 
 def call_graph():
@@ -384,16 +391,31 @@ def reaches(graph, start, target):
     return target in seen
 
 
+def is_law_scan(fn) -> bool:
+    nodes = list(ast.walk(fn))
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    calls = {
+        node.func.id
+        for node in nodes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    compares = any(
+        isinstance(op, (ast.Eq, ast.NotEq))
+        for node in nodes
+        if isinstance(node, ast.Compare)
+        for op in node.ops
+    )
+    yields = any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in nodes)
+    return yields and compares and "mat_vec" in calls and {"multiply", "dense"} <= attrs
+
+
 def test_one_homomorphism_scan():
     graph, bodies = call_graph()
     for caller in ("jordan._near_sum_holds", "linmaps.check_homomorphism"):
         assert reaches(graph, caller, "linmaps._homomorphism_failures"), caller
-    scans = {
-        name
-        for name, fn in bodies.items()
-        if {"cells", "multiply"}
-        <= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
-    }
+    for caller in LAW_SCAN_CALLERS:
+        assert reaches(graph, caller, "linmaps._law_failures"), caller
+    scans = {name for name, fn in bodies.items() if is_law_scan(fn)}
     assert scans == IMAGE_SCANS
 
 

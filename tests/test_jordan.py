@@ -459,6 +459,35 @@ def test_decompose_torsion_gate_and_override():
     assert dec.report.passed
 
 
+TORSION_REFUSALS = {
+    "random_jordan_iso": (
+        lambda phi: random_jordan_iso(chain(3), phi.ring, seed=1),
+        "modular(4) has 2-torsion; Jordan generation is not meaningful there",
+    ),
+    "decompose": (
+        decompose,
+        "modular(4) has 2-torsion; pass allow_torsion=True to proceed",
+    ),
+    "verify_paper_identities": (
+        verify_paper_identities,
+        "modular(4) has 2-torsion; pass allow_torsion=True to proceed",
+    ),
+    "check_jordan": (
+        check_jordan,
+        "modular(4) has 2-torsion; pass allow_torsion=True to check anyway",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TORSION_REFUSALS))
+def test_each_torsion_refusal_keeps_its_message(entry):
+    call, message = TORSION_REFUSALS[entry]
+    phi = LinMap.identity(incidence_algebra(chain(3), modular(4)))
+    with pytest.raises(TorsionRefusedError) as exc:
+        call(phi)
+    assert str(exc.value) == message
+
+
 def test_decompose_degenerate_posets():
     for poset in (singleton(), antichain(3)):
         phi = random_jordan_iso(poset, RATIONALS, seed=1)
@@ -2190,7 +2219,8 @@ def test_word_and_idempotent_families_agree_with_dense_oracle(poset, ring, kind,
 def calls_per_family(phi, seed):
     """StructAlgebra.multiply and mat_vec calls of verify_paper_identities,
     counted by the family whose check was running; the Jordan guard's
-    certificate counts as near_sum_certificate."""
+    certificate counts as near_sum_certificate.  mat_vec is counted in
+    jordan.py and in linmaps.py, where the law scan maps each left side."""
     family = [None]
     products, images = collections.Counter(), collections.Counter()
     multiply = StructAlgebra.multiply
@@ -2214,6 +2244,8 @@ def calls_per_family(phi, seed):
     with mock.patch.object(
         StructAlgebra, "multiply", counted_multiply
     ), mock.patch("fialg.jordan.mat_vec", counted_mat_vec), mock.patch(
+        "fialg.linmaps.mat_vec", counted_mat_vec
+    ), mock.patch(
         "fialg.jordan.run_check", named
     ), mock.patch("fialg.jordan._near_sum_holds", certificate):
         assert verify_paper_identities(phi, seed=seed).passed
