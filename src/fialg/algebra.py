@@ -305,27 +305,34 @@ class StructAlgebra:
         d = self.dimension = len(self.identity)
         if len(cells) != d or any(len(row) != d for row in cells):
             raise FialgError("structure-constant table shape mismatch")
+        self._lifted_cells = ring.lift_table(cells)  # cells itself over Z and Z/n
 
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two vectors held as {index: nonzero payload}, with the
         zeros of the result dropped, so that == on the dicts is equality of
         the vectors.  The work is nonzeros of u x nonzeros of v x cell size:
-        sparse accumulation (Gustavson 1978)."""
+        sparse accumulation (Gustavson 1978), in plain Python ints.  The
+        ring lifts u and v to integer numerators over one denominator each
+        (over Z and Z/n, u and v themselves over 1), the table is lifted
+        once per algebra, and one ring.reduce turns each summed output
+        coordinate back into a canonical payload."""
+        if not u or not v:
+            return {}
         ring = self.ring
-        add, mul = ring.add, ring.mul
-        cells = self.cells
-        out: dict = {}
+        u, du = ring.lift(u)
+        v, dv = ring.lift(v)
+        cells, dc = self._lifted_cells
+        acc: dict = {}
+        get = acc.get
         for i, a in u.items():
             row = cells[i]
             for j, b in v.items():
                 cell = row[j]
-                if not cell:
-                    continue
-                ab = mul(a, b)
-                for k, c in cell:
-                    w = mul(ab, c)
-                    out[k] = add(out[k], w) if k in out else w
-        return {k: w for k, w in out.items() if w}
+                if cell:
+                    ab = a * b
+                    for k, c in cell:
+                        acc[k] = get(k, 0) + ab * c
+        return ring.reduce(acc, du * dv * dc)
 
     def dense(self, vec: dict) -> list:
         """The coordinate list of a vector held as {index: nonzero payload}."""
@@ -447,7 +454,8 @@ def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
     """The same algebra presented over a new basis.
 
     new_basis_columns[j] holds the old coordinates of the j-th new basis
-    vector, each sent through ring.normalize (a float or bool is refused);
+    vector, each sent through ring.normalize (a float or bool is refused)
+    unless it is the ring's own zero object, ring.zero, which is canonical;
     the column matrix must be invertible over the ring.  The result
     carries no incidence basis — it is a generic StructAlgebra.  It costs one
     invert_columns, then works on the nonzeros: cell (i, j) is the
@@ -464,10 +472,16 @@ def _change_basis(algebra: StructAlgebra, new_basis_columns):
     {index: nonzero} columns, for callers that carry vectors across too."""
     ring = algebra.ring
     d = algebra.dimension
-    cols = [list(map(ring.normalize, c)) for c in new_basis_columns]
+    cols = [list(c) for c in new_basis_columns]
     if len(cols) != d or any(len(c) != d for c in cols):
         raise FialgError("change of basis must be a square matrix of full size")
-    basis = [sparse_vector(c) for c in cols]
+    # the ring's own zero object is canonical already; any other entry,
+    # 0.0 and False included, goes through normalize
+    zero, normalize = ring.zero, ring.normalize
+    basis = [
+        {k: w for k, a in enumerate(c) if a is not zero and (w := normalize(a))}
+        for c in cols
+    ]
     inverse = invert_columns(ring, basis, d)
 
     def transported(w: dict) -> tuple:

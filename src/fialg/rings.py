@@ -3,6 +3,16 @@
 A Ring object owns the arithmetic and works on plain canonical payloads
 (int for integers, fractions.Fraction in lowest terms for rationals, int in
 [0, n) for residues).  Nothing here ever touches a float.
+
+The product kernel, StructAlgebra.multiply, sums plain Python ints: lift
+and lift_table give a vector or a cell table as integer numerators over
+one denominator, and reduce turns each summed coordinate back into a
+canonical payload, once per output coordinate.  Over
+Z and Z/n the payloads are their own numerators over 1, so lifting returns
+its argument and costs nothing; reduce drops the zeros over Z and applies
+one % n over Z/n.  Over Q a vector lifts over the lcm of its denominators,
+and reduce builds one Fraction per nonzero sum, so the gcd is paid once per
+coordinate and not once per term.
 """
 
 from __future__ import annotations
@@ -28,6 +38,22 @@ class Ring:
     # concrete subclasses bind: zero, one, add, sub, neg, mul
 
     def normalize(self, a):
+        raise NotImplementedError
+
+    def lift(self, vec: dict):
+        """vec, an {index: nonzero payload} dict, as (its integer numerators
+        in the same order, their common denominator)."""
+        return vec, 1
+
+    def lift_table(self, cells):
+        """A structure-constant table, cells[i][j] a tuple of (k, payload),
+        as (the same shape of integer numerators, their common
+        denominator)."""
+        return cells, 1
+
+    def reduce(self, acc: dict, den: int) -> dict:
+        """The payloads acc[k] / den, as {index: nonzero payload} in acc's
+        key order: the integer sums of the product kernel made canonical."""
         raise NotImplementedError
 
     def try_invert(self, a):
@@ -89,6 +115,9 @@ class IntegerRing(Ring):
             raise FialgError(f"not an integer payload: {a!r}")
         return a
 
+    def reduce(self, acc, den):
+        return {k: w for k, w in acc.items() if w}
+
     def try_invert(self, a):
         return a if a in (1, -1) else None
 
@@ -125,6 +154,23 @@ class RationalRing(Ring):
         if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
             raise FialgError(f"not a rational payload (int or Fraction): {a!r}")
         return Fraction(a)
+
+    def lift(self, vec):
+        den = math.lcm(*[a.denominator for a in vec.values()])
+        return {k: a.numerator * (den // a.denominator) for k, a in vec.items()}, den
+
+    def lift_table(self, cells):
+        den = math.lcm(*{c.denominator for row in cells for cell in row for _, c in cell})
+
+        def lifted(cell):  # an empty cell, most of a table, is kept as it is
+            return tuple([(k, c.numerator * (den // c.denominator)) for k, c in cell])
+
+        return tuple(
+            tuple([lifted(cell) if cell else cell for cell in row]) for row in cells
+        ), den
+
+    def reduce(self, acc, den):
+        return {k: Fraction(w, den) for k, w in acc.items() if w}
 
     def try_invert(self, a):
         return None if a == 0 else 1 / Fraction(a)
@@ -169,6 +215,10 @@ class ModularRing(Ring):
         if isinstance(a, bool) or not isinstance(a, int):
             raise FialgError(f"not a residue payload: {a!r}")
         return a % self.modulus
+
+    def reduce(self, acc, den):
+        n = self.modulus
+        return {k: r for k, w in acc.items() if (r := w % n)}
 
     def try_invert(self, a):
         try:

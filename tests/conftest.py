@@ -64,6 +64,28 @@ def dense_multiply(algebra, u, v):
     return out
 
 
+def ring_arithmetic_multiply(algebra, u, v):
+    """Product of two {index: nonzero payload} vectors of a StructAlgebra in
+    the ring's own add and mul, one call per term, zeros dropped: the sparse
+    loop that StructAlgebra.multiply ran before it summed integers, kept as
+    the oracle of the integer kernel, key order included."""
+    ring = algebra.ring
+    add, mul = ring.add, ring.mul
+    cells = algebra.cells
+    out = {}
+    for i, a in u.items():
+        row = cells[i]
+        for j, b in v.items():
+            cell = row[j]
+            if not cell:
+                continue
+            ab = mul(a, b)
+            for k, c in cell:
+                w = mul(ab, c)
+                out[k] = add(out[k], w) if k in out else w
+    return {k: w for k, w in out.items() if w}
+
+
 def counted_products(monkeypatch):
     """A one-item list that counts StructAlgebra.multiply calls from now
     on."""

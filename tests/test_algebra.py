@@ -31,6 +31,7 @@ from conftest import (
     dense_mat_vec,
     dense_multiply,
     invert_dense,
+    ring_arithmetic_multiply,
     all_posets_up_to,
     boolean_lattice,
     chain,
@@ -515,13 +516,21 @@ def cancelling_pair(A, rng):
     return u, v
 
 
+# primes just below 10^6: a product of vectors over them has a common
+# denominator far larger than any of them
+COPRIME_DENOMINATORS = (999983, 999979, 999961, 999959, 999953)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(all_posets_up_to(4) + [chain(7), validate_poset([], [])]),
     st.sampled_from(
-        [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6)]
+        [RATIONALS, INTEGERS, modular(9), modular(2), modular(4), modular(6),
+         modular(15), modular(45)]
     ),
-    st.sampled_from(["random", "zero-left", "zero-right", "cancelling"]),
+    st.sampled_from(
+        ["random", "zero-left", "zero-right", "cancelling", "large-denominators"]
+    ),
     st.booleans(),
     st.integers(0, 10 ** 6),
 )
@@ -530,12 +539,17 @@ def test_multiply_agrees_with_dense_multiply(poset, ring, kind, twist, seed):
     A = incidence_algebra(poset, ring)
     d = A.dimension
 
+    def draw():
+        if kind != "large-denominators":
+            return ring.sample(rng)
+        if ring is RATIONALS:  # pairwise coprime or random, up to 10^6
+            den = rng.choice(COPRIME_DENOMINATORS + (rng.randint(1, 10 ** 6),))
+            return Fraction(rng.randint(-10 ** 6, 10 ** 6), den)
+        return ring.normalize(rng.randint(-10 ** 6, 10 ** 6))
+
     def sample():
         density = rng.random()
-        return [
-            ring.sample(rng) if rng.random() < density else ring.zero
-            for _ in range(d)
-        ]
+        return [draw() if rng.random() < density else ring.zero for _ in range(d)]
 
     u, v = sample(), sample()
     if kind == "zero-left":
@@ -556,6 +570,16 @@ def test_multiply_agrees_with_dense_multiply(poset, ring, kind, twist, seed):
     product = A.multiply(sparse_vector(u), sparse_vector(v))
     assert product == sparse_vector(dense)
     assert A.dense(product) == dense
+    # the integer kernel against the ring-arithmetic loop it replaced: the
+    # same dict in the same key order, of canonical payloads
+    oracle = ring_arithmetic_multiply(A, sparse_vector(u), sparse_vector(v))
+    assert list(product.items()) == list(oracle.items())
+    if ring is RATIONALS:
+        assert all(type(w) is Fraction for w in product.values())
+    elif ring is INTEGERS:
+        assert all(type(w) is int and w for w in product.values())
+    else:
+        assert all(type(w) is int and 0 < w < ring.modulus for w in product.values())
     if cancelling:
         assert product == {}
 

@@ -97,8 +97,8 @@ def test_one_product_kernel():
         node for node in tree.body
         if isinstance(node, ast.ClassDef) and node.name == "StructAlgebra"
     ]
-    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
-    assert {m for m in methods if "multiply" in m or "product" in m} == {"multiply"}
+    methods = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert [m for m in methods if "multiply" in m or "product" in m] == ["multiply"]
     assert [
         path.name for path in sorted(PACKAGE.glob("*.py"))
         if "multiply_sparse" in path.read_text()
@@ -108,6 +108,18 @@ def test_one_product_kernel():
     assert A.multiply({0: one}, {2: one}) == {2: one}
     assert A.multiply({2: one}, {0: one}) == {}
     assert type(A.multiply({0: one}, {0: one})) is dict
+
+
+def test_the_product_kernel_sums_integers():
+    """StructAlgebra.multiply sums plain ints over the ring's lifted
+    vectors and table: its body reads no ring.add or ring.mul, and it calls
+    the ring's reduce once, which makes each output coordinate canonical."""
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    kernel = dict(functions(tree.body))["StructAlgebra.multiply"]
+    nodes = list(ast.walk(kernel))
+    assert not {"add", "mul"} & {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    calls = [ast.unparse(n.func) for n in nodes if isinstance(n, ast.Call)]
+    assert [c for c in calls if c.endswith("reduce")] == ["ring.reduce"]
 
 
 # The functions under src/ that build a series through the checking door,

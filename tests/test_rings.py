@@ -1,4 +1,5 @@
-"""Exact coefficient rings: axioms, units, torsion, serialization."""
+"""Exact coefficient rings: axioms, units, torsion, serialization, and the
+integer protocol of the product kernel (lift, lift_table, reduce)."""
 
 import math
 import random
@@ -15,14 +16,18 @@ from fialg import (
     FinSeries,
     LinMap,
     NotAUnitError,
+    change_basis,
     incidence_algebra,
     modular,
+    random_basis_change,
     random_jordan_iso,
     ring_from_json,
     validate_poset,
 )
 from fialg.errors import FialgError
 from fialg.rings import Ring
+
+from conftest import chain
 
 RINGS = [INTEGERS, RATIONALS, modular(2), modular(9), modular(12), modular(97)]
 
@@ -66,6 +71,76 @@ class TestAxioms:
             assert ring.parse(ring.format(a)) == a
 
         round_trip()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_lift_then_reduce_gives_the_vector_back(ring):
+    @given(st.lists(elements(ring), max_size=8))
+    def round_trip(values):
+        # keys in decreasing order, so that a reduce that sorted would show
+        vec = {k: a for k, a in reversed(list(enumerate(map(ring.normalize, values)))) if a}
+        numerators, den = ring.lift(vec)
+        assert type(den) is int and den > 0
+        assert list(numerators) == list(vec)
+        assert all(type(w) is int for w in numerators.values())
+        back = ring.reduce(dict(numerators), den)
+        assert list(back.items()) == list(vec.items())
+        assert all(type(a) is type(ring.one) for a in back.values())
+
+    round_trip()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+@pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
+def test_a_lifted_table_reduces_to_its_cells(ring, twist):
+    algebra = incidence_algebra(chain(3), ring)
+    if twist:
+        algebra = change_basis(algebra, random_basis_change(algebra, 5))
+    lifted, den = ring.lift_table(algebra.cells)
+    assert len(lifted) == len(algebra.cells)
+    for row, lifted_row in zip(algebra.cells, lifted):
+        assert len(lifted_row) == len(row)
+        for cell, lifted_cell in zip(row, lifted_row):
+            assert [k for k, _ in lifted_cell] == [k for k, _ in cell]
+            assert all(type(w) is int for _, w in lifted_cell)
+            assert ring.reduce(dict(lifted_cell), den) == dict(cell)
+
+
+def test_a_rational_vector_lifts_over_the_lcm_of_its_denominators():
+    assert RATIONALS.lift({0: Fraction(1, 6), 1: Fraction(1, 4)}) == ({0: 2, 1: 3}, 12)
+    assert RATIONALS.lift({3: Fraction(-5, 2), 1: Fraction(7)}) == ({3: -5, 1: 14}, 2)
+    assert RATIONALS.lift({}) == ({}, 1)
+    table = (
+        ((), ((0, Fraction(1, 6)),)),
+        (((1, Fraction(1, 4)), (0, Fraction(2))), ()),
+    )
+    assert RATIONALS.lift_table(table) == (
+        (((), ((0, 2),)), (((1, 3), (0, 24)), ())), 12
+    )
+    assert RATIONALS.reduce({0: 2, 1: 0, 2: 12}, 12) == {0: Fraction(1, 6), 2: Fraction(1)}
+    assert type(RATIONALS.reduce({0: 12}, 12)[0]) is Fraction
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, modular(9), modular(12)], ids=repr)
+@pytest.mark.parametrize("twist", [False, True], ids=["incidence", "twisted"])
+def test_an_integer_ring_lifts_to_its_own_payloads(ring, twist):
+    """Over Z and Z/n a payload is its own numerator over 1: a lift is its
+    argument itself, so an algebra over those rings holds no second
+    table."""
+    algebra = incidence_algebra(chain(3), ring)
+    if twist:
+        algebra = change_basis(algebra, random_basis_change(algebra, 5))
+    lifted, den = ring.lift_table(algebra.cells)
+    assert lifted is algebra.cells and den == 1
+    assert algebra._lifted_cells[0] is algebra.cells
+    vec = {2: ring.one, 0: ring.normalize(7)}
+    numerators, den = ring.lift(vec)
+    assert numerators is vec and den == 1
+
+
+def test_reduce_drops_zeros_and_reduces_residues():
+    assert INTEGERS.reduce({4: 3, 1: 0, 0: -2}, 1) == {4: 3, 0: -2}
+    assert list(modular(9).reduce({4: 30, 1: 18, 0: -2}, 1).items()) == [(4, 3), (0, 7)]
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
