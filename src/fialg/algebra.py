@@ -182,9 +182,11 @@ class FinSeries:
     def inverse(self) -> "FinSeries":
         """Convolution inverse; exists iff every diagonal entry is a unit.
 
-        Solved by the triangular recursion
-        v(x,x) = u(x,x)^-1,
-        v(x,y) = -u(x,x)^-1 * sum over x < z <= y of u(x,z) v(z,y).
+        Solved row by row, v(x, -) = u(x,x)^-1 e_x - sum over x < z of
+        u(x,x)^-1 u(x,z) v(z, -), one mat_vec over the solved rows v(z, -)
+        that the strict nonzeros of u's row x touch.  Rows are solved in
+        ascending up-set size, so each z above x is solved before x, and the
+        work is in proportion to the nonzeros met, with no recursion.
         """
         poset, ring = self.poset, self.ring
         n = poset.size
@@ -197,27 +199,17 @@ class FinSeries:
                     f"{poset.elements[i]!r} is not a unit"
                 )
             diag_inv.append(inv)
-        add, mul, neg = ring.add, ring.mul, ring.neg
-        memo: dict = {}
-
-        def v(i: int, j: int):
-            if i == j:
-                return diag_inv[i]
-            key = (i, j)
-            if key in memo:
-                return memo[key]
-            s = ring.zero
-            for z in range(n):
-                if z != i and poset.relation[i][z] and poset.relation[z][j]:
-                    u_iz = self.coeffs.get((i, z))
-                    if u_iz is not None:
-                        s = add(s, mul(u_iz, v(z, j)))
-            val = neg(mul(diag_inv[i], s))
-            memo[key] = val
-            return val
-
+        strict_rows = [[] for _ in range(n)]
+        for (i, z), a in self.coeffs.items():
+            if i != z:
+                strict_rows[i].append((z, a))
+        mul, rows = ring.mul, [None] * n
+        for i in sorted(range(n), key=[sum(row) for row in poset.relation].__getitem__):
+            t = ring.neg(diag_inv[i])
+            rows[i] = mat_vec(ring, rows, [(z, mul(t, a)) for z, a in strict_rows[i]])
+            rows[i][i] = diag_inv[i]
         pairs = poset.comparable_index_pairs()
-        return FinSeries._of(poset, ring, {p: val for p in pairs if (val := v(*p))})
+        return FinSeries._of(poset, ring, {p: v for p in pairs if (v := rows[p[0]].get(p[1]))})
 
 
 class AlgBasis:

@@ -76,7 +76,7 @@ from .linmaps import (
     check_jordan,
     jordan_pair_check,
 )
-from .matrices import mat_vec, require_unit_determinant
+from .matrices import _add_multiple, mat_vec, require_unit_determinant
 from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
@@ -191,13 +191,8 @@ def random_basis_change(algebra: StructAlgebra, seed: int):
         i, j = rng.randrange(d), rng.randrange(d)
         if i == j:
             continue
-        r = ring.sample(rng)
-        target = cols[j]
-        for k, b in cols[i].items():  # column j += r * column i, on i's nonzeros
-            if w := ring.add(target.get(k, ring.zero), ring.mul(r, b)):
-                target[k] = w
-            else:
-                target.pop(k, None)
+        # column j += r * column i, r a ring sample, on column i's nonzeros
+        _add_multiple(ring, cols[j], cols[i], ring.sample(rng))
     dense = [[ring.zero] * d for _ in range(d)]
     for out, col in zip(dense, cols):
         for k, a in col.items():
@@ -623,7 +618,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     adds one product.  Witnesses are dense."""
     dom, cod, ring = phi.domain, phi.codomain, phi.ring
     basis = dom.basis
-    poset, at, pairs = basis.poset, basis.index_of, basis.pairs
+    poset, at = basis.poset, basis.index_of
     n, labels = poset.size, poset.elements
     multiply = cod.multiply
     zero_vec = [ring.zero] * cod.dimension
@@ -632,16 +627,14 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
     pulled = []
     for z in strict_samples:
         image = _series_image(phi, columns, z)
-        pullback = mat_vec(ring, phi_inverse.sparse_columns, image.items())
-        f = FinSeries._of(poset, ring, {pairs[k]: v for k, v in pullback.items()})
-        pulled.append((image, f))
+        pulled.append((image, mat_vec(ring, phi_inverse.sparse_columns, image.items())))
     # Every codomain is associative (incidence tables, their change_basis
     # transports, and the tables StructAlgebra(...) checks), so the
     # five-factor product is exactly (L phi(e_W)) R with
     # L = phi(e_x) s(f) and R = s(g) phi(e_y) built once per sample and element.
     halves = [
         ([multiply(e, image) for e in diag], [multiply(image, e) for e in diag])
-        if f.is_strict()
+        if all(k >= n for k in f)  # strict: AlgBasis lists the n diagonal units first
         else None
         for image, f in pulled
     ]
@@ -662,7 +655,7 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
 
     for s1, (_, f1) in enumerate(pulled):
         if halves[s1] is None:
-            diagonal = dom.element_from_series(f1.split_diag()[0]).coords
+            diagonal = tuple(dom.dense({k: v for k, v in f1.items() if k < n}))
             yield (s1,), diagonal, [ring.zero] * dom.dimension, (
                 f"phi-inverse of {name}(f) has a diagonal part"
             )
@@ -672,9 +665,9 @@ def _window_failures(phi: LinMap, phi_inverse: LinMap, columns, strict_samples,
             if halves[s2] is None:
                 continue
             right = halves[s2][1]
-            fc, gc = (f2.coeffs, f1.coeffs) if mirror else (f1.coeffs, f2.coeffs)
+            fc, gc = (f2, f1) if mirror else (f1, f2)
             for (i, j), interval in intervals:
-                excluded = {z for z in interval if (i, z) in fc and (z, j) in gc}
+                excluded = {z for z in interval if at[i, z] in fc and at[z, j] in gc}
                 pool = [z for z in range(n) if z not in excluded]
                 windows = [
                     (),

@@ -10,13 +10,14 @@ rows, {column: nonzero} dicts, in the ring's own arithmetic, since the
 pipeline's matrices (Jordan maps, basis changes) are mostly zeros.  The
 signed product of its pivots is the determinant that decides invertibility.
 require_unit_determinant eliminates forward only, and over the rationals
-on the integer lift mod a large prime; invert_columns reduces above the
-pivots too (Gauss-Jordan on [A | I]) and reads the inverse off the rows.
+on the integer lift mod a large prime, each column lifted by the ring's own
+Ring.lift; invert_columns reduces above the pivots too (Gauss-Jordan on
+[A | I]) and reads the inverse off the rows.  _add_multiple, row += t *
+source, is the one sparse row operation, which random_basis_change's column
+shears use too.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .errors import NotInvertibleError
 from .rings import ModularRing, RationalRing, Ring
@@ -128,19 +129,18 @@ def require_unit_determinant(ring: Ring, columns, height: int) -> None:
 
     The columns are eliminated forward as rows, in the ring's arithmetic:
     integers over Z, residues over Z/n.  Over the rationals the integer lift
-    (each column scaled by the lcm of its denominators) is eliminated mod
-    the prime 2^61 - 1 first; a nonzero residue makes the determinant
-    nonzero, a unit, and only a residue of 0 eliminates the rationals
-    themselves, whose refusal always reads determinant 0.
+    (ring.lift: each column's numerators over the lcm of its denominators)
+    is eliminated mod the prime 2^61 - 1 first; a nonzero residue makes the
+    determinant nonzero, a unit, and only a residue of 0 eliminates the
+    rationals themselves, whose refusal always reads determinant 0.
     """
     if height != len(columns):
         raise NotInvertibleError("matrix is not square")
     if isinstance(ring, RationalRing):
         q, lifted = _LIFT_RING.modulus, []
         for col in columns:
-            scale = lcm(*(v.denominator for v in col.values()))
-            row = ((i, v.numerator * (scale // v.denominator) % q) for i, v in col.items())
-            lifted.append({i: v for i, v in row if v})
+            numerators, _ = ring.lift(col)
+            lifted.append({i: r for i, v in numerators.items() if (r := v % q)})
         if _eliminate(_LIFT_RING, lifted, reduce_above=False):
             return
     _require_unit(ring, _eliminate(ring, [dict(col) for col in columns], reduce_above=False))

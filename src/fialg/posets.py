@@ -166,11 +166,9 @@ def _check_axioms(elements, relation):
 
 def validate_poset(elements: Sequence[str], relation_pairs: Iterable) -> Poset:
     """Close the given generating relations reflexively and transitively and
-    return the resulting poset; antisymmetry violations raise."""
+    return the resulting poset; the Poset door refuses duplicate labels and
+    antisymmetry violations, after an unknown label in a relation pair."""
     elems = tuple(elements)
-    if len(set(elems)) != len(elems):
-        dupes = sorted({e for e in elems if elems.count(e) > 1})
-        raise DuplicateElementError(f"duplicate element label(s): {dupes}")
     pos = {e: i for i, e in enumerate(elems)}
     n = len(elems)
     leq = [[i == j for j in range(n)] for i in range(n)]

@@ -20,6 +20,7 @@ from fialg import (
     validate_poset,
 )
 from fialg.algebra import sparse_vector
+from fialg.errors import NotAUnitError
 from fialg.linmaps import rebase_codomain
 from fialg.matrices import invert_columns, require_unit_determinant
 
@@ -84,6 +85,43 @@ def ring_arithmetic_multiply(algebra, u, v):
                 w = mul(ab, c)
                 out[k] = add(out[k], w) if k in out else w
     return {k: w for k, w in out.items() if w}
+
+
+def recursive_series_inverse(u):
+    """The convolution inverse of a series by the memoized triangular
+    recursion v(x,x) = u(x,x)^-1, v(x,y) = -u(x,x)^-1 * sum over x < z <= y
+    of u(x,z) v(z,y), scanning every element for each pair: the loop that
+    FinSeries.inverse ran before it solved by rows, kept as its oracle, key
+    order and NotAUnitError text included."""
+    poset, ring = u.poset, u.ring
+    n = poset.size
+    diag_inv = []
+    for i in range(n):
+        inv = ring.try_invert(u.coeffs.get((i, i), ring.zero))
+        if inv is None:
+            raise NotAUnitError(
+                f"series is not invertible: diagonal entry at "
+                f"{poset.elements[i]!r} is not a unit"
+            )
+        diag_inv.append(inv)
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    memo = {}
+
+    def v(i, j):
+        if i == j:
+            return diag_inv[i]
+        if (i, j) not in memo:
+            s = ring.zero
+            for z in range(n):
+                if z != i and poset.relation[i][z] and poset.relation[z][j]:
+                    u_iz = u.coeffs.get((i, z))
+                    if u_iz is not None:
+                        s = add(s, mul(u_iz, v(z, j)))
+            memo[i, j] = neg(mul(diag_inv[i], s))
+        return memo[i, j]
+
+    pairs = poset.comparable_index_pairs()
+    return FinSeries._of(poset, ring, {p: val for p in pairs if (val := v(*p))})
 
 
 def counted_products(monkeypatch):

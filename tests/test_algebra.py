@@ -1,8 +1,10 @@
 """Series arithmetic, the unit-product rule, idempotents, inversion, and
 structure-constant presentations."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from fialg import (
     modular,
     random_basis_change,
     random_series,
+    random_unit_series,
     validate_poset,
 )
 from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
@@ -31,6 +34,7 @@ from conftest import (
     dense_mat_vec,
     dense_multiply,
     invert_dense,
+    recursive_series_inverse,
     ring_arithmetic_multiply,
     all_posets_up_to,
     boolean_lattice,
@@ -204,6 +208,79 @@ def test_inverse_names_offending_element():
     f = FinSeries.from_entries(P3, INTEGERS, {("1", "1"): 2})
     with pytest.raises(NotAUnitError, match="1"):
         f.inverse()
+
+
+# primes just below 10^6: a product of vectors over them has a common
+# denominator far larger than any of them
+COPRIME_DENOMINATORS = (999983, 999979, 999961, 999959, 999953)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(all_posets_up_to(4) + [chain(7), boolean_lattice(3)]),
+    st.sampled_from([RATIONALS, INTEGERS, modular(9), modular(15), modular(4)]),
+    st.sampled_from(["random_unit_series", "large-entries", "one-non-unit"]),
+    st.integers(0, 10 ** 6),
+)
+def test_inverse_agrees_with_the_recursive_inverse(poset, ring, kind, seed):
+    """The row solve against the recursion it replaced: the same
+    coefficients in the same key order, or the same NotAUnitError text.
+    The labels are shuffled, so index order need not be a linear
+    extension and rows are not solved in index order."""
+    rng = random.Random(seed)
+    perm = list(range(poset.size))
+    rng.shuffle(perm)
+    poset = poset.restrict(perm)
+    u = random_unit_series(poset, ring, rng, density=rng.random())
+    if kind == "large-entries":
+        coeffs = {}
+        for (i, j) in poset.comparable_index_pairs():
+            if i == j:
+                coeffs[i, j] = ring.sample_unit(rng)
+            elif ring is RATIONALS:
+                den = rng.choice(COPRIME_DENOMINATORS + (rng.randint(1, 10 ** 6),))
+                coeffs[i, j] = Fraction(rng.randint(-10 ** 6, 10 ** 6), den)
+            else:
+                coeffs[i, j] = rng.randint(-10 ** 6, 10 ** 6)
+        if ring is RATIONALS:  # a unit with a large denominator too
+            coeffs[0, 0] = Fraction(rng.randint(1, 10 ** 6), rng.choice(COPRIME_DENOMINATORS))
+        u = FinSeries(poset, ring, coeffs)
+    elif kind == "one-non-unit":
+        a = ring.sample(rng)
+        while ring.is_unit(a):
+            a = ring.sample(rng)
+        coeffs = dict(u.coeffs)
+        coeffs[(x := rng.randrange(poset.size)), x] = a
+        u = FinSeries(poset, ring, coeffs)
+    try:
+        expected = recursive_series_inverse(u)
+    except NotAUnitError as refused:
+        assert kind == "one-non-unit"
+        with pytest.raises(NotAUnitError) as got:
+            u.inverse()
+        assert str(got.value) == str(refused)
+        return
+    v = u.inverse()
+    assert list(v.coeffs.items()) == list(expected.coeffs.items())
+    assert u * v == FinSeries.delta(poset, ring) == v * u
+
+
+def test_series_inverse_needs_no_recursion():
+    """The zeta series of a 120-element chain inverts with the stack capped
+    just above the caller's depth: its inverse is the Moebius function, 1 on
+    the diagonal and -1 on the covers.  The recursion it replaced recurses
+    once per chain element and raises RecursionError here."""
+    poset = chain(120)
+    zeta = FinSeries.zeta(poset, INTEGERS)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        mu = zeta.inverse()
+    finally:
+        sys.setrecursionlimit(limit)
+    n = poset.size
+    expected = {(i, i): 1 for i in range(n)} | {(i, i + 1): -1 for i in range(n - 1)}
+    assert mu.coeffs == expected
 
 
 def test_cross_context_arithmetic_refused():
@@ -514,11 +591,6 @@ def cancelling_pair(A, rng):
     u[index[(x, x)]], u[index[(x, y)]] = a, b
     v[index[(x, z)]], v[index[(y, z)]] = c, d
     return u, v
-
-
-# primes just below 10^6: a product of vectors over them has a common
-# denominator far larger than any of them
-COPRIME_DENOMINATORS = (999983, 999979, 999961, 999959, 999953)
 
 
 @settings(max_examples=300, deadline=None)

@@ -279,6 +279,63 @@ def test_only_the_rings_import_fractions():
     assert importers == ["rings.py"]
 
 
+def test_only_the_rings_read_payload_internals():
+    """A payload's numerator and denominator are the rationals' business:
+    a kernel that needs integers asks the ring for them (Ring.lift)."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "rings.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    ]
+    assert readers == []
+
+
+# The functions outside rings.py that read the ring's own arithmetic, add,
+# sub, neg or mul, off a ring (ring.mul, self.ring.add, u.ring.mul): the
+# sparse kernels of matrices.py (mat_vec, _add_multiple, _eliminate), the
+# series and element arithmetic of algebra.py, and the jordan.py loops that
+# combine payloads outside a kernel.  Another function that needs ring
+# arithmetic on vectors calls one of these kernels instead of opening its
+# own loop.
+RING_ARITHMETIC_CALLERS = {
+    "algebra.AlgElem.__add__",
+    "algebra.FinSeries.__mul__",
+    "algebra.FinSeries.__neg__",
+    "algebra.FinSeries.inverse",
+    "algebra.FinSeries.scale",
+    "algebra._sparse_add",
+    "jordan.conjugate_by_unit",
+    "jordan.equal_by_sandwiches",
+    "jordan.verify_paper_identities",
+    "matrices._add_multiple",
+    "matrices._eliminate",
+    "matrices.mat_vec",
+}
+
+
+def test_ring_arithmetic_callers_are_the_allowlist():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "rings.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            node: name
+            for name, fn in functions(tree.body)
+            for node in ast.walk(fn)
+        }
+        callers |= {
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("add", "sub", "neg", "mul")
+            and ast.unparse(node.value).rsplit(".", 1)[-1] == "ring"
+        }
+    assert callers == RING_ARITHMETIC_CALLERS
+
+
 # The JSON readers and writers under src/: the formats the CLI reads (poset,
 # ring and map files) and writes (posets, maps, decompositions and reports).
 WIRE_FORMATS = {

@@ -28,10 +28,15 @@ def test_validate_takes_transitive_closure():
 
 
 def test_validate_rejects_duplicates_and_unknowns():
-    with pytest.raises(DuplicateElementError):
-        validate_poset(["a", "a"], [])
+    # duplicate labels are refused by the Poset door, after the relation
+    # pairs are read, so an unknown label in a pair is reported first
+    with pytest.raises(DuplicateElementError) as refused:
+        validate_poset(["b", "a", "b", "a", "c"], [("a", "c"), ("c", "b")])
+    assert str(refused.value) == "duplicate element label(s): ['a', 'b']"
     with pytest.raises(UnknownElementError):
         validate_poset(["a"], [("a", "b")])
+    with pytest.raises(UnknownElementError, match="'z'"):
+        validate_poset(["a", "a"], [("a", "z")])
 
 
 def test_validate_rejects_cycles():
