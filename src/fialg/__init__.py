@@ -9,7 +9,6 @@ reporting.
 
 from .algebra import (
     AlgBasis,
-    AlgElem,
     FinSeries,
     StructAlgebra,
     change_basis,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgBasis",
-    "AlgElem",
     "AntisymmetryViolationError",
     "CheckResult",
     "ContextMismatchError",

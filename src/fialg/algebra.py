@@ -6,14 +6,14 @@ algebra (or any other finite-dimensional one) presented by an ordered basis
 and structure constants, which is the form the linear-map layer works in.
 incidence_algebra() builds the structure-constant presentation of FinSeries
 with its unit basis attached, so element_from_series() maps a series to its
-coordinates exactly.
+coordinate tuple exactly; it is the one builder that attaches a basis.
 
 Each type has one checking door, as LinMap does.  FinSeries(...) checks every
 key and StructAlgebra(...) every cell index and the identity and associative
 laws on the basis; both send every payload through ring.normalize and drop
-zeros, and AlgElem(...) normalizes its coordinates.  The builders inside the
-package, which already hold canonical payloads, use FinSeries._of and
-StructAlgebra._of_tuples and are not checked again.
+zeros.  StructAlgebra(...) builds a generic algebra, with no incidence basis.
+The builders inside the package, which already hold canonical payloads, use
+FinSeries._of and StructAlgebra._of_tuples and are not checked again.
 
 For a finite poset every series has finite support, so the full function
 algebra and its finitely-supported subalgebra coincide; there is only one
@@ -250,14 +250,16 @@ class StructAlgebra:
     normalizes each coefficient and identity coordinate and drops zero
     coefficients.  It then checks the laws that decompose's certificate
     uses: the identity is two-sided on every basis vector, and every basis
-    triple associates, d^3 products paid at this door only.  The two
-    builders, incidence_algebra() and change_basis(), produce unital
+    triple associates, d^3 products paid at this door only.  It attaches no
+    basis, since decompose presumes that a domain carrying an AlgBasis is
+    that basis's incidence algebra.  The two builders, incidence_algebra(),
+    the one that attaches a basis, and change_basis(), produce unital
     associative tables by construction and go through _of_tuples.
     multiply() takes and returns {index: nonzero payload} dicts and touches
     only the nonzero coordinates and cells.
     """
 
-    def __init__(self, ring: Ring, cells, identity, basis: AlgBasis | None = None):
+    def __init__(self, ring: Ring, cells, identity):
         normalize = ring.normalize
         identity = tuple(map(normalize, identity))
         d = len(identity)
@@ -271,7 +273,7 @@ class StructAlgebra:
                     out.append((k, c))
             return tuple(out)
 
-        self._take(ring, tuple(tuple(map(cell, row)) for row in cells), identity, basis)
+        self._take(ring, tuple(tuple(map(cell, row)) for row in cells), identity, None)
         units = [{k: ring.one} for k in range(d)]
         one = sparse_vector(identity)
         for k, b in enumerate(units):
@@ -333,7 +335,7 @@ class StructAlgebra:
 
     # -- the coordinates of a series, in an incidence model ---------------------
 
-    def element_from_series(self, f: FinSeries) -> "AlgElem":
+    def element_from_series(self, f: FinSeries) -> tuple:
         if self.basis is None:
             raise ContextMismatchError("algebra carries no incidence basis")
         if f.poset != self.basis.poset or f.ring != self.ring:
@@ -341,7 +343,7 @@ class StructAlgebra:
         coords = [self.ring.zero] * self.dimension
         for key, v in f.coeffs.items():
             coords[self.basis.index_of[key]] = v
-        return AlgElem(self, tuple(coords))
+        return tuple(coords)
 
     def __eq__(self, other):
         if self is other:
@@ -357,43 +359,6 @@ class StructAlgebra:
     def __repr__(self):
         tag = "incidence" if self.basis is not None else "generic"
         return f"StructAlgebra({tag}, dim={self.dimension}, ring={self.ring!r})"
-
-
-@dataclass(frozen=True)
-class AlgElem:
-    """An element of a StructAlgebra, as an immutable coordinate vector;
-    each coordinate passes ring.normalize."""
-
-    algebra: StructAlgebra
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dimension:
-            raise ContextMismatchError(
-                f"{len(self.coords)} coordinates for an algebra of dimension "
-                f"{self.algebra.dimension}"
-            )
-        coords = tuple(map(self.algebra.ring.normalize, self.coords))
-        object.__setattr__(self, "coords", coords)
-
-    def _peer(self, other: "AlgElem") -> "AlgElem":
-        if not isinstance(other, AlgElem):
-            raise TypeError(f"expected AlgElem, got {type(other).__name__}")
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            raise ContextMismatchError("elements live in different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._peer(other)
-        add = self.algebra.ring.add
-        return AlgElem(
-            self.algebra, tuple(add(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __mul__(self, other):
-        u, v = sparse_vector(self.coords), sparse_vector(self._peer(other).coords)
-        product = self.algebra.multiply(u, v)
-        return AlgElem(self.algebra, tuple(self.algebra.dense(product)))
 
 
 def sparse_vector(coords) -> dict:

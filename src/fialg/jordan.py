@@ -57,7 +57,6 @@ import random
 from dataclasses import dataclass, replace
 
 from .algebra import (
-    AlgElem,
     FinSeries,
     StructAlgebra,
     _sparse_add,
@@ -77,7 +76,7 @@ from .linmaps import (
     jordan_pair_check,
 )
 from .matrices import _add_multiple, mat_vec, require_unit_determinant
-from .posets import OrderMap, Poset, _iter_order_isomorphisms, order_isomorphisms
+from .posets import OrderMap, Poset, _iter_order_isomorphisms
 from .reports import CheckResult, VerificationReport, run_check
 from .rings import Ring
 
@@ -150,8 +149,7 @@ def near_sum_build(psi: LinMap, theta: LinMap) -> LinMap:
     both orders.  Each violated clause is reported with witnesses inside
     PreconditionFailedError.
     """
-    if psi.domain != theta.domain or psi.codomain != theta.codomain:
-        raise ContextMismatchError("psi and theta must share domain and codomain")
+    _require_one_context(psi, theta)
     cols = list(psi.sparse_columns)
     for k in _incidence_domain(psi).basis.strict_indices():
         cols[k] = _sparse_add(psi.ring, cols[k], theta.sparse_columns[k])
@@ -237,13 +235,13 @@ def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:
     anti_comp = [False] * len(comps)
     for ci, comp in enumerate(comps):
         tgt = target_of[ci]
-        straight = order_isomorphisms(subs[ci], subs[tgt])
-        reversed_maps = order_isomorphisms(subs[ci], subs[tgt], reversing=True)
+        straight = list(_iter_order_isomorphisms(subs[ci], subs[tgt]))
+        reversed_maps = list(_iter_order_isomorphisms(subs[ci], subs[tgt], True))
         use_anti = bool(reversed_maps) and rng.random() < 0.5
         chosen = rng.choice(reversed_maps if use_anti else straight)
         anti_comp[ci] = use_anti
         for local, global_i in enumerate(comp):
-            images[global_i] = comps[tgt][chosen.images[local]]
+            images[global_i] = comps[tgt][chosen[local]]
 
     # Each basis unit goes to one unit: e_xy -> e_{m(x)m(y)}, or
     # e_{m(y)m(x)} for a strict pair on an anti component.  The conjugation
@@ -270,6 +268,12 @@ def _incidence_domain(phi: LinMap) -> StructAlgebra:
             "decomposition needs a domain with an incidence basis"
         )
     return phi.domain
+
+
+def _require_one_context(phi: LinMap, *maps) -> None:
+    """Refuse psi or theta unless each of maps runs between phi's algebras."""
+    if any(m.domain != phi.domain or m.codomain != phi.codomain for m in maps):
+        raise ContextMismatchError("psi and theta must share domain and codomain")
 
 
 def _near_sum_columns(phi: LinMap):
@@ -348,24 +352,17 @@ def _jordan_recognizer(phi: LinMap):
     return report.checks, report
 
 
-def extend_via_inverse(
-    phi: LinMap,
-    f: FinSeries,
-    anti: bool = False,
-    phi_inverse: LinMap | None = None,
-) -> AlgElem:
+def extend_via_inverse(phi: LinMap, f: FinSeries, anti: bool = False) -> tuple:
     """Oracle construction of psi(f) (or theta(f) with anti=True) through
     phi^-1: recover the strict series g with g(x, y) =
     phi^-1(phi(e_x) phi(f_Z) phi(e_y))(x, y) pointwise over strict pairs,
-    read off the Peirce table of phi(f_Z), and return phi(f_D) + phi(g).
+    read off the Peirce table of phi(f_Z), and return the coordinate tuple
+    of phi(f_D) + phi(g).  phi^-1 is phi.invert(), computed on every call.
     Independent of the linear-extension route."""
     basis = _incidence_domain(phi).basis
     if f.poset != basis.poset or f.ring != phi.ring:
         raise ContextMismatchError("series does not match the map's domain")
-    cod = phi.codomain
-    ring = phi.ring
-    if phi_inverse is None:
-        phi_inverse = phi.invert()
+    cod, ring, phi_inverse = phi.codomain, phi.ring, phi.invert()
     f_diag, f_strict = f.split_diag()
     at, cols = basis.index_of, phi.sparse_columns
     table = _peirce_table(phi, _series_image(phi, cols, f_strict))
@@ -376,7 +373,7 @@ def extend_via_inverse(
         if v := back.get(at[(i, j)]):
             g_coeffs[(i, j)] = v
     g = FinSeries._of(basis.poset, ring, g_coeffs)
-    return AlgElem(cod, tuple(cod.dense(_series_image(phi, cols, f_diag + g))))
+    return tuple(cod.dense(_series_image(phi, cols, f_diag + g)))
 
 
 _NEAR_SUM_CHECKS = (
@@ -404,8 +401,10 @@ def verify_near_sum(dec: Decomposition) -> VerificationReport:
     scan on those pairs.  A pass is reported as five passing checks with no
     witnesses, which is what the full scan reports.  Only on failure does
     the full scan run, and its report carries each check's failure count and
-    witnesses.  phi's domain must carry an incidence basis.
+    witnesses.  phi's domain must carry an incidence basis, and psi and
+    theta must map it into phi's codomain, or ContextMismatchError is raised.
     """
+    _require_one_context(dec.phi, dec.psi, dec.theta)
     if _near_sum_holds(dec):
         return _NEAR_SUM_PASS
     return _near_sum_scan(dec)
@@ -464,12 +463,9 @@ def _cover_pairs(basis):
 
 
 def _covers_hold(dec: Decomposition) -> bool:
-    """The certificate but for the idempotent pairs, which it presumes; False
-    unless psi and theta share phi's domain and codomain."""
-    phi, psi, theta = dec.phi, dec.psi, dec.theta
-    dom, cod = _incidence_domain(phi), phi.codomain
-    if (psi.domain, theta.domain, psi.codomain, theta.codomain) != (dom, dom, cod, cod):
-        return False
+    """The certificate but for the idempotent pairs, which it presumes, on a
+    decomposition whose three maps share one domain and codomain."""
+    psi, theta = dec.psi, dec.theta
     # With P_x = psi(e_x) = theta(e_x) and P_x P_y = delta_xy P_x, a cover
     # g = e_uv's placements psi(g) = P_u psi(g) = psi(g) P_v and rows psi(e_uz)
     # = psi(g) psi(e_vz) give, by induction along a maximal chain, psi(e_yz) =
@@ -480,7 +476,7 @@ def _covers_hold(dec: Decomposition) -> bool:
     # b = d, and then it is psi(a'') psi(g) theta(e_cb) for a cover g = e_wb, a
     # listed pair; theta(e_ab) psi(e_ad) mirrors it.  Only associativity is
     # used, and every pair is an instance of the full scan.
-    placements, rows, left, right = _cover_pairs(dom.basis)
+    placements, rows, left, right = _cover_pairs(_incidence_domain(psi).basis)
     return all(
         next(failures, None) is None
         for failures in (
@@ -582,13 +578,10 @@ def equal_by_sandwiches(phi: LinMap, a, b) -> bool:
     soon as phi(e_x) a phi(e_x) = phi(e_x) b phi(e_x) for every x and
     phi(e_x) a phi(e_y) + phi(e_y) a phi(e_x) agrees for every x < y.
     Decided on one Peirce table of a - b's nonzeros; equal sides need none.
-    A coordinate list goes through ring.normalize, which refuses a float or
-    bool entry, zero-valued ones included."""
+    a and b are coordinate sequences of phi's codomain; each goes through
+    ring.normalize, which refuses a float or bool entry, zero-valued ones
+    included."""
     poset, cod, ring = _incidence_domain(phi).basis.poset, phi.codomain, phi.ring
-    if any(isinstance(v, AlgElem) and v.algebra is not cod and v.algebra != cod
-           for v in (a, b)):
-        raise ContextMismatchError("element does not live in the map's codomain")
-    a, b = (v.coords if isinstance(v, AlgElem) else v for v in (a, b))
     if len(a) != cod.dimension or len(b) != cod.dimension:
         raise ContextMismatchError("vector length does not match the codomain")
     a, b = map(ring.normalize, a), map(ring.normalize, b)

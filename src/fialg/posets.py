@@ -261,14 +261,15 @@ def order_isomorphisms(p: Poset, q: Poset, reversing: bool = False) -> list[Orde
     assigned pair disagrees with the target order.  The cost follows the
     number of consistent partial maps, not n!; the result itself can still be
     as long as the automorphism count (k! for a k-element antichain)."""
-    return list(_iter_order_isomorphisms(p, q, reversing))
+    return [OrderMap(p, q, m, reversing) for m in _iter_order_isomorphisms(p, q, reversing)]
 
 
 def _iter_order_isomorphisms(
     p: Poset, q: Poset, reversing: bool = False
-) -> Iterator[OrderMap]:
-    """The search behind order_isomorphisms, lazily: a caller that needs only
-    to know whether an isomorphism exists stops at the first one."""
+) -> Iterator[tuple[int, ...]]:
+    """The search behind order_isomorphisms, lazily, as image tuples: a
+    caller can stop at the first one, and one that reads only the images
+    builds no OrderMap, whose door re-checks the pairs checked here."""
     if p.size != q.size:
         raise SizeMismatchError(f"|{list(p.elements)}| != |{list(q.elements)}|")
     n = p.size
@@ -293,7 +294,7 @@ def _iter_order_isomorphisms(
     # images[k] = t would need k <= i and i <= k, which antisymmetry forbids.
     def extend(i):
         if i == n:
-            yield OrderMap(p, q, tuple(images), reversing)
+            yield tuple(images)
             return
         for t in candidates[i]:
             if all(

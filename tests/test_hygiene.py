@@ -16,7 +16,6 @@ import fialg
 from fialg import (
     INTEGERS,
     RATIONALS,
-    AlgElem,
     FialgError,
     FinSeries,
     LinMap,
@@ -164,9 +163,6 @@ def split_with_identity_v_b0_plus_b1(one, v):
 # ring and one payload v that it builds an object from: on chain-2, or on a
 # two-dimensional table that obeys the laws StructAlgebra(...) checks.
 PAYLOAD_DOORS = {
-    "AlgElem": lambda ring, v: AlgElem(
-        incidence_algebra(chain(2), ring), (v, ring.zero, ring.zero)
-    ),
     "FinSeries": lambda ring, v: FinSeries(chain(2), ring, {(0, 1): v}),
     "FinSeries.from_entries": lambda ring, v: FinSeries.from_entries(
         chain(2), ring, {("1", "2"): v}
@@ -295,12 +291,11 @@ def test_only_the_rings_read_payload_internals():
 # The functions outside rings.py that read the ring's own arithmetic, add,
 # sub, neg or mul, off a ring (ring.mul, self.ring.add, u.ring.mul): the
 # sparse kernels of matrices.py (mat_vec, _add_multiple, _eliminate), the
-# series and element arithmetic of algebra.py, and the jordan.py loops that
+# series arithmetic of algebra.py, and the jordan.py loops that
 # combine payloads outside a kernel.  Another function that needs ring
 # arithmetic on vectors calls one of these kernels instead of opening its
 # own loop.
 RING_ARITHMETIC_CALLERS = {
-    "algebra.AlgElem.__add__",
     "algebra.FinSeries.__mul__",
     "algebra.FinSeries.__neg__",
     "algebra.FinSeries.inverse",
