@@ -367,13 +367,14 @@ def sparse_vector(coords) -> dict:
     return {k: a for k, a in enumerate(coords) if a}
 
 
-def _sparse_add(ring, u: dict, v: dict) -> dict:
-    """u + v for vectors held as {index: nonzero payload}, with the zeros of
-    the sum dropped."""
+def _sparse_add(ring, u: dict, *vectors: dict) -> dict:
+    """u plus each of vectors, all held as {index: nonzero payload}, with the
+    zeros of the sum dropped."""
     add = ring.add
     out = dict(u)
-    for k, b in v.items():
-        out[k] = add(out[k], b) if k in out else b
+    for v in vectors:
+        for k, b in v.items():
+            out[k] = add(out[k], b) if k in out else b
     return {k: w for k, w in out.items() if w}
 
 

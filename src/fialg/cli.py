@@ -179,11 +179,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed is not None and not args.identities:
+        raise CliError("--seed seeds the identity samples; it needs --identities")
     phi = _load_map(args)
     if args.identities:
-        report = verify_paper_identities(
-            phi, seed=args.seed, allow_torsion=args.allow_torsion
-        )
+        seed = 7 if args.seed is None else args.seed
+        report = verify_paper_identities(phi, seed, allow_torsion=args.allow_torsion)
     else:
         report = decompose(phi, allow_torsion=args.allow_torsion).report
     return _report_exit(report, phi.ring, args.out)
@@ -260,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the sampled identity families instead of the near-sum checks",
     )
-    p.add_argument("--seed", type=int, default=7, help="identity sampling seed")
+    p.add_argument("--seed", type=int, help="identity sampling seed (default 7)")
     p.add_argument("--allow-torsion", action="store_true")
     _add_out(p)
     p.set_defaults(handler=_cmd_verify)

@@ -9,10 +9,11 @@ nothing in the library reads it.  All recognizers quantify over basis
 tuples — enough, by bilinearity, to decide the corresponding law for
 arbitrary elements — and report witnesses instead of bare booleans.
 
-Every law is one scan, _law_failures: it compares m(x), mat_vec of a domain
-vector x on the sparse columns, with a sum of image products u v made by
-StructAlgebra.multiply, as dicts; dense lists are built only for witnesses,
-so a report is the one a dense scan gives.  A recognizer contributes its
+Every law is one scan, _law_failures: m(x), mat_vec of a domain vector x on
+the sparse columns, against a sum of image products u v made by
+StructAlgebra.multiply, as dicts.  Every check compares its two sides in one
+function, _mismatches, which builds dense lists only for witnesses, so a
+report is the one a dense scan gives.  A recognizer contributes its
 instances: for a domain of dimension d, the homomorphism law one product on
 each of d^2 pairs, the pair law two on each of d(d+1)/2 pairs, the triple
 law two on each of d^2(d+1)/2 triples (b_i b_j b_k and b_k b_j b_i are one
@@ -174,22 +175,34 @@ def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
     return LinMap._of_sparse(m.domain, target, cols)
 
 
+def _mismatches(cod: StructAlgebra, instances):
+    """The one comparison of the checks: each instance (key, lhs, rhs[,
+    note]) whose {index: nonzero} sides, vectors of cod, differ is yielded
+    with dense sides, as run_check takes it.  Dense lists are built here
+    only, for witnesses."""
+    dense = cod.dense
+    for instance in instances:
+        if instance[1] != instance[2]:
+            yield (instance[0], dense(instance[1]), dense(instance[2]), *instance[3:])
+
+
 def _law_failures(m: LinMap, instances):
     """The one law scan: for each (key, x, terms), m(x) against the sum of
-    the products u v for (u, v) in terms, where x is a domain vector as
-    (index, nonzero) pairs; a mismatch is yielded with dense sides, as
-    run_check takes it.  An empty tuple or view x, such as an empty cell,
-    is zero and not mapped; a generator is always mapped."""
-    ring, images, cod = m.ring, m.sparse_columns, m.codomain
-    multiply = cod.multiply
-    for key, x, terms in instances:
-        lhs = mat_vec(ring, images, x) if x else {}
-        rhs = {}
-        for u, v in terms:
-            p = multiply(u, v)
-            rhs = _sparse_add(ring, rhs, p) if rhs else p
-        if lhs != rhs:
-            yield key, cod.dense(lhs), cod.dense(rhs)
+    the products u v for (u, v) in terms, by _mismatches, where x is a domain
+    vector as (index, nonzero) pairs.  An empty tuple or view x, such as an
+    empty cell, is zero and not mapped; a generator is always mapped."""
+    ring, images, multiply = m.ring, m.sparse_columns, m.codomain.multiply
+
+    def sides():
+        for key, x, terms in instances:
+            lhs = mat_vec(ring, images, x) if x else {}
+            rhs = {}
+            for u, v in terms:
+                p = multiply(u, v)
+                rhs = _sparse_add(ring, rhs, p) if rhs else p
+            yield key, lhs, rhs
+
+    return _mismatches(m.codomain, sides())
 
 
 def _homomorphism_failures(m: LinMap, pairs, anti: bool):
@@ -204,10 +217,9 @@ def _homomorphism_failures(m: LinMap, pairs, anti: bool):
 
 def _unital_failures(m: LinMap):
     """m(1) against the codomain's 1: one failure, keyed (), or none."""
-    cod = m.codomain
-    lhs = mat_vec(m.ring, m.sparse_columns, sparse_vector(m.domain.identity).items())
-    if lhs != sparse_vector(cod.identity):
-        yield (), cod.dense(lhs), list(cod.identity)
+    cod, one = m.codomain, sparse_vector(m.domain.identity).items()
+    lhs = mat_vec(m.ring, m.sparse_columns, one)
+    return _mismatches(cod, [((), lhs, sparse_vector(cod.identity))])
 
 
 def check_homomorphism(

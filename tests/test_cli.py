@@ -244,6 +244,26 @@ def test_verify_near_sum_and_identities_on_fixture():
     assert json.loads(full.stdout)["pass"] is True
 
 
+def test_verify_refuses_a_seed_without_identities(capsys):
+    # --seed seeds the identity samples only; without --identities it is a
+    # usage error, where it used to be ignored with exit 0
+    ctx = [
+        "--poset", fx("poset_diamond.json"),
+        "--ring", fx("ring_mod9.json"),
+        "--map", fx("map_jordan_diamond_mod9.json"),
+    ]
+    assert cli.run(["verify", *ctx, "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed seeds the identity samples; it needs --identities\n"
+    # with --identities an omitted seed is 7
+    assert cli.run(["verify", "--identities", *ctx]) == 0
+    default = capsys.readouterr().out
+    assert cli.run(["verify", "--identities", *ctx, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.run(["verify", *ctx]) == 0
+
+
 def test_verify_identities_on_the_empty_poset(tmp_path):
     # dimension 0: the equality criterion has no coordinate to bump
     poset = write_json(tmp_path / "poset.json", {"elements": [], "relations": []})

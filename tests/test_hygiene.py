@@ -404,12 +404,16 @@ def test_dense_view_readers_are_the_allowlist():
     assert readers == DENSE_VIEW_READERS
 
 
-# The functions that compare m(x) with a sum of codomain products and build
-# dense witnesses: generators that call mat_vec, multiply with .multiply,
-# compare with == or != and read .dense.  That is the one law scan; the
-# homomorphism, pair, triple and quadratic laws and the identity suite's
-# word families are instance lists over it.  A second such scan would join
-# this list.
+# The one comparison: the generators that compare two sides with == or !=
+# and read .dense, so that a failure carries dense sides.  Every check's
+# failures pass through it, and a second such comparison would join this
+# list.
+COMPARISONS = {"linmaps._mismatches"}
+
+# The one law scan: the functions that take a list of instances, map each
+# domain vector with mat_vec, make codomain products with .multiply and hand
+# both sides to _mismatches.  The homomorphism, pair, triple and quadratic
+# laws and the identity suite's word families are instance lists over it.
 IMAGE_SCANS = {"linmaps._law_failures"}
 
 # The entry points that decide a law through the scan.
@@ -455,7 +459,9 @@ def reaches(graph, start, target):
     return target in seen
 
 
-def is_law_scan(fn) -> bool:
+def attributes_and_calls(fn):
+    """The attribute names fn reads and the plain names it calls, nested
+    functions included."""
     nodes = list(ast.walk(fn))
     attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     calls = {
@@ -463,14 +469,27 @@ def is_law_scan(fn) -> bool:
         for node in nodes
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
+    return attrs, calls
+
+
+def is_generator(fn) -> bool:
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
+
+
+def is_comparison(fn) -> bool:
     compares = any(
         isinstance(op, (ast.Eq, ast.NotEq))
-        for node in nodes
+        for node in ast.walk(fn)
         if isinstance(node, ast.Compare)
         for op in node.ops
     )
-    yields = any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in nodes)
-    return yields and compares and "mat_vec" in calls and {"multiply", "dense"} <= attrs
+    return is_generator(fn) and compares and "dense" in attributes_and_calls(fn)[0]
+
+
+def is_law_scan(fn) -> bool:
+    attrs, calls = attributes_and_calls(fn)
+    takes_instances = "instances" in {arg.arg for arg in fn.args.args}
+    return takes_instances and "multiply" in attrs and {"mat_vec", "_mismatches"} <= calls
 
 
 def test_one_homomorphism_scan():
@@ -479,8 +498,34 @@ def test_one_homomorphism_scan():
         assert reaches(graph, caller, "linmaps._homomorphism_failures"), caller
     for caller in LAW_SCAN_CALLERS:
         assert reaches(graph, caller, "linmaps._law_failures"), caller
-    scans = {name for name, fn in bodies.items() if is_law_scan(fn)}
-    assert scans == IMAGE_SCANS
+    for caller in LAW_SCAN_CALLERS + ("jordan.verify_near_sum",):
+        assert reaches(graph, caller, "linmaps._mismatches"), caller
+    assert {name for name, fn in bodies.items() if is_law_scan(fn)} == IMAGE_SCANS
+    assert {name for name, fn in bodies.items() if is_comparison(fn)} == COMPARISONS
+
+
+def builds_zero_vector(fn) -> bool:
+    """Does fn repeat a list, as [zero] * d does, or densify a dict
+    literal, as dense({}) does?"""
+    return any(
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.List)
+        or isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dense"
+        and any(isinstance(arg, ast.Dict) for arg in node.args)
+        for node in ast.walk(fn)
+    )
+
+
+def test_failure_generators_build_no_zero_vector():
+    """A zero side is the empty dict, which _mismatches densifies; no
+    generator spells out a zero vector of its own."""
+    _, bodies = call_graph()
+    builders = {
+        name for name, fn in bodies.items() if is_generator(fn) and builds_zero_vector(fn)
+    }
+    assert builders == set()
 
 
 @pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)

@@ -61,6 +61,7 @@ from fialg.jordan import (
     _IDENTITY_SAMPLES,
     _annihilation_failures,
     _cover_pairs,
+    _covers_hold,
     _idempotents_hold,
     _near_sum_columns,
     _near_sum_holds,
@@ -68,7 +69,7 @@ from fialg.jordan import (
     _series_image,
     _window_failures,
 )
-from fialg.matrices import mat_vec
+from fialg.matrices import mat_vec, require_unit_determinant
 
 from conftest import (
     counted_products,
@@ -1324,8 +1325,10 @@ def test_orthogonality_shortcut_matches_the_pair_scan(poset, ring, kind, twist, 
 
 
 def test_decompose_reports_the_full_scan_when_the_recognizer_passes(monkeypatch):
-    # No map is known to reach this return: a map that fails the certificate
-    # fails the recognizer too.  With a recognizer that passes, decompose
+    # No invertible map reaches this return: a map that fails the
+    # certificate fails the recognizer too, as
+    # test_the_certificate_decides_jordan_on_invertible_maps checks on the
+    # identity corpus.  With a recognizer that passes, decompose
     # must return the full scan's report on the sandwich psi and theta, built
     # late when the idempotent pairs failed (the shears) and early when only
     # a cover pair did (the strict perturbation).
@@ -1870,6 +1873,38 @@ ORACLE_RINGS = (RATIONALS, INTEGERS, modular(9), modular(15))
 ORACLE_KINDS = ("jordan", "perturbed", "sheared", "random-column")
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    IDENTITY_POSETS,
+    st.sampled_from(ORACLE_RINGS),
+    IDENTITY_KINDS,
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+@example(validate_poset(["1", "2", "3", "4"], FALSE_PASSES[0][0]), modular(9),
+         "perturbed", False, 0)
+@example(chain(5), RATIONALS, "sheared", False, 3)
+@example(disjoint_union(chain(4), diamond()), modular(15), "jordan", True, 2)
+def test_the_certificate_decides_jordan_on_invertible_maps(poset, ring, kind, twist,
+                                                           seed):
+    # On a map with a unit determinant, decompose's certificate (the
+    # idempotent pairs of phi, then the cover pairs of the sandwich psi and
+    # theta) passes exactly when the pair law does: the theorem, and the
+    # certificate's soundness.  So a map that fails the certificate fails
+    # the recognizer too, and decompose raises NotJordanError for it.
+    phi = identity_corpus_map(poset, ring, kind, twist, seed)
+    try:
+        require_unit_determinant(phi.ring, phi.sparse_columns, phi.codomain.dimension)
+    except NotInvertibleError:
+        assume(False)
+    sandwiches = (LinMap._of_sparse(phi.domain, phi.codomain, c)
+                  for c in _near_sum_columns(phi))
+    certificate = _idempotents_hold(phi) and _covers_hold(
+        Decomposition(phi, *sandwiches, None)
+    )
+    assert certificate == jordan_pair_check(phi).passed
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     IDENTITY_POSETS,
@@ -1882,7 +1917,9 @@ ORACLE_KINDS = ("jordan", "perturbed", "sheared", "random-column")
 @example(disjoint_union(chain(4), diamond()), modular(15), "jordan", True, 2)
 def test_window_memo_matches_the_unmemoized_windows(poset, ring, kind, twist, seed):
     # The same failures in the same order, and the same rng state after,
-    # for psi and theta alike.
+    # for psi and theta alike.  Each side is read as a tuple: run_check
+    # takes any sequence, and the oracle yields the diagonal witness's left
+    # side as a tuple where _mismatches yields a list.
     phi = identity_corpus_map(poset, ring, kind, twist, seed)
     try:
         phi_inverse = phi.invert()
@@ -1896,9 +1933,15 @@ def test_window_memo_matches_the_unmemoized_windows(poset, ring, kind, twist, se
     for mirror, columns in enumerate(_near_sum_columns(phi)):
         fast, slow = random.Random(seed + 1), random.Random(seed + 1)
         args = (phi, phi_inverse, columns, strict_samples)
-        memoized = list(_window_failures(*args, fast, bool(mirror)))
-        assert memoized == list(unmemoized_window_failures(*args, slow, bool(mirror)))
+        memoized = _window_failures(*args, fast, bool(mirror))
+        unmemoized = unmemoized_window_failures(*args, slow, bool(mirror))
+        assert as_tuples(memoized) == as_tuples(unmemoized)
         assert fast.getstate() == slow.getstate()
+
+
+def as_tuples(failures):
+    """Every failure, in order, with both sides as tuples."""
+    return [(key, tuple(lhs), tuple(rhs), *note) for key, lhs, rhs, *note in failures]
 
 
 def test_window_memo_keeps_the_traced_peak_near_the_unmemoized_suite():
