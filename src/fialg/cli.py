@@ -161,6 +161,8 @@ def _cmd_gen_jordan(args) -> int:
 
 
 def _cmd_check_map(args) -> int:
+    if args.allow_torsion and not args.jordan:
+        raise CliError("--allow-torsion gates the Jordan laws; it needs --jordan")
     phi = _load_map(args)
     if args.jordan:
         report = check_jordan(phi, allow_torsion=args.allow_torsion)

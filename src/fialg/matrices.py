@@ -9,18 +9,18 @@ Both invertibility kernels run one elimination loop, _eliminate, on sparse
 rows, {column: nonzero} dicts, in the ring's own arithmetic, since the
 pipeline's matrices (Jordan maps, basis changes) are mostly zeros.  The
 signed product of its pivots is the determinant that decides invertibility.
-require_unit_determinant eliminates forward only, and over the rationals
-on the integer lift mod a large prime, each column lifted by the ring's own
-Ring.lift; invert_columns reduces above the pivots too (Gauss-Jordan on
-[A | I]) and reads the inverse off the rows.  _add_multiple, row += t *
-source, is the one sparse row operation, which random_basis_change's column
-shears use too.
+Every payload operation, Euclid's size and step too, is the ring's.
+require_unit_determinant eliminates forward only, first on the integer lift
+(Ring.lift) in the ring's screen if it has one; invert_columns reduces above
+the pivots too (Gauss-Jordan on [A | I]) and reads the inverse off the rows.
+_add_multiple, row += t * source, is the one sparse row operation, which
+random_basis_change's column shears use too.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertibleError
-from .rings import ModularRing, RationalRing, Ring
+from .rings import Ring
 
 
 def mat_vec(ring: Ring, columns, pairs) -> dict:
@@ -79,10 +79,10 @@ def _eliminate(ring: Ring, rows, reduce_above: bool):
 def _pivot(ring: Ring, rows, k: int):
     """Column k's pivot: the shortest row at or below k whose entry there is
     a unit, and that entry's inverse.  When no entry is a unit, Euclid's
-    algorithm on the column by row operations (integer payloads, so over Z
-    and Z/n) runs first, down to a unit or to one row, which is returned
+    algorithm on the column by row operations, in the ring's euclid_size and
+    euclid_step, runs first, down to a unit or to one row, which is returned
     with None for the inverse; (None, None) for a column without entries."""
-    n = len(rows)
+    n, size, step = len(rows), ring.euclid_size, ring.euclid_step
     while True:
         found = [r for r in range(k, n) if k in rows[r]]
         found.sort(key=lambda r: len(rows[r]))
@@ -93,10 +93,10 @@ def _pivot(ring: Ring, rows, k: int):
         if len(found) < 2:
             return (found[0] if found else None), None
         # the smallest entry leaves each other row its remainder
-        p = min(found, key=lambda r: abs(rows[r][k]))
+        p = min(found, key=lambda r: size(rows[r][k]))
         for r in found:
             if r != p:
-                _add_multiple(ring, rows[r], rows[p], -(rows[r][k] // rows[p][k]))
+                _add_multiple(ring, rows[r], rows[p], step(rows[r][k], rows[p][k]))
 
 
 def _add_multiple(ring: Ring, row: dict, source: dict, t) -> None:
@@ -117,31 +117,24 @@ def _require_unit(ring: Ring, det) -> None:
         )
 
 
-# A rational matrix whose integer lift is nonsingular mod this prime is
-# nonsingular; a large prime makes the Fraction elimination, needed only for
-# a nonzero determinant divisible by it, rare.
-_LIFT_RING = ModularRing(2**61 - 1)
-
-
 def require_unit_determinant(ring: Ring, columns, height: int) -> None:
     """Raise NotInvertibleError unless the matrix of these {index: nonzero}
     columns of the given height is square with a unit determinant.
 
     The columns are eliminated forward as rows, in the ring's arithmetic:
-    integers over Z, residues over Z/n.  Over the rationals the integer lift
-    (ring.lift: each column's numerators over the lcm of its denominators)
-    is eliminated mod the prime 2^61 - 1 first; a nonzero residue makes the
-    determinant nonzero, a unit, and only a residue of 0 eliminates the
-    rationals themselves, whose refusal always reads determinant 0.
+    integers over Z, residues over Z/n.  A ring with a screen (Q's is the
+    prime field of 2^61 - 1) first has the integer lift (ring.lift: each
+    column's numerators over the lcm of its denominators) eliminated there;
+    a nonzero determinant in the screen makes the ring's a unit, and only a
+    zero one eliminates the ring's payloads themselves, so that a refusal
+    over Q always reads determinant 0.
     """
     if height != len(columns):
         raise NotInvertibleError("matrix is not square")
-    if isinstance(ring, RationalRing):
-        q, lifted = _LIFT_RING.modulus, []
-        for col in columns:
-            numerators, _ = ring.lift(col)
-            lifted.append({i: r for i, v in numerators.items() if (r := v % q)})
-        if _eliminate(_LIFT_RING, lifted, reduce_above=False):
+    screen = ring.screen
+    if screen is not None:
+        lifted = [screen.reduce(ring.lift(col)[0], 1) for col in columns]
+        if _eliminate(screen, lifted, reduce_above=False):
             return
     _require_unit(ring, _eliminate(ring, [dict(col) for col in columns], reduce_above=False))
 

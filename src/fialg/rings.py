@@ -13,6 +13,10 @@ its argument and costs nothing; reduce drops the zeros over Z and applies
 one % n over Z/n.  Over Q a vector lifts over the lcm of its denominators,
 and reduce builds one Fraction per nonzero sum, so the gcd is paid once per
 coordinate and not once per term.
+
+Elimination (matrices.py) asks the ring too: Z and Z/n bind Euclid's size
+and step on integer representatives; Q, whose nonzeros are all units, binds
+a screen, Z/(2^61 - 1), a prime too large to divide most determinants.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ class Ring:
     is_torsion_free = False
 
     # concrete subclasses bind: zero, one, add, sub, neg, mul
+    # A ring with nonzero non-units binds euclid_size(a) and euclid_step(a,
+    # b), the t that leaves a + t b smaller than b; a ring may bind a screen,
+    # a ModularRing where a nonzero determinant of the lift makes it a unit.
+    euclid_size = euclid_step = screen = None
 
     def normalize(self, a):
         raise NotImplementedError
@@ -109,6 +117,8 @@ class IntegerRing(Ring):
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
+    euclid_size = staticmethod(abs)
+    euclid_step = staticmethod(lambda a, b: -(a // b))  # a + t b is a mod b
 
     def normalize(self, a):
         if isinstance(a, bool) or not isinstance(a, int):
@@ -209,6 +219,7 @@ class ModularRing(Ring):
         self.sub = lambda a, b: (a - b) % n
         self.neg = lambda a: (-a) % n
         self.mul = lambda a, b: (a * b) % n
+        self.euclid_size, self.euclid_step = abs, IntegerRing.euclid_step
         self._units = None
 
     def normalize(self, a):
@@ -266,6 +277,7 @@ class ModularRing(Ring):
         return hash(("modular", self.modulus))
 
 
+RationalRing.screen = ModularRing(2**61 - 1)  # bound once ModularRing exists
 _LISTED_UNITS_UP_TO = 2**16
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")

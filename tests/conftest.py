@@ -19,6 +19,7 @@ from fialg import (
     random_poset,
     validate_poset,
 )
+from fialg import matrices
 from fialg.algebra import sparse_vector
 from fialg.errors import NotAUnitError
 from fialg.linmaps import rebase_codomain
@@ -186,6 +187,27 @@ def unit_determinant_dense(ring, cols):
     """require_unit_determinant on dense columns."""
     height = len(cols[0]) if cols else 0
     return require_unit_determinant(ring, [sparse_vector(c) for c in cols], height)
+
+
+def integer_euclid_pivot(ring, rows, k: int):
+    """The pivot search with Euclid written on integer payloads (abs and
+    -(a // b)), as matrices._pivot was before the ring took Euclid's size
+    and step: the oracle of the row operations.  Rows are combined through
+    matrices._add_multiple, so a wrapper there sees them."""
+    n = len(rows)
+    while True:
+        found = [r for r in range(k, n) if k in rows[r]]
+        found.sort(key=lambda r: len(rows[r]))
+        for r in found:
+            inverse = ring.try_invert(rows[r][k])
+            if inverse is not None:
+                return r, inverse
+        if len(found) < 2:
+            return (found[0] if found else None), None
+        p = min(found, key=lambda r: abs(rows[r][k]))
+        for r in found:
+            if r != p:
+                matrices._add_multiple(ring, rows[r], rows[p], -(rows[r][k] // rows[p][k]))
 
 
 def singleton():

@@ -4,6 +4,7 @@ structure-constant presentations."""
 import inspect
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from fialg import (
     check_homomorphism,
     check_jordan,
     decompose,
+    extend_via_inverse,
     incidence_algebra,
     modular,
     random_basis_change,
@@ -30,6 +32,7 @@ from fialg import (
 )
 from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
 from fialg.errors import ContextMismatchError, FialgError
+from fialg.reports import VerificationReport
 
 from conftest import (
     basis_product,
@@ -691,3 +694,62 @@ def test_random_series_determinism():
     assert a == b
     strict = rs(D, RATIONALS, 78, strict_only=True)
     assert strict.is_strict()
+
+
+def _empty_series(poset):
+    return FinSeries(poset, RATIONALS, {})
+
+
+def _door_copy(algebra):
+    return StructAlgebra(algebra.ring, algebra.cells, algebra.identity)
+
+
+def _q(poset):
+    return incidence_algebra(poset, RATIONALS)
+
+
+# Library refusals that no other test reaches: (call, exception, message).
+REFUSALS = {
+    "a short table row": (
+        lambda: StructAlgebra(RATIONALS, [[(), ()], [()]], (1, 0)),
+        FialgError,
+        "structure-constant table shape mismatch",
+    ),
+    "a series in a door-built algebra": (
+        lambda: _door_copy(_q(chain(2))).element_from_series(_empty_series(chain(2))),
+        ContextMismatchError,
+        "algebra carries no incidence basis",
+    ),
+    "a non-square basis change": (
+        lambda: change_basis(_q(chain(2)), [[1, 0, 0], [0, 1, 0]]),
+        FialgError,
+        "change of basis must be a square matrix of full size",
+    ),
+    "extending a series of another poset": (
+        lambda: extend_via_inverse(LinMap.identity(_q(chain(3))), _empty_series(chain(2))),
+        ContextMismatchError,
+        "series does not match the map's domain",
+    ),
+    "composing across algebras": (
+        lambda: LinMap.identity(_q(chain(2))).compose(LinMap.identity(_q(chain(3)))),
+        ContextMismatchError,
+        "inner codomain does not match outer domain",
+    ),
+    "a series plus an int": (
+        lambda: _empty_series(chain(2)) + 1,
+        TypeError,
+        "expected FinSeries, got int",
+    ),
+    "a check the report lacks": (
+        lambda: VerificationReport(()).check("nope"),
+        KeyError,
+        "'nope'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_refusals_name_what_they_refuse(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,17 +1,20 @@
-"""The benchmark's correctness gate, run as a test: one untimed pass of
-every perfbench workload checks each command's exit code, verdict and the
-SHA-256 digest of its output against perfbench/digests.json."""
+"""The benchmark's correctness gate, run as a test: an untimed pass of
+every perfbench workload at seeds 1 and 3 checks each command's exit code,
+verdict and the SHA-256 digest of its output against perfbench/digests.json."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 
 
-def test_every_benchmark_command_keeps_its_recorded_digest():
-    argv = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "0"]
+@pytest.mark.parametrize("seed", [1, 3])
+def test_every_benchmark_command_keeps_its_recorded_digest(seed):
+    argv = ["perfbench/run.py", "--workload", "all", "--seed", str(seed), "--seconds", "0"]
     r = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600
     )

@@ -264,6 +264,34 @@ def test_verify_refuses_a_seed_without_identities(capsys):
     assert cli.run(["verify", *ctx]) == 0
 
 
+def test_check_map_refuses_allow_torsion_without_jordan(capsys, tmp_path):
+    # only the Jordan laws refuse torsion, so --allow-torsion needs --jordan;
+    # alone or with --anti it used to be ignored with exit 0.  It is refused
+    # before any file is read: none of these files exists
+    ctx = [
+        "--poset", str(tmp_path / "poset.json"),
+        "--ring", str(tmp_path / "ring.json"),
+        "--map", str(tmp_path / "map.json"),
+    ]
+    for law in ([], ["--anti"]):
+        assert cli.run(["check-map", *ctx, *law, "--allow-torsion"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --allow-torsion gates the Jordan laws; it needs --jordan\n"
+        )
+    # with --jordan the flag lets a ring with 2-torsion through
+    ctx = [
+        "--poset", fx("poset_3chain.json"),
+        "--ring", fx("ring_mod6.json"),
+        "--map", fx("map_identity_3chain_rationals.json"),
+    ]
+    assert cli.run(["check-map", "--jordan", *ctx]) == 2
+    assert "TorsionRefused" in capsys.readouterr().err
+    assert cli.run(["check-map", "--jordan", "--allow-torsion", *ctx]) == 0
+    assert cli.run(["check-map", "--anti", *ctx]) == 1
+
+
 def test_verify_identities_on_the_empty_poset(tmp_path):
     # dimension 0: the equality criterion has no coordinate to bump
     poset = write_json(tmp_path / "poset.json", {"elements": [], "relations": []})

@@ -331,6 +331,27 @@ def test_ring_arithmetic_callers_are_the_allowlist():
     assert callers == RING_ARITHMETIC_CALLERS
 
 
+def test_the_matrix_kernels_leave_payload_arithmetic_to_the_ring():
+    """Elimination asks the ring for Euclid's size and step and for its
+    screen: matrices.py imports no concrete ring and spells no integer
+    operation on a payload."""
+    path = PACKAGE / "matrices.py"
+    source = path.read_text()
+    from_rings = [
+        alias.name
+        for node in ast.walk(ast.parse(source, filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "rings"
+        for alias in node.names
+    ]
+    assert from_rings == ["Ring"]
+    spelled = [
+        token
+        for token in ("abs(", "//", "%", "isinstance", "ModularRing", "RationalRing")
+        if token in source
+    ]
+    assert spelled == []
+
+
 # The JSON readers and writers under src/: the formats the CLI reads (poset,
 # ring and map files) and writes (posets, maps, decompositions and reports).
 WIRE_FORMATS = {

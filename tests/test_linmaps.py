@@ -37,9 +37,9 @@ from fialg.errors import ContextMismatchError, FialgError
 from fialg.jordan import _cover_pairs
 from fialg.linmaps import _homomorphism_failures
 from fialg.reports import VerificationReport, run_check
-from fialg.rings import RationalRing
+from fialg import matrices
+from fialg.rings import RationalRing, Ring
 from fialg.matrices import (
-    _LIFT_RING,
     _eliminate,
     invert_columns,
     mat_vec,
@@ -50,11 +50,15 @@ from conftest import (
     all_posets_up_to,
     antichain,
     basis_product,
+    boolean_lattice,
     chain,
     dense_mat_vec,
     dense_multiply,
     diamond,
+    disjoint_union,
+    integer_euclid_pivot,
     invert_dense,
+    jordan_corpus,
     two_two_chains,
     unit_determinant_dense,
     unit_vector,
@@ -1096,15 +1100,16 @@ def test_elimination_determinant_matches_bareiss(
     source, ring_name, seed, poset_index, reduce_above
 ):
     # the elimination's value, singular and non-unit matrices included:
-    # exact over Z, mod n over Z/n, and over Q mod the lift prime on the
-    # integer lift and exact in Fractions
+    # exact over Z, mod n over Z/n, and over Q in its screen on the integer
+    # lift and exact in Fractions
     ring = ORACLE_RINGS[ring_name]
     cols = oracle_matrix(source, ring, seed, poset_index)
     if isinstance(ring, RationalRing):
         lifted, scales = integer_lift(cols)
         det = bareiss_determinant(lifted)
-        rows = [sparse_vector(map(_LIFT_RING.normalize, col)) for col in lifted]
-        assert _eliminate(_LIFT_RING, rows, reduce_above) == _LIFT_RING.normalize(det)
+        screen = ring.screen
+        rows = [sparse_vector(map(screen.normalize, col)) for col in lifted]
+        assert _eliminate(screen, rows, reduce_above) == screen.normalize(det)
         assert _eliminate(ring, [sparse_vector(c) for c in cols], reduce_above) == (
             Fraction(det, scales)
         )
@@ -1127,10 +1132,10 @@ def test_generated_maps_have_unit_determinants(source, ring_name, seed, poset_in
 
 
 def test_unit_determinant_edge_cases():
-    p = _LIFT_RING.modulus
+    p = RATIONALS.screen.modulus
     with pytest.raises(NotInvertibleError, match="^matrix is not square$"):
         require_unit_determinant(INTEGERS, [{0: 1}], 2)
-    # over Q a determinant divisible by the lift prime is 0 on the lift, and
+    # over Q a determinant divisible by the screen's prime is 0 on the lift, and
     # the elimination in Fractions accepts it
     unit_determinant_dense(RATIONALS, [[Fraction(p, 3)]])
     unit_determinant_dense(RATIONALS, [[Fraction(p), Fraction(1)], [Fraction(0), Fraction(2)]])
@@ -1144,3 +1149,102 @@ def test_unit_determinant_edge_cases():
     unit_determinant_dense(modular(15), [[3, 5], [5, 3]])
     with pytest.raises(NotInvertibleError, match=r"^determinant 0 is not a unit of modular\(15\)$"):
         unit_determinant_dense(modular(15), [[3, 5], [6, 10]])
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, modular(9), modular(15)], ids=repr)
+def test_the_rings_euclid_makes_the_integer_euclids_row_operations(ring, monkeypatch):
+    # the pivot search through the ring's euclid_size and euclid_step against
+    # the integer Euclid it replaced: every row operation of the determinant
+    # test and of the inversion, its rows, multiplier and order, and the
+    # outcome, on generated (conjugated) and twisted maps, and on each map
+    # with one column times 3, a non-unit: over Z/9 a unit determinant
+    # always leaves a unit in the pivot column, so only refusals run Euclid
+    three, inputs = ring.normalize(3), []
+    for poset in (chain(6), boolean_lattice(3), disjoint_union(chain(3), chain(3))):
+        for twist in (False, True):
+            for phi in jordan_corpus(poset, ring, seeds=range(3), twist=twist):
+                cols = phi.sparse_columns
+                j = len(inputs) % len(cols)
+                scaled = {i: w for i, v in cols[j].items() if (w := ring.mul(three, v))}
+                inputs += [cols, [*cols[:j], scaled, *cols[j + 1:]]]
+    add_multiple, calls = matrices._add_multiple, []
+
+    def recorded(ring, row, source, t):
+        calls.append((dict(row), dict(source), t))
+        add_multiple(ring, row, source, t)
+
+    def row_operations(pivot):
+        monkeypatch.setattr(matrices, "_pivot", pivot)
+        calls.clear()
+        for cols in inputs:
+            for kernel in (require_unit_determinant, invert_columns):
+                try:
+                    kernel(ring, cols, len(cols))
+                except NotInvertibleError as exc:
+                    calls.append(str(exc))
+        return list(calls)
+
+    step, steps = ring.euclid_step, []
+
+    def counted_step(a, b):
+        steps.append((a, b))
+        return step(a, b)
+
+    monkeypatch.setattr(matrices, "_add_multiple", recorded)
+    monkeypatch.setattr(ring, "euclid_step", counted_step)
+    ours = row_operations(matrices._pivot)
+    assert steps  # Euclid ran, so the comparison is not vacuous
+    assert ours == row_operations(integer_euclid_pivot)
+
+
+class Boxed:
+    """An integer payload in a box with no abs, //, unary minus or %, so a
+    kernel that eliminates it must ask its ring for every operation."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return isinstance(other, Boxed) and other.v == self.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __repr__(self):
+        return f"Boxed({self.v})"
+
+
+class BoxedIntegers(Ring):
+    kind = "boxed integers"
+    zero, one = Boxed(0), Boxed(1)
+    add = staticmethod(lambda a, b: Boxed(a.v + b.v))
+    sub = staticmethod(lambda a, b: Boxed(a.v - b.v))
+    neg = staticmethod(lambda a: Boxed(-a.v))
+    mul = staticmethod(lambda a, b: Boxed(a.v * b.v))
+    euclid_size = staticmethod(lambda a: abs(a.v))
+    euclid_step = staticmethod(lambda a, b: Boxed(-(a.v // b.v)))
+
+    def try_invert(self, a):
+        return a if a.v in (1, -1) else None
+
+
+def test_elimination_does_no_arithmetic_on_payloads():
+    # no entry of [[2, 3], [3, 5]] is a unit, so Euclid runs, and only
+    # through the ring's euclid_size and euclid_step
+    ring = BoxedIntegers()
+
+    def boxed(*cols):
+        return [{i: Boxed(v) for i, v in enumerate(col) if v} for col in cols]
+
+    require_unit_determinant(ring, boxed([2, 3], [3, 5]), 2)
+    assert invert_columns(ring, boxed([2, 3], [3, 5]), 2) == boxed([5, -3], [-3, 2])
+    message = r"^determinant Boxed\(-2\) is not a unit of boxed integers$"
+    with pytest.raises(NotInvertibleError, match=message):
+        require_unit_determinant(ring, boxed([2, 3], [4, 5]), 2)
+    with pytest.raises(NotInvertibleError, match=message):
+        invert_columns(ring, boxed([2, 3], [4, 5]), 2)

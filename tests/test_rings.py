@@ -245,6 +245,20 @@ def test_only_z_and_q_are_torsion_free():
 
     assert Unflagged().is_torsion_free is False
 
+
+def test_the_rings_bind_what_elimination_asks_of_them():
+    # Z and Z/n run Euclid on their integer representatives; Q needs no
+    # Euclid, all its nonzeros being units, and screens in Z/(2^61 - 1)
+    assert RATIONALS.screen == modular(2**61 - 1)
+    assert RATIONALS.euclid_size is None and RATIONALS.euclid_step is None
+    assert INTEGERS.screen is None and modular(9).screen is None
+    assert INTEGERS.euclid_size(-4) == 4 and modular(9).euclid_size(5) == 5
+    for a, b, t in [(7, 3, -2), (3, 7, 0), (-7, 3, 3), (-7, -3, -2)]:
+        assert INTEGERS.euclid_step(a, b) == t
+        assert abs(a + t * b) < abs(b)
+    assert [modular(9).euclid_step(a, b) for a, b in [(7, 3), (3, 7), (8, 8)]] == [-2, 0, -1]
+
+
 def test_normalize_guards():
     with pytest.raises(FialgError):
         INTEGERS.normalize(True)  # bools are not ring elements
