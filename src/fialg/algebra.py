@@ -408,38 +408,32 @@ def incidence_algebra(poset: Poset, ring: Ring) -> StructAlgebra:
     return StructAlgebra._of_tuples(ring, tuple(cells), identity, basis)
 
 
-def change_basis(algebra: StructAlgebra, new_basis_columns) -> StructAlgebra:
+def change_basis(algebra: StructAlgebra, change) -> StructAlgebra:
     """The same algebra presented over a new basis.
 
-    new_basis_columns[j] holds the old coordinates of the j-th new basis
-    vector, each sent through ring.normalize (a float or bool is refused)
-    unless it is the ring's own zero object, ring.zero, which is canonical;
-    the column matrix must be invertible over the ring.  The result
-    carries no incidence basis — it is a generic StructAlgebra.  It costs one
-    invert_columns, then works on the nonzeros: cell (i, j) is the
-    product of new basis vectors i and j, mapped through the inverse's
-    {index: nonzero} columns.  The product is formed only for the j whose
-    vector holds an old b with a nonempty cell (a, b) for some old a in
-    vector i; every other cell is empty with no product made.
+    change is a LinMap of the algebra to itself whose column j holds the old
+    coordinates of the j-th new basis vector; it must be invertible over the
+    ring.  The result carries no incidence basis — it is a generic
+    StructAlgebra.  It costs one invert_columns, then works on the nonzeros:
+    cell (i, j) is the product of new basis vectors i and j, mapped through
+    the inverse's {index: nonzero} columns.  The product is formed only for
+    the j whose vector holds an old b with a nonempty cell (a, b) for some
+    old a in vector i; every other cell is empty with no product made.
     """
-    return _change_basis(algebra, new_basis_columns)[0]
+    return _change_basis(algebra, change)[0]
 
 
-def _change_basis(algebra: StructAlgebra, new_basis_columns):
+def _change_basis(algebra: StructAlgebra, change):
     """change_basis's algebra, and the inverse of the basis change as
-    {index: nonzero} columns, for callers that carry vectors across too."""
+    {index: nonzero} columns, for callers that carry vectors across too.
+    The change's columns are read as they are: the LinMap door checked and
+    normalized them."""
+    for side in (change.domain, change.codomain):
+        if side is not algebra and side != algebra:
+            raise ContextMismatchError("basis change does not map the algebra to itself")
     ring = algebra.ring
     d = algebra.dimension
-    cols = [list(c) for c in new_basis_columns]
-    if len(cols) != d or any(len(c) != d for c in cols):
-        raise FialgError("change of basis must be a square matrix of full size")
-    # the ring's own zero object is canonical already; any other entry,
-    # 0.0 and False included, goes through normalize
-    zero, normalize = ring.zero, ring.normalize
-    basis = [
-        {k: w for k, a in enumerate(c) if a is not zero and (w := normalize(a))}
-        for c in cols
-    ]
+    basis = change.sparse_columns
     inverse = invert_columns(ring, basis, d)
 
     def transported(w: dict) -> tuple:

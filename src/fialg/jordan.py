@@ -176,14 +176,15 @@ def random_unit_series(poset: Poset, ring: Ring, rng: random.Random,
     return FinSeries._of(poset, ring, coeffs)
 
 
-def random_basis_change(algebra: StructAlgebra, seed: int):
-    """A seeded sparse invertible column matrix over the algebra's ring:
-    a permutation of unit-scaled basis vectors followed by a few elementary
-    column shears.  Suitable for change_basis / rebase_codomain."""
+def random_basis_change(algebra: StructAlgebra, seed: int) -> LinMap:
+    """A seeded sparse invertible basis change of the algebra, as a LinMap of
+    the algebra to itself: a permutation of unit-scaled basis vectors
+    followed by a few elementary column shears.  Suitable for change_basis /
+    rebase_codomain."""
     ring = algebra.ring
     d = algebra.dimension
     if d == 0:
-        return []
+        return LinMap.identity(algebra)  # the empty map
     rng = random.Random(seed)
     perm = list(range(d))
     rng.shuffle(perm)
@@ -194,11 +195,7 @@ def random_basis_change(algebra: StructAlgebra, seed: int):
             continue
         # column j += r * column i, r a ring sample, on column i's nonzeros
         _add_multiple(ring, cols[j], cols[i], ring.sample(rng))
-    dense = [[ring.zero] * d for _ in range(d)]
-    for out, col in zip(dense, cols):
-        for k, a in col.items():
-            out[k] = a
-    return dense
+    return LinMap._of_sparse(algebra, algebra, cols)
 
 
 def random_jordan_iso(poset: Poset, ring: Ring, seed: int) -> LinMap:

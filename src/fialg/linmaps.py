@@ -164,13 +164,14 @@ def _check_shape(domain: StructAlgebra, codomain: StructAlgebra, columns) -> Non
         raise FialgError("column height does not match codomain dimension")
 
 
-def rebase_codomain(m: LinMap, new_basis_columns) -> LinMap:
-    """Rewrite m over a new codomain basis (columns = old coordinates of the
-    new basis vectors).  The rewritten map acts identically; its codomain is
-    a generic StructAlgebra with transported structure constants.  The basis
-    change is inverted once, for change_basis's cells and for the columns,
-    which are the inverse's images of m's sparse columns."""
-    target, inverse = _change_basis(m.codomain, new_basis_columns)
+def rebase_codomain(m: LinMap, change: LinMap) -> LinMap:
+    """Rewrite m over a new codomain basis, given as change_basis takes it: a
+    LinMap of m's codomain to itself whose columns are the old coordinates of
+    the new basis vectors.  The rewritten map acts identically; its codomain
+    is a generic StructAlgebra with transported structure constants.  The
+    basis change is inverted once, for change_basis's cells and for the
+    columns, which are the inverse's images of m's sparse columns."""
+    target, inverse = _change_basis(m.codomain, change)
     cols = [mat_vec(m.ring, inverse, c.items()) for c in m.sparse_columns]
     return LinMap._of_sparse(m.domain, target, cols)
 

@@ -258,15 +258,16 @@ def disjoint_union(*posets):
 
 
 def unitriangular_shear(algebra, seed):
-    """A dense basis change: 1 on the diagonal, a ring sample at every entry
-    above it, so invertible over every ring."""
+    """A dense basis change, through the checking LinMap door: 1 on the
+    diagonal, a ring sample at every entry above it, so invertible over
+    every ring."""
     ring, d = algebra.ring, algebra.dimension
     rng = random.Random(seed)
-    return [
+    return LinMap(algebra, algebra, [
         [ring.sample(rng) if i < j else ring.one if i == j else ring.zero
          for i in range(d)]
         for j in range(d)
-    ]
+    ])
 
 
 NAMED_POSETS = {

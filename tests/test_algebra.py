@@ -17,6 +17,8 @@ from fialg import (
     LinMap,
     NotAUnitError,
     NotComparableError,
+    OrderMap,
+    Poset,
     RATIONALS,
     change_basis,
     check_homomorphism,
@@ -25,13 +27,21 @@ from fialg import (
     extend_via_inverse,
     incidence_algebra,
     modular,
+    order_isomorphisms,
     random_basis_change,
+    random_poset,
     random_series,
     random_unit_series,
+    rebase_codomain,
     validate_poset,
 )
 from fialg.algebra import AlgBasis, StructAlgebra, sparse_vector
-from fialg.errors import ContextMismatchError, FialgError
+from fialg.errors import (
+    ContextMismatchError,
+    FialgError,
+    SizeMismatchError,
+    UnknownElementError,
+)
 from fialg.reports import VerificationReport
 
 from conftest import (
@@ -43,6 +53,7 @@ from conftest import (
     recursive_series_inverse,
     ring_arithmetic_multiply,
     all_posets_up_to,
+    antichain,
     boolean_lattice,
     chain,
     diamond,
@@ -445,12 +456,12 @@ def test_change_basis_multiplies_only_the_pairs_that_meet(
     # cell, so at least once per nonempty cell of the result; over Z/9, 4
     # of those products cancel to zero.
     A = incidence_algebra(chain(6), ring)
-    cols = random_basis_change(A, 1)
+    change = random_basis_change(A, 1)
     calls = counted_products(monkeypatch)
-    B = change_basis(A, cols)
+    B = change_basis(A, change)
     assert calls[0] == products
     assert sum(1 for row in B.cells for cell in row if cell) == nonempty
-    assert B.cells == is_zero_change_basis_cells(A, cols)
+    assert B.cells == is_zero_change_basis_cells(A, change.columns)
 
 
 def dense_random_basis_change(algebra, seed):
@@ -484,12 +495,16 @@ def test_random_basis_change_matches_the_dense_shears(ring):
     for poset in (P3, D, boolean_lattice(3), chain(6), validate_poset([], [])):
         A = incidence_algebra(poset, ring)
         for seed in range(4):
-            sparse = random_basis_change(A, seed)
+            change = random_basis_change(A, seed)
+            assert (change.domain, change.codomain) == (A, A)
+            sparse = [list(c) for c in change.columns]
             dense = dense_random_basis_change(A, seed)
             assert sparse == dense
             assert [[type(a) for a in c] for c in sparse] == [
                 [type(a) for a in c] for c in dense
             ]
+            # the columns hold their nonzeros only
+            assert all(a for col in change.sparse_columns for a in col.values())
 
 
 def test_incidence_algebra_is_cached():
@@ -573,8 +588,9 @@ def test_change_basis_cells_match_is_zero_oracle(ring):
         A = incidence_algebra(poset, ring)
         changes = [random_basis_change(A, seed) for seed in range(3)]
         changes.append(unitriangular_shear(A, seed=1))
-        for cols in changes:
-            B = change_basis(A, cols)
+        for change in changes:
+            B = change_basis(A, change)
+            cols = change.columns
             assert B.cells == is_zero_change_basis_cells(A, cols)
             inverse = invert_dense(ring, cols)
             assert B.identity == tuple(dense_mat_vec(ring, inverse, A.identity))
@@ -596,7 +612,7 @@ def test_change_basis_transports_products():
     # a random triangular-ish unit change of basis: identity plus one shear
     cols = [[ring.one if i == j else ring.zero for i in range(d)] for j in range(d)]
     cols[2][0] = ring.normalize(5)
-    B = change_basis(A, cols)
+    B = change_basis(A, LinMap(A, A, cols))
     assert B.basis is None
     # multiply in B, map back, compare against A's product
     for _ in range(20):
@@ -607,6 +623,38 @@ def test_change_basis_transports_products():
         )
         via_b = dense_mat_vec(ring, cols, dense_multiply(B, u, v))
         assert in_a == via_b
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
+def test_a_basis_change_of_an_equal_algebra_is_accepted(ring):
+    # The change is built on an equal but distinct algebra, so the check
+    # that it maps the algebra to itself compares them by value, down to
+    # their incidence bases.
+    A = incidence_algebra(chain(2), ring)
+    incidence_algebra.cache_clear()
+    twin = incidence_algebra(chain(2), ring)
+    assert twin is not A and twin.basis is not A.basis and twin == A
+    change = random_basis_change(twin, 3)
+    B = change_basis(A, change)
+    assert B == change_basis(twin, change)
+    phi = LinMap.identity(A)
+    assert rebase_codomain(phi, change).codomain == B
+    # a change of chain-3's algebra, or one that leaves chain-2's algebra
+    # on one side only, is refused
+    C = incidence_algebra(antichain(3), ring)
+    units = [[ring.one if i == j else ring.zero for i in range(3)] for j in range(3)]
+    others = (
+        random_basis_change(incidence_algebra(chain(3), ring), 3),
+        LinMap(A, C, units),
+        LinMap(C, A, units),
+    )
+    for other in others:
+        for call in (change_basis, lambda a, c: rebase_codomain(LinMap.identity(a), c)):
+            with pytest.raises(
+                ContextMismatchError,
+                match="^basis change does not map the algebra to itself$",
+            ):
+                call(A, other)
 
 
 def cancelling_pair(A, rng):
@@ -666,9 +714,9 @@ def test_multiply_agrees_with_dense_multiply(poset, ring, kind, twist, seed):
     if twist:
         # the transported table has dense cells; the product of the
         # transported vectors is the transport of the product
-        cols = random_basis_change(A, seed)
-        inv = invert_dense(ring, cols)
-        A = change_basis(A, cols)
+        change = random_basis_change(A, seed)
+        inv = invert_dense(ring, change.columns)
+        A = change_basis(A, change)
         u, v = dense_mat_vec(ring, inv, u), dense_mat_vec(ring, inv, v)
     dense = dense_multiply(A, u, v)
     product = A.multiply(sparse_vector(u), sparse_vector(v))
@@ -721,9 +769,16 @@ REFUSALS = {
         "algebra carries no incidence basis",
     ),
     "a non-square basis change": (
-        lambda: change_basis(_q(chain(2)), [[1, 0, 0], [0, 1, 0]]),
+        lambda: change_basis(
+            _q(chain(2)), LinMap(_q(chain(2)), _q(chain(2)), [[1, 0, 0], [0, 1, 0]])
+        ),
         FialgError,
-        "change of basis must be a square matrix of full size",
+        "column count does not match domain dimension",
+    ),
+    "a basis change of another algebra": (
+        lambda: change_basis(_q(chain(2)), LinMap.identity(_q(chain(3)))),
+        ContextMismatchError,
+        "basis change does not map the algebra to itself",
     ),
     "extending a series of another poset": (
         lambda: extend_via_inverse(LinMap.identity(_q(chain(3))), _empty_series(chain(2))),
@@ -744,6 +799,58 @@ REFUSALS = {
         lambda: VerificationReport(()).check("nope"),
         KeyError,
         "'nope'",
+    ),
+    "a relation of the wrong shape": (
+        lambda: Poset(("a", "b"), ((True,),)),
+        FialgError,
+        "relation matrix shape does not match element count",
+    ),
+    "a relation that is not reflexive": (
+        lambda: Poset(("a",), ((False,),)),
+        FialgError,
+        "relation is not reflexive at 'a'",
+    ),
+    "a relation that is not transitive": (
+        lambda: Poset(
+            ("a", "b", "c"), ((True, True, False), (False, True, True), (False, False, True))
+        ),
+        FialgError,
+        "relation is not transitive at ('a', 'b', 'c')",
+    ),
+    "a relation from an unknown element": (
+        lambda: validate_poset(["a"], [("z", "a")]),
+        UnknownElementError,
+        "relation mentions unknown element 'z'",
+    ),
+    "a random poset of no elements": (
+        lambda: random_poset(0, 0.5, 1),
+        FialgError,
+        "poset size must be >= 1, got 0",
+    ),
+    "a random poset with edge probability above 1": (
+        lambda: random_poset(3, 1.5, 1),
+        FialgError,
+        "edge probability must lie in [0, 1], got 1.5",
+    ),
+    "a random poset with edge probability below 0": (
+        lambda: random_poset(3, -0.5, 1),
+        FialgError,
+        "edge probability must lie in [0, 1], got -0.5",
+    ),
+    "the index of an unknown label": (
+        lambda: chain(2).index("z"),
+        UnknownElementError,
+        "element 'z' is not in poset ['1', '2']",
+    ),
+    "order images that are not a bijection": (
+        lambda: OrderMap(chain(2), chain(2), (0, 0)),
+        FialgError,
+        "images (0, 0) are not a bijection",
+    ),
+    "order isomorphisms between posets of different sizes": (
+        lambda: order_isomorphisms(chain(2), chain(3)),
+        SizeMismatchError,
+        "|['1', '2']| != |['1', '2', '3']|",
     ),
 }
 

@@ -76,8 +76,16 @@ def test_gen_poset_deterministic():
 
 
 def test_gen_poset_argument_validation():
-    assert run_cli("gen-poset", "--n", "0", "--p", "0.4", "--seed", "1").returncode == 2
-    assert run_cli("gen-poset", "--n", "3", "--p", "1.5", "--seed", "1").returncode == 2
+    # random_poset's own refusals, which the CLI turns into exit 2
+    for n, p, message in [
+        ("0", "0.4", "poset size must be >= 1, got 0"),
+        ("3", "1.5", "edge probability must lie in [0, 1], got 1.5"),
+        ("3", "nan", "edge probability must lie in [0, 1], got nan"),
+    ]:
+        r = run_cli("gen-poset", "--n", n, "--p", p, "--seed", "1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: FialgError: {message}\n"
 
 
 def test_gen_jordan_then_check_map_round_trip(tmp_path):

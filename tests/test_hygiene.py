@@ -222,13 +222,16 @@ def test_every_payload_door_normalizes_and_refuses_floats_and_bools(door, ring):
 
 def unitriangular_basis(ring, v):
     """A basis change of chain-2's incidence algebra with v above the
-    diagonal, so invertible whatever v is."""
+    diagonal, so invertible whatever v is, through the checking LinMap
+    door: neither basis-change entry point gets round its refusals."""
     one, zero = ring.one, ring.zero
-    return [[one, zero, zero], [v, one, zero], [zero, zero, one]]
+    A = incidence_algebra(chain(2), ring)
+    return LinMap(A, A, [[one, zero, zero], [v, one, zero], [zero, zero, one]])
 
 
-# The public entry points that take coordinate lists, as a function of the
-# ring and one coordinate v that they read on chain-2.
+# The public entry points that take coordinate lists, or a basis change built
+# from them through the LinMap door, as a function of the ring and one
+# coordinate v that they read on chain-2.
 COORDINATE_DOORS = {
     "LinMap.apply_coords": lambda ring, v: LinMap.identity(
         incidence_algebra(chain(2), ring)
@@ -547,6 +550,27 @@ def test_failure_generators_build_no_zero_vector():
         name for name, fn in bodies.items() if is_generator(fn) and builds_zero_vector(fn)
     }
     assert builders == set()
+
+
+def builds_dense_matrix(fn) -> bool:
+    """Does fn build a list of repeated lists, as [[zero] * d for ...]
+    does?"""
+    return any(
+        isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.BinOp)
+        and isinstance(node.elt.op, ast.Mult)
+        and isinstance(node.elt.left, ast.List)
+        for node in ast.walk(fn)
+    )
+
+
+def test_only_the_wire_writer_builds_a_dense_matrix():
+    """A matrix, a basis change included, is a LinMap's {index: nonzero}
+    columns; the one function that spells one out dense is the JSON writer
+    LinMap.to_json."""
+    _, bodies = call_graph()
+    builders = {name for name, fn in bodies.items() if builds_dense_matrix(fn)}
+    assert builders == {"linmaps.LinMap.to_json"}
 
 
 @pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, modular(9)], ids=repr)
